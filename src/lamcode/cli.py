@@ -135,14 +135,7 @@ def _jump_report(args) -> tuple[list[str], list[list]]:
     return header, rows
 
 
-def _reference_dictionary_report(args) -> tuple[list[str], list[list]]:
-    rows = ternary.reference_rows()
-    header = list(rows[0].keys())
-    return header, [[row[key] for key in header] for row in rows]
-
-
-def _broadened_dictionary_report(args) -> tuple[list[str], list[list]]:
-    rows = ternary.broadened_rows()
+def _dictionary_report(rows) -> tuple[list[str], list[list]]:
     header = list(rows[0].keys())
     return header, [[row[key] for key in header] for row in rows]
 
@@ -199,7 +192,7 @@ def _portrait_report(args, variant: str) -> tuple[list[str], list[list]]:
 def _sweep_report(args) -> tuple[list[str], list[list]]:
     header = ["max_head_droop", "max_tail_droop", "dc_bound", "min_transits", "count", "matches_pool"]
     rows = []
-    for entry in echo.selection_sweep(jobs=args.jobs):
+    for entry in echo.selection_sweep():
         rows.append([entry[key] for key in header])
     return header, rows
 
@@ -239,8 +232,8 @@ REPORTS = {
     "t1-table6-dm": _dm_report,
     "t1-table6-budget": _budget_report,
     "t1s-table14-jump": _jump_report,
-    "t1l-table6-dictionary": _reference_dictionary_report,
-    "t1l-table8-dictionary": _broadened_dictionary_report,
+    "t1l-table6-dictionary": lambda args: _dictionary_report(ternary.reference_rows()),
+    "t1l-table8-dictionary": lambda args: _dictionary_report(ternary.broadened_rows()),
     "t1l-table10-delimiters": _delimiter_report,
     "t1l-table7-portrait": lambda args: _portrait_report(args, ternary.REFERENCE),
     "t1l-table9-portrait": lambda args: _portrait_report(args, ternary.BROADENED),
@@ -313,7 +306,6 @@ def _t1l_codec_command(args) -> tuple[list[str], list[list]]:
     header = ["check", "result", "detail"]
     rows = [
         ["round_trip", verdict, f"{args.words} words, variant {args.variant}"],
-        ["page_misses", 0, "decode raised none"],
         ["sum_band", f"{floor}..{ceiling}", "running disparity stays on a page"],
     ]
     return header, rows
@@ -336,7 +328,6 @@ def _echo_census_command(args) -> tuple[list[str], list[list]]:
         dc_bound=args.dc,
         min_transits=args.transits,
         dc_unit=args.dc_unit,
-        jobs=args.jobs,
     )
     header = ["max_head_droop", "max_tail_droop", "dc_bound", "min_transits", "count", "matches_pool"]
     return header, [[args.head, args.tail, args.dc, args.transits, count, count == echo.POOL_TOTAL]]
@@ -363,7 +354,6 @@ def _common_flags() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("text", "csv", "json"), default="text")
     common.add_argument("--out", help="write the report to this path instead of stdout")
     common.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    common.add_argument("--jobs", type=int, default=1)
     return common
 
 
@@ -404,7 +394,6 @@ def _parser() -> argparse.ArgumentParser:
         dest="command", required=True
     )
     run = rec.add_parser("run", parents=[common], help="randomized round-trip suite")
-    run.add_argument("--self-test", action="store_true")
     run.add_argument("--count", type=int, default=2000)
     run.add_argument("--n-in", type=int, default=256)
     run.add_argument("--n-out", type=int, default=259)

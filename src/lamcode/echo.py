@@ -9,7 +9,6 @@ and an exhaustive census over the 3^12 serial-image space.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -304,28 +303,16 @@ def image_filter_census(
     dc_bound: int = IMAGE_SYMBOLS,
     min_transits: int = 0,
     dc_unit: int = 1,
-    jobs: int = 1,
 ) -> int:
     """Count images passing every threshold, exhaustively over 3^12."""
     if dc_unit < 1:
         raise RangeError("dc unit scales the bound and must be positive")
     cols = image_features()
-    bound = dc_bound * dc_unit
-
-    def count(lo: int, hi: int) -> int:
-        keep = cols["head"][lo:hi] <= max_head_droop
-        keep &= cols["tail"][lo:hi] <= max_tail_droop
-        keep &= np.abs(cols["dc"][lo:hi]) <= bound
-        keep &= cols["transits"][lo:hi] >= min_transits
-        return int(np.count_nonzero(keep))
-
-    if jobs <= 1:
-        return count(0, IMAGE_SPACE)
-    # shard by leading word: nine contiguous blocks of equal size
-    block = IMAGE_SPACE // 9
-    spans = [(k * block, (k + 1) * block) for k in range(9)]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return sum(pool.map(lambda span: count(*span), spans))
+    keep = cols["head"] <= max_head_droop
+    keep &= cols["tail"] <= max_tail_droop
+    keep &= np.abs(cols["dc"]) <= dc_bound * dc_unit
+    keep &= cols["transits"] >= min_transits
+    return int(np.count_nonzero(keep))
 
 
 SELECTION_GRID = (
@@ -335,10 +322,10 @@ SELECTION_GRID = (
 )
 
 
-def selection_sweep(dc_unit: int = 1, jobs: int = 1) -> list[dict]:
+def selection_sweep(dc_unit: int = 1) -> list[dict]:
     """Census every selection-criteria row, noting pool-size matches."""
     rows = []
     for criteria in SELECTION_GRID:
-        total = image_filter_census(**criteria, dc_unit=dc_unit, jobs=jobs)
+        total = image_filter_census(**criteria, dc_unit=dc_unit)
         rows.append({**criteria, "count": total, "matches_pool": total == POOL_TOTAL})
     return rows

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import WorkbenchError
+from .errors import RangeError, WorkbenchError
 
 J = "J"
 K = "K"
@@ -42,7 +42,7 @@ class FramingError(WorkbenchError, ValueError):
 
 def _check_level(level: str) -> None:
     if level not in (LOW, HIGH):
-        raise ValueError(f"level must be {LOW!r} or {HIGH!r}, got {level!r}")
+        raise RangeError(f"level must be {LOW!r} or {HIGH!r}, got {level!r}")
 
 
 def other_level(level: str) -> str:
@@ -54,7 +54,7 @@ def check_letters(letters: str) -> None:
     """Validate a JK string; KK adjacency raises InvalidRun."""
     for ch in letters:
         if ch not in (J, K):
-            raise ValueError(f"letter must be {J!r} or {K!r}, got {ch!r}")
+            raise RangeError(f"letter must be {J!r} or {K!r}, got {ch!r}")
     if K + K in letters:
         raise InvalidRun(f"KK run in {letters!r}")
 
@@ -72,7 +72,7 @@ def bits_to_letters(bits: Iterable[int], initial_level: str = LOW) -> str:
     out: list[str] = []
     for bit in bits:
         if bit not in (0, 1):
-            raise ValueError(f"bit must be 0 or 1, got {bit!r}")
+            raise RangeError(f"bit must be 0 or 1, got {bit!r}")
         first = HIGH if bit == 0 else LOW
         for target in (first, other_level(first)):
             out.append(K if target == level else J)
@@ -89,7 +89,7 @@ def level_trace(letters: str, initial_level: str = LOW) -> str:
         if ch == J:
             level = HIGH if level == LOW else LOW
         elif ch != K:
-            raise ValueError(f"letter must be {J!r} or {K!r}, got {ch!r}")
+            raise RangeError(f"letter must be {J!r} or {K!r}, got {ch!r}")
         out.append(level)
     return "".join(out)
 
@@ -217,7 +217,7 @@ def pulse_train(bits: Sequence[int], initial_level: str = LOW) -> list[Pulse]:
     levels: list[str] = []
     for bit in bits:
         if bit not in (0, 1):
-            raise ValueError(f"bit must be 0 or 1, got {bit!r}")
+            raise RangeError(f"bit must be 0 or 1, got {bit!r}")
         first = HIGH if bit == 0 else LOW
         levels.append(first)
         levels.append(other_level(first))

@@ -13,12 +13,14 @@ less (the rounding loss per output symbol is at most log2(1 + 1/K)
 bits) at the price of a larger resident value. When the encoder and
 decoder both run the same gate, the emitted stream plus the input
 symbol count is exactly decodable; the count rides in a fixed header.
+Both ends therefore walk the one generator `_schedule`; `enqueue`,
+`test` and `dequeue` on a `MixedRadixQueue` are the reference steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator
 
 from .errors import RangeError, WorkbenchError
 
@@ -69,7 +71,6 @@ def constant_oracle(n_in: int, n_out: int) -> RadixOracle:
 class ReconcilerConfig:
     capacity_threshold: int = 1  # K: dequeue only while N_q >= K * $N
     queue_bound: int | None = None
-    efficiency_target: float | None = None
 
     def __post_init__(self) -> None:
         if self.capacity_threshold < 1:
@@ -120,9 +121,45 @@ class EncodedStream:
     symbols: tuple[int, ...]
 
 
-def _trace(lines: list[str] | None, stage: str, q: MixedRadixQueue, symbol: int | None) -> None:
-    if lines is not None:
-        lines.append(f"{stage},{q.b_q},{q.n_q},{'' if symbol is None else symbol}")
+def _schedule(
+    count: int, oracle: RadixOracle, config: ReconcilerConfig
+) -> Iterator[tuple[str, int, int, int]]:
+    """The capacity gate: (op, radix, N_q before, N_q after) per queue step.
+
+    op is "enqueue", "dequeue" (gated mid-stream) or "flush" (the final
+    drain). The only reader of the oracle, K and the queue bound; it
+    validates every radix it reads.
+    """
+    k = config.capacity_threshold
+    bound = config.queue_bound
+
+    def out_radix(n: int) -> int:
+        radix = oracle.output_radix(n)
+        if radix < 3:
+            raise RangeError("output radix must be at least 3")
+        return radix
+
+    n_q = 1
+    n = 0
+    for m in range(count):
+        radix = oracle.input_radix(m)
+        if radix < 2:
+            raise RangeError("input radix must be at least 2")
+        before, n_q = n_q, n_q * radix
+        if bound is not None and n_q > bound:
+            raise QueueOverflow(f"queue capacity {n_q} exceeds bound {bound}")
+        yield "enqueue", radix, before, n_q
+        radix = out_radix(n)
+        while n_q >= k * radix:
+            before, n_q = n_q, -(-n_q // radix)
+            n += 1
+            yield "dequeue", radix, before, n_q
+            radix = out_radix(n)
+    while n_q > 1:
+        radix = out_radix(n)
+        before, n_q = n_q, -(-n_q // radix)
+        n += 1
+        yield "flush", radix, before, n_q
 
 
 def encode_stream(
@@ -131,63 +168,33 @@ def encode_stream(
     config: ReconcilerConfig = ReconcilerConfig(),
     trace: list[str] | None = None,
 ) -> EncodedStream:
-    """Run the stage machine over a whole input stream, then flush.
+    """Walk the capacity schedule over a whole input stream.
 
     After each enqueue, dequeues take priority and repeat while the
     threshold test holds; termination drains every remaining digit.
+    The schedule owns N_q; the queued value B_q is a plain int here.
+    Each step appends "stage,B_q,N_q,symbol" to `trace` when given.
     """
-    k = config.capacity_threshold
-    q = MixedRadixQueue()
-    _trace(trace, "init", q, None)
+    inputs = list(inputs)
+    pending = iter(inputs)
+    b_q = 0
     out: list[int] = []
-    for b_in in inputs:
-        q = enqueue(q, b_in, oracle.input_radix(q.m), config.queue_bound)
-        _trace(trace, "enqueue", q, b_in)
-        while test(q, oracle.output_radix(q.n), k):
-            q, b_out = dequeue(q, oracle.output_radix(q.n))
-            out.append(b_out)
-            _trace(trace, "dequeue", q, b_out)
-    while q.n_q > 1:
-        q, b_out = dequeue(q, oracle.output_radix(q.n))
-        out.append(b_out)
-        _trace(trace, "flush", q, b_out)
-    return EncodedStream(count=q.m, symbols=tuple(out))
-
-
-def _replay_schedule(
-    count: int, symbol_count: int, oracle: RadixOracle, config: ReconcilerConfig
-) -> list[tuple[str, int, int]]:
-    """Re-derive the op sequence from radices alone.
-
-    Returns (op, radix, capacity-before) triples in forward order; the
-    value-independence of the gate makes this exact.
-    """
-    k = config.capacity_threshold
-    ops: list[tuple[str, int, int]] = []
-    n_q = 1
-    m = n = 0
-    for _ in range(count):
-        n_in = oracle.input_radix(m)
-        if n_in < 2:
-            raise RangeError("input radix must be at least 2")
-        ops.append(("enqueue", n_in, n_q))
-        n_q *= n_in
-        if config.queue_bound is not None and n_q > config.queue_bound:
-            raise QueueOverflow(f"queue capacity {n_q} exceeds bound {config.queue_bound}")
-        m += 1
-        while n_q >= k * oracle.output_radix(n):
-            out_radix = oracle.output_radix(n)
-            ops.append(("dequeue", out_radix, n_q))
-            n_q = -(-n_q // out_radix)
-            n += 1
-    while n_q > 1:
-        out_radix = oracle.output_radix(n)
-        ops.append(("dequeue", out_radix, n_q))
-        n_q = -(-n_q // out_radix)
-        n += 1
-    if n != symbol_count:
-        raise FlushAmbiguity(f"schedule yields {n} symbols, stream carries {symbol_count}")
-    return ops
+    if trace is not None:
+        trace.append("init,0,1,")
+    for op, radix, n_q_before, n_q in _schedule(len(inputs), oracle, config):
+        if op == "enqueue":
+            symbol = next(pending)
+            if not 0 <= symbol < radix:
+                raise RangeError(f"symbol {symbol} outside radix {radix}")
+            b_q += symbol * n_q_before
+        else:
+            b_q, symbol = divmod(b_q, radix)
+            out.append(symbol)
+        if not 0 <= b_q < n_q:
+            raise RangeError(f"queue invariant violated: B_q={b_q}, N_q={n_q}")
+        if trace is not None:
+            trace.append(f"{op},{b_q},{n_q},{symbol}")
+    return EncodedStream(count=len(inputs), symbols=tuple(out))
 
 
 def decode_stream(
@@ -195,7 +202,7 @@ def decode_stream(
     oracle: RadixOracle,
     config: ReconcilerConfig = ReconcilerConfig(),
 ) -> list[int]:
-    """Invert encode_stream: schedule replay forward, value replay backward.
+    """Invert encode_stream: the same schedule forward, values backward.
 
     Walking the op list in reverse turns every dequeue into a positional
     push and every enqueue into a division by the capacity the queue had
@@ -203,20 +210,23 @@ def decode_stream(
     """
     if encoded.count < 0:
         raise RangeError("negative input count")
-    ops = _replay_schedule(encoded.count, len(encoded.symbols), oracle, config)
+    ops = list(_schedule(encoded.count, oracle, config))
+    produced = len(ops) - encoded.count
+    if produced != len(encoded.symbols):
+        raise FlushAmbiguity(f"schedule yields {produced} symbols, stream carries {len(encoded.symbols)}")
     value = 0
     inputs: list[int] = []
     symbols = list(encoded.symbols)
-    for op, radix, n_q_before in reversed(ops):
-        if op == "dequeue":
-            symbol = symbols.pop()
-            if not 0 <= symbol < radix:
-                raise DecodeError(f"symbol {symbol} outside radix {radix}")
-            value = value * radix + symbol
-        else:
+    for op, radix, n_q_before, _ in reversed(ops):
+        if op == "enqueue":
             b_in, value = divmod(value, n_q_before)
             if b_in >= radix:
                 raise DecodeError("recovered symbol exceeds its radix")
             inputs.append(b_in)
+        else:
+            symbol = symbols.pop()
+            if not 0 <= symbol < radix:
+                raise DecodeError(f"symbol {symbol} outside radix {radix}")
+            value = value * radix + symbol
     inputs.reverse()
     return inputs

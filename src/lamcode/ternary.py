@@ -31,7 +31,6 @@ BROADENED = "broadened"
 VARIANTS = (REFERENCE, BROADENED)
 NIBBLE_SPACE = 16
 KEY_SPACE = 32
-IDLE_WORD = "zzz"
 DELIMITER_KINDS = ("SSD", "ESD", "ESD_ERR")
 DELIMITER_PERIODS = (1, 2, 3, 4)
 EVENT_SLOTS = ("fade_in", "flag", "meta")
@@ -65,7 +64,7 @@ def check_word(symbols: str) -> None:
         raise RangeError(f"word needs {WORD_LENGTH} symbols, got {symbols!r}")
     for ch in symbols:
         if ch not in SYMBOL_VALUES:
-            raise ValueError(f"unknown symbol {ch!r}")
+            raise RangeError(f"unknown symbol {ch!r}")
 
 
 _FLIP = {"L": "H", "z": "z", "H": "L"}

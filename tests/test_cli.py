@@ -1,8 +1,10 @@
 """CLI subcommands: formats, determinism, exit codes, spot values."""
 
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -32,7 +34,7 @@ def test_solve_prints_both_partitions(capsys):
 
 
 def test_reconcile_self_test_passes(capsys):
-    code, out, _ = run_cli(capsys, "reconcile", "run", "--self-test", "--count", "800")
+    code, out, _ = run_cli(capsys, "reconcile", "run", "--count", "800")
     assert code == 0
     assert "PASS" in out
     efficiency = next(line for line in out.splitlines() if line.startswith("efficiency"))
@@ -142,3 +144,19 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("letters")
+
+
+def _readme_cli_lines() -> list[str]:
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## CLI", 1)[1]
+    block = section.split("```sh", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("lamcode ")]
+
+
+def test_readme_cli_block_runs(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    lines = _readme_cli_lines()
+    assert len(lines) >= 10
+    for line in lines:
+        code, _, err = run_cli(capsys, *shlex.split(line)[1:])
+        assert code == 0, f"{line}: {err}"

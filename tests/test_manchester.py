@@ -5,6 +5,8 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from lamcode import ternary
+from lamcode.errors import WorkbenchError
 from lamcode.manchester import (
     HIGH,
     J,
@@ -203,3 +205,21 @@ def test_pulse_polarity_alternates(bits, level):
     train = pulse_train(bits, level)
     for first, second in zip(train, train[1:]):
         assert first.polarity != second.polarity
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: other_level("X"),
+        lambda: check_letters("JX"),
+        lambda: bits_to_letters([2]),
+        lambda: bits_to_letters([0], "X"),
+        lambda: level_trace("JX"),
+        lambda: pulse_train([0, 2]),
+        lambda: ternary.check_word("LXH"),
+    ],
+)
+def test_domain_errors_are_workbench_errors(call):
+    # a WorkbenchError is what the CLI reports with exit code 2
+    with pytest.raises(WorkbenchError):
+        call()

@@ -1,5 +1,6 @@
 """Mixed-radix queue operations and the streaming transcoder."""
 
+import itertools
 import math
 import random
 
@@ -202,3 +203,68 @@ def test_queue_bound_respected_in_replay():
     tight = ReconcilerConfig(capacity_threshold=2**40, queue_bound=10**6)
     with pytest.raises(QueueOverflow):
         encode_stream(data, oracle, tight)
+
+
+@pytest.mark.parametrize("out_radix", [0, 1, 2])
+@pytest.mark.parametrize("k", [1, 8])
+def test_small_output_radix_rejected_by_both_ends(out_radix, k):
+    reads = itertools.count()
+
+    def output_radix(n):
+        assert next(reads) < 100, "the schedule keeps reading the oracle"
+        return out_radix
+
+    oracle = RadixOracle(input_radix=lambda m: 16, output_radix=output_radix)
+    config = ReconcilerConfig(capacity_threshold=k)
+    with pytest.raises(RangeError):
+        encode_stream([1, 2, 3], oracle, config)
+    with pytest.raises(RangeError):
+        decode_stream(EncodedStream(1, (0,)), oracle, config)
+
+
+def _reference_fold(data, oracle, k):
+    """Symbols and trace from the reference single-step functions."""
+    q = MixedRadixQueue()
+    trace = [f"init,{q.b_q},{q.n_q},"]
+    out = []
+
+    def drain(stage):
+        nonlocal q
+        q, b_out = dequeue(q, oracle.output_radix(q.n))
+        out.append(b_out)
+        trace.append(f"{stage},{q.b_q},{q.n_q},{b_out}")
+
+    for b_in in data:
+        q = enqueue(q, b_in, oracle.input_radix(q.m))
+        trace.append(f"enqueue,{q.b_q},{q.n_q},{b_in}")
+        while reconciler.test(q, oracle.output_radix(q.n), k):
+            drain("dequeue")
+    while q.n_q > 1:
+        drain("flush")
+    return tuple(out), trace
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(
+        st.integers(min_value=2, max_value=40).flatmap(
+            lambda radix: st.tuples(st.just(radix), st.integers(0, radix - 1))
+        ),
+        max_size=40,
+    ),
+    st.lists(st.integers(min_value=3, max_value=40), min_size=1, max_size=12),
+    st.one_of(st.integers(min_value=1, max_value=64), st.just(1 << 20)),
+)
+def test_encoder_matches_reference_fold(pairs, out_radices, k):
+    in_radices = [radix for radix, _ in pairs]
+    data = [symbol for _, symbol in pairs]
+    oracle = RadixOracle(
+        input_radix=lambda m: in_radices[m],
+        output_radix=lambda n: out_radices[n % len(out_radices)],
+    )
+    config = ReconcilerConfig(capacity_threshold=k)
+    trace: list[str] = []
+    encoded = encode_stream(data, oracle, config, trace)
+    assert (encoded.symbols, trace) == _reference_fold(data, oracle, k)
+    assert encoded.count == len(data)
+    assert decode_stream(encoded, oracle, config) == data
