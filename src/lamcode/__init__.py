@@ -13,6 +13,7 @@ __version__ = "0.1.0"
 __all__ = [
     "manchester",
     "dictionary",
+    "paging",
     "scrambler",
     "reconciler",
     "ternary",

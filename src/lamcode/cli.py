@@ -61,25 +61,19 @@ def _pages_report(args) -> tuple[list[str], list[list]]:
     return header, rows
 
 
+def _partition_row(sol, label) -> list:
+    pos, neg = scrambler.unbalance(sol)
+    unbalance = [scrambler.format_unbalance(pos), scrambler.format_unbalance(neg)]
+    return [sol.r, sol.m_even, sol.m_odd, sol.x_even, sol.x_odd, label] + unbalance
+
+
 def _symmetric_report(args) -> tuple[list[str], list[list]]:
     header = ["r", "m_even", "m_odd", "x_even", "x_odd", "anchor", "unb_pos", "unb_neg", "obs_s"]
     rows = []
     for r in SYMMETRIC_ROWS:
         sol = scrambler.symmetric_solutions(r, 259)[0]
-        pos, neg = scrambler.unbalance(sol)
-        rows.append(
-            [
-                sol.r,
-                sol.m_even,
-                sol.m_odd,
-                sol.x_even,
-                sol.x_odd,
-                "x_even" if sol.symmetric_e else "x_odd",
-                scrambler.format_unbalance(pos),
-                scrambler.format_unbalance(neg),
-                f"{scrambler.observation_time(r):.3g}",
-            ]
-        )
+        anchor = "x_even" if sol.symmetric_e else "x_odd"
+        rows.append(_partition_row(sol, anchor) + [f"{scrambler.observation_time(r):.3g}"])
     return header, rows
 
 
@@ -88,19 +82,7 @@ def _dm_report(args) -> tuple[list[str], list[list]]:
     rows = []
     for r in DM_ROWS:
         sol = scrambler.solve_dm1(r, 259)[0]
-        pos, neg = scrambler.unbalance(sol)
-        rows.append(
-            [
-                sol.r,
-                sol.m_even,
-                sol.m_odd,
-                sol.x_even,
-                sol.x_odd,
-                abs(sol.x_even - sol.x_odd),
-                scrambler.format_unbalance(pos),
-                scrambler.format_unbalance(neg),
-            ]
-        )
+        rows.append(_partition_row(sol, abs(sol.x_even - sol.x_odd)))
     return header, rows
 
 
@@ -253,6 +235,8 @@ def _report_command(args) -> tuple[list[str], list[list]]:
 def _lam_codec_command(args) -> tuple[list[str], list[list]]:
     if args.letters % 2 or args.letters < 2:
         raise UsageError("letter count must be a positive even number")
+    if args.count < 0:
+        raise UsageError("word count must be nonnegative")
     rng = random.Random(args.seed)
     space = 1 << (args.letters // 2)
     data = [rng.randrange(space) for _ in range(args.count)]
@@ -270,6 +254,8 @@ def _lam_codec_command(args) -> tuple[list[str], list[list]]:
 def _reconcile_command(args) -> tuple[list[str], list[list]]:
     if args.n_out <= args.n_in:
         raise UsageError("output radix must exceed input radix")
+    if args.count < 0:
+        raise UsageError("symbol count must be nonnegative")
     rng = random.Random(args.seed)
     data = [rng.randrange(args.n_in) for _ in range(args.count)]
     oracle = reconciler.constant_oracle(args.n_in, args.n_out)
@@ -291,15 +277,16 @@ def _reconcile_command(args) -> tuple[list[str], list[list]]:
 
 
 def _t1l_codec_command(args) -> tuple[list[str], list[list]]:
+    if args.words < 0:
+        raise UsageError("word count must be nonnegative")
     rng = random.Random(args.seed)
-    d = ternary.dictionary_for(args.variant)
+    codec = ternary.paged_codec(args.variant)
     codes = []
-    sigma = ternary.START_SIGMA
-    floor, ceiling = sigma, sigma
+    sigma = floor = ceiling = ternary.START_SIGMA
     for _ in range(args.words):
-        code = rng.randrange(len(d.page(sigma)))
+        code = rng.randrange(codec.sizes[sigma])
         codes.append(code)
-        sigma += d.page(sigma).entry_for(code).word.delta_dc
+        _, sigma = codec.forward[sigma, code]
         floor, ceiling = min(floor, sigma), max(ceiling, sigma)
     letters = ternary.encode_stream(codes, args.variant)
     verdict = "PASS" if ternary.decode_stream(letters, args.variant) == codes else "FAIL"
@@ -438,20 +425,8 @@ def _solve_command(args) -> tuple[list[str], list[list]]:
     header = ["r", "m_even", "m_odd", "x_even", "x_odd", "kind", "unb_pos", "unb_neg"]
     rows = []
     for sol in scrambler.solve_partitions(args.r, args.n):
-        pos, neg = scrambler.unbalance(sol)
         kind = "dx1" if abs(sol.x_even - sol.x_odd) <= 1 else "dm1"
-        rows.append(
-            [
-                sol.r,
-                sol.m_even,
-                sol.m_odd,
-                sol.x_even,
-                sol.x_odd,
-                kind,
-                scrambler.format_unbalance(pos),
-                scrambler.format_unbalance(neg),
-            ]
-        )
+        rows.append(_partition_row(sol, kind))
     return header, rows
 
 

@@ -23,6 +23,7 @@ from typing import Iterable, Sequence
 
 from .errors import RangeError, WorkbenchError
 from .manchester import J, K, metrics
+from .paging import CodeOutOfRange, PagedCodec, PageMiss
 
 MAX_IMAGE_LENGTH = 24
 MASKS = ("JJ", "JK", "KJ")
@@ -37,12 +38,8 @@ class EmptyPage(WorkbenchError, ValueError):
     """A filter admitted no words for one of the pages."""
 
 
-class ValueOutOfRange(WorkbenchError, ValueError):
-    """A data value exceeds the current page size."""
-
-
-class DecodeError(WorkbenchError, ValueError):
-    """A received word is not listed in the expected page."""
+ValueOutOfRange = CodeOutOfRange  # a data value exceeds the current page size
+DecodeError = PageMiss  # a received word is not listed in the expected page
 
 
 class Degenerate(WorkbenchError, ArithmeticError):
@@ -169,22 +166,16 @@ class Page:
     id: str
     words: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_ordinals", {w: i for i, w in enumerate(self.words)})
-
     def __len__(self) -> int:
         return len(self.words)
 
     def __iter__(self):
         return iter(self.words)
 
-    def __contains__(self, word: str) -> bool:
-        return word in self._ordinals
-
     def index_of(self, word: str) -> int:
         try:
-            return self._ordinals[word]
-        except KeyError:
+            return self.words.index(word)
+        except ValueError:
             raise DecodeError(f"{word!r} is not in page {self.id}") from None
 
 
@@ -221,39 +212,26 @@ def next_page(previous: str) -> str:
 START_PAGE = "A"  # a stream opens as if its predecessor ended with K
 
 
+@lru_cache(maxsize=8)
+def paged_codec(m: int, image_filter: ImageFilter | None = None) -> PagedCodec:
+    """The page tables of length-m words; the state is the page id."""
+    if image_filter is None:
+        image_filter = filter_for_data_bits(m // 2)
+    pages = build_pages(m, image_filter)
+    return PagedCodec({page.id: [(word, next_page(word)) for word in page] for page in pages})
+
+
 def encode_stream(
     data: Iterable[int], m: int, image_filter: ImageFilter | None = None
 ) -> str:
     """Map ordinal values onto page words, switching pages per word."""
-    if image_filter is None:
-        image_filter = filter_for_data_bits(m // 2)
-    pages = dict(zip("AB", build_pages(m, image_filter)))
-    page = pages[START_PAGE]
-    out: list[str] = []
-    for value in data:
-        if not 0 <= value < len(page):
-            raise ValueOutOfRange(f"value {value} exceeds page {page.id} size {len(page)}")
-        word = page.words[value]
-        out.append(word)
-        page = pages[next_page(word)]
-    return "".join(out)
+    return paged_codec(m, image_filter).encode(data, START_PAGE)[0]
 
 
 def decode_stream(
     letters: str, m: int, image_filter: ImageFilter | None = None
 ) -> list[int]:
-    if image_filter is None:
-        image_filter = filter_for_data_bits(m // 2)
-    if len(letters) % m:
-        raise DecodeError("stream length is not a whole number of words")
-    pages = dict(zip("AB", build_pages(m, image_filter)))
-    page = pages[START_PAGE]
-    values: list[int] = []
-    for start in range(0, len(letters), m):
-        word = letters[start : start + m]
-        values.append(page.index_of(word))
-        page = pages[next_page(word)]
-    return values
+    return paged_codec(m, image_filter).decode(letters, START_PAGE)[0]
 
 
 def multiplex_feasible(m_bits: int) -> bool:

@@ -27,7 +27,6 @@ FORCED_POOL = GROUP_WORDS * OCTAL**FORCED_DIGITS
 POOL_TOTAL = NATIVE_POOL + FORCED_POOL
 IMAGE_SYMBOLS = 12
 IMAGE_SPACE = 3**IMAGE_SYMBOLS
-MAX_TRANSITS = IMAGE_SYMBOLS - 1
 WORD_NS = 30.0
 NIBBLE_NS = 40.0
 MII_POSITIONS = 9

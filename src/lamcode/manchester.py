@@ -138,6 +138,8 @@ def metrics(letters: str, initial_level: str = LOW) -> ImageMetrics:
 
     The running bias changes only at K letters: +1 when the held level
     is H, -1 when it is L. J letters toggle the level and contribute 0.
+    Only a K extends a level run and no K follows a K, so a droop run is 2
+    when the second (for the tail, the last) letter is K, else 1.
     """
     check_letters(letters)
     _check_level(initial_level)
@@ -154,13 +156,6 @@ def metrics(letters: str, initial_level: str = LOW) -> ImageMetrics:
                 peak_pos = bias
             elif bias < peak_neg:
                 peak_neg = bias
-    trace = level_trace(letters, initial_level)
-    head = tail = 0
-    if trace:
-        while head < len(trace) and trace[head] == trace[0]:
-            head += 1
-        while tail < len(trace) and trace[-1 - tail] == trace[-1]:
-            tail += 1
     return ImageMetrics(
         j_count=j_count,
         k_count=k_count,
@@ -170,8 +165,8 @@ def metrics(letters: str, initial_level: str = LOW) -> ImageMetrics:
         final_level=level,
         inverting=bool(j_count % 2),
         transit_count=j_count,
-        head_run=head,
-        tail_run=tail,
+        head_run=min(len(letters), 2 if letters[1:2] == K else 1),
+        tail_run=min(len(letters), 2 if letters[-1:] == K else 1),
     )
 
 

@@ -210,10 +210,16 @@ def decode_stream(
     """
     if encoded.count < 0:
         raise RangeError("negative input count")
-    ops = list(_schedule(encoded.count, oracle, config))
-    produced = len(ops) - encoded.count
-    if produced != len(encoded.symbols):
-        raise FlushAmbiguity(f"schedule yields {produced} symbols, stream carries {len(encoded.symbols)}")
+    carried = len(encoded.symbols)
+    ops = []
+    produced = 0
+    for step in _schedule(encoded.count, oracle, config):
+        produced += step[0] != "enqueue"
+        if produced > carried:
+            break
+        ops.append(step)
+    if produced != carried:
+        raise FlushAmbiguity(f"schedule does not yield the {carried} symbols the stream carries")
     value = 0
     inputs: list[int] = []
     symbols = list(encoded.symbols)

@@ -13,12 +13,13 @@ profiles per letter phase) come from the induced Markov chain.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
 from .errors import RangeError, WorkbenchError
+from .paging import PagedCodec, PageMiss
 from .scrambler import bubble_map
 
 SYMBOLS = "LzH"
@@ -29,7 +30,6 @@ START_SIGMA = 1
 REFERENCE = "reference"
 BROADENED = "broadened"
 VARIANTS = (REFERENCE, BROADENED)
-NIBBLE_SPACE = 16
 KEY_SPACE = 32
 DELIMITER_KINDS = ("SSD", "ESD", "ESD_ERR")
 DELIMITER_PERIODS = (1, 2, 3, 4)
@@ -41,10 +41,6 @@ FLAG_PAIRS = {2: (0, 17), 3: (0, 17)}
 
 # Longest same-symbol run the bound search will tolerate before giving up.
 RUN_CAP = 16
-
-
-class PageMiss(WorkbenchError, ValueError):
-    """Word absent from the page selected by the running disparity."""
 
 
 class UndefinedCell(WorkbenchError, ValueError):
@@ -149,13 +145,11 @@ class TernaryPage:
 
     sigma: int
     entries: tuple[PageEntry, ...]
-    _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         codes = [entry.code for entry in self.entries]
         if codes != list(range(len(codes))):
-            raise ValueError(f"page {self.sigma} codes must run 0..{len(codes) - 1}")
-        object.__setattr__(self, "_index", {e.word.symbols: e for e in self.entries})
+            raise RangeError(f"page {self.sigma} codes must run 0..{len(codes) - 1}")
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -164,13 +158,7 @@ class TernaryPage:
         return iter(self.entries)
 
     def __contains__(self, symbols: str) -> bool:
-        return symbols in self._index
-
-    def entry_of(self, symbols: str) -> PageEntry:
-        entry = self._index.get(symbols)
-        if entry is None:
-            raise PageMiss(f"word {symbols!r} not in page {self.sigma}")
-        return entry
+        return any(entry.word.symbols == symbols for entry in self.entries)
 
     def entry_for(self, code: int) -> PageEntry:
         if not 0 <= code < len(self.entries):
@@ -281,31 +269,27 @@ def encode_nibble(code: int, sigma: int, variant: str = REFERENCE) -> TernaryWor
     return dictionary_for(variant).page(sigma).entry_for(code).word
 
 
+@lru_cache(maxsize=None)
+def paged_codec(variant: str = REFERENCE) -> PagedCodec:
+    """The page tables of one variant; the state is the running disparity."""
+    pages = dictionary_for(variant).pages
+    return PagedCodec({p.sigma: [(e.word.symbols, p.sigma + e.word.delta_dc) for e in p] for p in pages})
+
+
 def decode_word(symbols: str, sigma: int, variant: str = REFERENCE) -> tuple[int, int]:
     """Inverse lookup: the code and the next disparity."""
-    entry = dictionary_for(variant).page(sigma).entry_of(symbols)
-    return entry.code, sigma + entry.word.delta_dc
+    codes, after = paged_codec(variant).decode(symbols, sigma)
+    if len(codes) != 1:
+        raise PageMiss(f"word {symbols!r} not in page {sigma}")
+    return codes[0], after
 
 
 def encode_stream(codes, variant: str = REFERENCE, start_sigma: int = START_SIGMA) -> str:
-    sigma = start_sigma
-    out = []
-    for code in codes:
-        word = encode_nibble(code, sigma, variant)
-        out.append(word.symbols)
-        sigma += word.delta_dc
-    return "".join(out)
+    return paged_codec(variant).encode(codes, start_sigma)[0]
 
 
 def decode_stream(symbols: str, variant: str = REFERENCE, start_sigma: int = START_SIGMA) -> list[int]:
-    if len(symbols) % WORD_LENGTH:
-        raise PageMiss("stream length must be a whole number of words")
-    sigma = start_sigma
-    codes = []
-    for i in range(0, len(symbols), WORD_LENGTH):
-        code, sigma = decode_word(symbols[i : i + WORD_LENGTH], sigma, variant)
-        codes.append(code)
-    return codes
+    return paged_codec(variant).decode(symbols, start_sigma)[0]
 
 
 @lru_cache(maxsize=None)

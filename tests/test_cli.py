@@ -160,3 +160,17 @@ def test_readme_cli_block_runs(capsys, monkeypatch, tmp_path):
     for line in lines:
         code, _, err = run_cli(capsys, *shlex.split(line)[1:])
         assert code == 0, f"{line}: {err}"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("lam", "codec", "--count", "-3"),
+        ("reconcile", "run", "--count", "-3"),
+        ("t1l", "codec", "--words", "-5"),
+    ],
+)
+def test_negative_counts_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "must be nonnegative" in err

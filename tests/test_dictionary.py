@@ -28,10 +28,12 @@ from lamcode.dictionary import (
     mask_of,
     multiplex_feasible,
     next_page,
+    paged_codec,
     pattern_of,
     position_jump_probability,
     stationary_two_page,
 )
+from lamcode.errors import WorkbenchError
 from lamcode.manchester import J, K, check_letters, metrics
 
 
@@ -265,3 +267,24 @@ def test_jump_probability_interior():
     total = position_jump_probability(pages, 0)
     union_size = total.denominator
     assert union_size == len(set(pages[0].words) | set(pages[1].words))
+
+
+def test_decode_stream_bad_length_is_size_limit():
+    with pytest.raises(SizeLimit):
+        decode_stream("", 0, UNIT_BIAS)
+
+
+@given(
+    text=st.text(alphabet="JKx", max_size=24),
+    m=st.sampled_from([0, 1, 2, 3, 4, 8, 25]),
+    image_filter=st.sampled_from([None, UNIT_BIAS, BALANCED]),
+    state=st.sampled_from("ABC"),
+)
+def test_paged_decoder_round_trips_or_raises(text, m, image_filter, state):
+    # any letter string from any page state, "C" and "x" being foreign
+    try:
+        codec = paged_codec(m, image_filter)
+        values, _ = codec.decode(text, state)
+    except WorkbenchError:
+        return
+    assert codec.encode(values, state)[0] == text

@@ -223,3 +223,29 @@ def test_domain_errors_are_workbench_errors(call):
     # a WorkbenchError is what the CLI reports with exit code 2
     with pytest.raises(WorkbenchError):
         call()
+
+
+def _trace_runs(letters, level):
+    """Head and tail runs counted on the level trace."""
+    trace = level_trace(letters, level)
+    head = tail = 0
+    if trace:
+        while head < len(trace) and trace[head] == trace[0]:
+            head += 1
+        while tail < len(trace) and trace[-1 - tail] == trace[-1]:
+            tail += 1
+    return head, tail
+
+
+def test_metrics_runs_match_level_trace():
+    cases = 0
+    for length in range(16):
+        for combo in itertools.product(J + K, repeat=length):
+            letters = "".join(combo)
+            if K + K in letters:
+                continue
+            for level in (LOW, HIGH):
+                m = metrics(letters, level)
+                assert (m.head_run, m.tail_run) == _trace_runs(letters, level), (letters, level)
+                cases += 1
+    assert cases == 8358

@@ -205,6 +205,19 @@ def test_queue_bound_respected_in_replay():
         encode_stream(data, oracle, tight)
 
 
+@pytest.mark.parametrize("symbols", [(), (1, 2, 3)])
+def test_header_count_beyond_symbols_rejected_early(symbols):
+    reads = itertools.count()
+
+    def output_radix(n):
+        assert next(reads) < 1000, "the decoder walks the whole header count"
+        return 259
+
+    oracle = RadixOracle(input_radix=lambda m: 256, output_radix=output_radix)
+    with pytest.raises(FlushAmbiguity):
+        decode_stream(EncodedStream(10**9, symbols), oracle)
+
+
 @pytest.mark.parametrize("out_radix", [0, 1, 2])
 @pytest.mark.parametrize("k", [1, 8])
 def test_small_output_radix_rejected_by_both_ends(out_radix, k):

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lamcode import scrambler, ternary
-from lamcode.errors import RangeError
+from lamcode.errors import RangeError, WorkbenchError
 
 
 def test_word_metrics_examples():
@@ -556,3 +556,23 @@ def test_simulated_broadened_key_stream():
         p = float(stats.p_transit[k])
         margin = 3 * (trials * p * (1 - p)) ** 0.5
         assert abs(observed - trials * p) <= margin
+
+
+def test_page_code_gap_is_range_error():
+    entries = ternary.reference_dictionary().page(1).entries
+    with pytest.raises(RangeError):
+        ternary.TernaryPage(1, entries[1:])
+
+
+@given(
+    text=st.text(alphabet="LzHx", max_size=15),
+    variant=st.sampled_from(ternary.VARIANTS),
+    sigma=st.integers(min_value=-1, max_value=6),
+)
+def test_paged_decoder_round_trips_or_raises(text, variant, sigma):
+    # any symbol string from any disparity, "x" and sigma outside 1..4 being foreign
+    try:
+        codes = ternary.decode_stream(text, variant, sigma)
+    except WorkbenchError:
+        return
+    assert ternary.encode_stream(codes, variant, sigma) == text
