@@ -46,9 +46,17 @@ def _census_report(args) -> tuple[list[str], list[list]]:
     return header, rows
 
 
+def _check_letters(letters: int) -> None:
+    if letters % 2 or letters < 2:
+        raise UsageError("letter count must be a positive even number")
+
+
 def _pages_report(args) -> tuple[list[str], list[list]]:
     header = ["letters", "data_bits", "selection", "page_a", "page_b", "multiplex_ok"]
-    letters = (args.letters,) if getattr(args, "letters", None) else PAGE_LETTERS
+    letters = PAGE_LETTERS
+    if getattr(args, "letters", None) is not None:  # `report tbt-table9-pages` has no --letters
+        _check_letters(args.letters)
+        letters = (args.letters,)
     rows = []
     for m in letters:
         bits = m // 2
@@ -233,8 +241,7 @@ def _report_command(args) -> tuple[list[str], list[list]]:
 
 
 def _lam_codec_command(args) -> tuple[list[str], list[list]]:
-    if args.letters % 2 or args.letters < 2:
-        raise UsageError("letter count must be a positive even number")
+    _check_letters(args.letters)
     if args.count < 0:
         raise UsageError("word count must be nonnegative")
     rng = random.Random(args.seed)
@@ -252,6 +259,8 @@ def _lam_codec_command(args) -> tuple[list[str], list[list]]:
 
 
 def _reconcile_command(args) -> tuple[list[str], list[list]]:
+    if args.n_in < 2:
+        raise UsageError("input radix must be at least 2")
     if args.n_out <= args.n_in:
         raise UsageError("output radix must exceed input radix")
     if args.count < 0:
@@ -300,10 +309,8 @@ def _t1l_codec_command(args) -> tuple[list[str], list[list]]:
 
 def _echo_plan_command(args) -> tuple[list[str], list[list]]:
     plan = echo.plan_round(args.data, args.capable, args.modulus)
-    header = ["data_radix", "echo_radix", "echo_modulus", "word_count", "holds"]
-    lhs = plan.cancellation * plan.data_radix**plan.word_count
-    rhs = plan.echo_radix**plan.word_count
-    return header, [[plan.data_radix, plan.echo_radix, plan.echo_modulus, plan.word_count, lhs <= rhs]]
+    header = ["data_radix", "echo_radix", "echo_modulus", "word_count"]
+    return header, [[plan.data_radix, plan.echo_radix, plan.echo_modulus, plan.word_count]]
 
 
 def _echo_census_command(args) -> tuple[list[str], list[list]]:

@@ -72,12 +72,14 @@ def pattern_of(bias: int) -> str:
 
 @dataclass(frozen=True)
 class ValidImage:
-    """One transport word with its mask and bias classification."""
+    """One transport word with its mask, bias classification and footprint."""
 
     letters: str
     mask: str
     bias: int  # at initial line level L
     pattern: str
+    transits: int
+    droop: int  # the longer of the head and the tail run
 
     def __str__(self) -> str:
         return self.letters
@@ -89,8 +91,9 @@ def _check_length(m: int) -> None:
 
 
 def _image(letters: str) -> ValidImage:
-    bias = metrics(letters).dc_bias
-    return ValidImage(letters, mask_of(letters), bias, pattern_of(bias))
+    m = metrics(letters)
+    droop = max(m.head_run, m.tail_run)
+    return ValidImage(letters, mask_of(letters), m.dc_bias, pattern_of(m.dc_bias), m.transit_count, droop)
 
 
 @lru_cache(maxsize=8)
@@ -129,13 +132,9 @@ class ImageFilter:
             return False
         if self.max_abs_bias is not None and abs(image.bias) > self.max_abs_bias:
             return False
-        if self.min_transits or self.max_droop is not None:
-            m = metrics(image.letters)
-            if m.transit_count < self.min_transits:
-                return False
-            if self.max_droop is not None and max(m.head_run, m.tail_run) > self.max_droop:
-                return False
-        return True
+        if image.transits < self.min_transits:
+            return False
+        return self.max_droop is None or image.droop <= self.max_droop
 
 
 UNIT_BIAS = ImageFilter(max_abs_bias=1)

@@ -9,6 +9,7 @@ and an exhaustive census over the 3^12 serial-image space.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -193,9 +194,21 @@ def schedule_round(data_radix: int, echo_radix: int, echo_modulus: int) -> int:
         raise RangeError("echo modulus must exceed 1")
     if echo_radix <= data_radix:
         raise Infeasible("echo-capable radix must exceed the data radix")
-    count = 1
-    while echo_modulus * data_radix**count > echo_radix**count:
+
+    def holds(count: int) -> bool:
+        return echo_modulus * data_radix**count <= echo_radix**count
+
+    # n >= log(modulus) / log(echo/data).  log1p keeps the step sharp when the
+    # radices are close and n is large; far-apart radices take the difference
+    # of logs, as their ratio may not fit a float.  The condition is monotone
+    # in n, so exact comparisons walk the estimate onto the boundary.
+    gap = echo_radix - data_radix
+    step = math.log1p(gap / data_radix) if gap < data_radix else math.log(echo_radix) - math.log(data_radix)
+    count = max(1, math.ceil(math.log(echo_modulus) / step))
+    while not holds(count):
         count += 1
+    while count > 1 and holds(count - 1):
+        count -= 1
     return count
 
 

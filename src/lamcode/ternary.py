@@ -20,7 +20,7 @@ from importlib import resources
 
 from .errors import RangeError, WorkbenchError
 from .paging import PagedCodec, PageMiss
-from .scrambler import bubble_map
+from .scrambler import bubble_map  # noqa: F401 - benchmarks/tracer.py patches ternary.bubble_map
 
 SYMBOLS = "LzH"
 SYMBOL_VALUES = {"L": -1, "z": 0, "H": 1}
@@ -72,13 +72,14 @@ def invert_word(symbols: str) -> str:
 
 
 @dataclass(frozen=True)
-class WordMetrics:
-    """Disparity footprint of one word.
+class TernaryWord:
+    """A word and its disparity footprint.
 
     Peaks are the extrema of the running sum against zero; a peak of 0
     means the sum never crossed to that side.
     """
 
+    symbols: str
     delta_dc: int
     peak_pos: int
     peak_neg: int
@@ -88,8 +89,11 @@ class WordMetrics:
     def peaks(self) -> tuple[int, int]:
         return (self.peak_pos, self.peak_neg)
 
+    def __str__(self) -> str:
+        return self.symbols
 
-def word_metrics(symbols: str) -> WordMetrics:
+
+def word_metrics(symbols: str) -> TernaryWord:
     check_word(symbols)
     total = 0
     peak_pos = 0
@@ -99,35 +103,12 @@ def word_metrics(symbols: str) -> WordMetrics:
         peak_pos = max(peak_pos, total)
         peak_neg = min(peak_neg, total)
     transits = sum(1 for a, b in zip(symbols, symbols[1:]) if a != b)
-    return WordMetrics(total, peak_pos, peak_neg, transits)
+    return TernaryWord(symbols, total, peak_pos, peak_neg, transits)
 
 
 def partial_sum(symbols: str, count: int) -> int:
     """Running sum after the first `count` symbols of a word."""
     return sum(SYMBOL_VALUES[ch] for ch in symbols[:count])
-
-
-@dataclass(frozen=True)
-class TernaryWord:
-    """A dictionary word and its stored footprint cells."""
-
-    symbols: str
-    delta_dc: int
-    peak_pos: int
-    peak_neg: int
-    transits: int
-
-    @classmethod
-    def from_symbols(cls, symbols: str) -> "TernaryWord":
-        m = word_metrics(symbols)
-        return cls(symbols, m.delta_dc, m.peak_pos, m.peak_neg, m.transits)
-
-    @property
-    def peaks(self) -> tuple[int, int]:
-        return (self.peak_pos, self.peak_neg)
-
-    def __str__(self) -> str:
-        return self.symbols
 
 
 @dataclass(frozen=True)
@@ -196,51 +177,42 @@ def broadened_rows() -> tuple[dict[str, str], ...]:
     return _data_rows("t1l_broadened_dictionary.csv")
 
 
-def _stored_word(row: dict[str, str]) -> TernaryWord:
-    return TernaryWord(
-        symbols=row["image"],
-        delta_dc=int(row["delta_dc"]),
-        peak_pos=int(row["peak_pos"] or 0),
-        peak_neg=int(row["peak_neg"] or 0),
-        transits=int(row["transits"]),
-    )
+# Per variant: the table's rows, its page-code column and the code's base,
+# and its representation-count column (None: every word holds 2 key slots).
+_LAYOUTS = {
+    REFERENCE: (reference_rows, "nibble_s{}", 2, None),
+    BROADENED: (broadened_rows, "s{}_id", 10, "s{}_rn"),
+}
 
 
 @lru_cache(maxsize=None)
+def _load(variant: str) -> PagedTernaryDictionary:
+    """Pages of one shipped table; every word is measured from its symbols."""
+    rows, code_cell, base, rep_cell = _LAYOUTS[variant]
+    pages = {sigma: [] for sigma in SIGMA_LEVELS}
+    for row in rows():
+        word = word_metrics(row["image"])
+        for sigma, entries in pages.items():
+            code = row[code_cell.format(sigma)]
+            if code:
+                rep = int(row[rep_cell.format(sigma)]) if rep_cell else 2
+                entries.append(PageEntry(word, int(code, base), rep))
+    ordered = (TernaryPage(s, tuple(sorted(entries, key=lambda e: e.code))) for s, entries in pages.items())
+    return PagedTernaryDictionary(variant, tuple(ordered))
+
+
 def reference_dictionary() -> PagedTernaryDictionary:
-    pages = []
-    for sigma in SIGMA_LEVELS:
-        entries = []
-        for row in reference_rows():
-            cell = row[f"nibble_s{sigma}"]
-            if cell:
-                entries.append(PageEntry(_stored_word(row), int(cell, 2), 2))
-        entries.sort(key=lambda e: e.code)
-        pages.append(TernaryPage(sigma, tuple(entries)))
-    return PagedTernaryDictionary(REFERENCE, tuple(pages))
+    return _load(REFERENCE)
 
 
-@lru_cache(maxsize=None)
 def broadened_dictionary() -> PagedTernaryDictionary:
-    pages = []
-    for sigma in SIGMA_LEVELS:
-        entries = []
-        for row in broadened_rows():
-            cell = row[f"s{sigma}_id"]
-            if cell:
-                word = TernaryWord.from_symbols(row["image"])
-                entries.append(PageEntry(word, int(cell), int(row[f"s{sigma}_rn"])))
-        entries.sort(key=lambda e: e.code)
-        pages.append(TernaryPage(sigma, tuple(entries)))
-    return PagedTernaryDictionary(BROADENED, tuple(pages))
+    return _load(BROADENED)
 
 
 def dictionary_for(variant: str) -> PagedTernaryDictionary:
-    if variant == REFERENCE:
-        return reference_dictionary()
-    if variant == BROADENED:
-        return broadened_dictionary()
-    raise RangeError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    if variant not in VARIANTS:
+        raise RangeError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    return _load(variant)
 
 
 def flag_rep_counts(sigma: int) -> dict[int, int]:
@@ -292,7 +264,6 @@ def decode_stream(symbols: str, variant: str = REFERENCE, start_sigma: int = STA
     return paged_codec(variant).decode(symbols, start_sigma)[0]
 
 
-@lru_cache(maxsize=None)
 def representation_table(page: TernaryPage) -> tuple[int, ...]:
     """The 32 scrambler-key slots of a page; widths follow rep_count."""
     slots = []

@@ -168,9 +168,18 @@ def test_readme_cli_block_runs(capsys, monkeypatch, tmp_path):
         ("lam", "codec", "--count", "-3"),
         ("reconcile", "run", "--count", "-3"),
         ("t1l", "codec", "--words", "-5"),
+        ("reconcile", "run", "--n-in", "0"),
+        ("lam", "pages", "--letters", "0"),
+        ("lam", "pages", "--letters", "3"),
     ],
 )
 def test_negative_counts_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
-    assert "must be nonnegative" in err
+    expected = {
+        "--count": "must be nonnegative",
+        "--words": "must be nonnegative",
+        "--n-in": "input radix must be at least 2",
+        "--letters": "letter count must be a positive even number",
+    }
+    assert expected[argv[-2]] in err

@@ -1,11 +1,13 @@
 """Echo pools, super-group placement, round planning, image census."""
 
 import random
+import time
 
 import pytest
+from hypothesis import given, strategies as st
 
 from lamcode import echo, scrambler
-from lamcode.errors import RangeError
+from lamcode.errors import RangeError, WorkbenchError
 
 
 def test_pool_arithmetic():
@@ -57,6 +59,16 @@ def test_pack_round_trip_exhaustive():
             assert echo.pack_forced(sample).value == value
 
 
+@given(st.one_of(st.integers(min_value=0, max_value=echo.POOL_TOTAL - 1), st.integers()))
+def test_unpack_round_trips_or_raises(value):
+    try:
+        sample = echo.unpack_sample(value)
+    except WorkbenchError:
+        return
+    pack = echo.pack_native if isinstance(sample, echo.NativeSample) else echo.pack_forced
+    assert pack(sample).value == value
+
+
 def test_unpack_accepts_code_points():
     point = scrambler.unpack_point(524288)
     sample = echo.unpack_sample(point)
@@ -80,15 +92,20 @@ def test_schedule_round_example():
 
 
 def test_schedule_round_minimality():
+    started = time.perf_counter()
     rng = random.Random(0xEC40)
+    cases = []
     for _ in range(10000):
         data = rng.randrange(2, 65)
-        capable = rng.randrange(data + 1, 129)
-        modulus = rng.randrange(2, 1000000)
+        cases.append((data, rng.randrange(data + 1, 129), rng.randrange(2, 1000000)))
+    # adjacent radices: a linear search needs 1711, 6912 and 24024 steps
+    cases += [(300, 301, 297), (1000, 1001, 1000), (3000, 3001, 3000)]
+    for data, capable, modulus in cases:
         count = echo.schedule_round(data, capable, modulus)
         assert modulus * data**count <= capable**count
         if count > 1:
             assert modulus * data ** (count - 1) > capable ** (count - 1)
+    assert time.perf_counter() - started < 5.0
 
 
 def test_round_plan_invariant():

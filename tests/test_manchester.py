@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lamcode import ternary
 from lamcode.errors import WorkbenchError
@@ -223,6 +223,17 @@ def test_domain_errors_are_workbench_errors(call):
     # a WorkbenchError is what the CLI reports with exit code 2
     with pytest.raises(WorkbenchError):
         call()
+
+
+@settings(max_examples=500)
+@given(st.text(alphabet=[J, K, "x"], max_size=12), levels)
+def test_decoder_round_trips_or_raises(letters, level):
+    # any letter string, "x" being foreign
+    try:
+        bits = letters_to_bits(letters, level)
+    except WorkbenchError:
+        return
+    assert bits_to_letters(bits, level) == letters
 
 
 def _trace_runs(letters, level):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lamcode import reconciler
-from lamcode.errors import RangeError
+from lamcode.errors import RangeError, WorkbenchError
 from lamcode.reconciler import (
     DecodeError,
     EncodedStream,
@@ -203,6 +203,26 @@ def test_queue_bound_respected_in_replay():
     tight = ReconcilerConfig(capacity_threshold=2**40, queue_bound=10**6)
     with pytest.raises(QueueOverflow):
         encode_stream(data, oracle, tight)
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(min_value=0, max_value=8),
+    st.lists(st.integers(min_value=-1, max_value=9), max_size=12),
+    st.integers(min_value=2, max_value=6),
+    st.integers(min_value=3, max_value=7),
+    st.sampled_from([1, 2, 64]),
+)
+def test_decoder_round_trips_or_raises(count, symbols, in_radix, out_radix, k):
+    # any header count and symbol list, out-of-radix symbols included
+    oracle = constant_oracle(in_radix, out_radix)
+    config = ReconcilerConfig(capacity_threshold=k)
+    encoded = EncodedStream(count, tuple(symbols))
+    try:
+        data = decode_stream(encoded, oracle, config)
+    except WorkbenchError:
+        return
+    assert encode_stream(data, oracle, config) == encoded
 
 
 @pytest.mark.parametrize("symbols", [(), (1, 2, 3)])
