@@ -192,8 +192,8 @@ def _features_report(args) -> tuple[list[str], list[list]]:
     resolution, uncertainty = echo.event_resolution()
     mii_resolution, mii_uncertainty = echo.event_resolution(mii=True)
     words_per_event = 5 * echo.GROUP_WORDS
-    cols = echo.image_features()
-    mean_transits = cols["transits"].sum() / echo.IMAGE_SPACE
+    cells = echo.image_features()
+    mean_transits = sum(key[3] * count for key, count in cells.items()) / echo.IMAGE_SPACE
     rows = [
         ["tx_delay_words", echo.GROUP_WORDS],
         ["tx_delay_ns", int(echo.GROUP_WORDS * echo.WORD_NS)],

@@ -16,22 +16,19 @@ codec maps ordinal values onto words.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .errors import RangeError, WorkbenchError
+from .errors import RangeError, SizeLimit, WorkbenchError
 from .manchester import J, K, metrics
 from .paging import CodeOutOfRange, PagedCodec, PageMiss
 
 MAX_IMAGE_LENGTH = 24
 MASKS = ("JJ", "JK", "KJ")
 PATTERNS = ("balanced", "unit", "other")
-
-
-class SizeLimit(WorkbenchError, ValueError):
-    """Image length outside the supported desk-scale range."""
 
 
 class EmptyPage(WorkbenchError, ValueError):
@@ -85,7 +82,7 @@ class ValidImage:
         return self.letters
 
 
-def _check_length(m: int) -> None:
+def check_length(m: int) -> None:
     if not 2 <= m <= MAX_IMAGE_LENGTH:
         raise SizeLimit(f"image length must lie in [2, {MAX_IMAGE_LENGTH}]")
 
@@ -99,7 +96,7 @@ def _image(letters: str) -> ValidImage:
 @lru_cache(maxsize=8)
 def enumerate_valid(m: int) -> tuple[ValidImage, ...]:
     """All valid serial images of length m, lexicographic (J before K)."""
-    _check_length(m)
+    check_length(m)
 
     def grow(prefix: str):
         if len(prefix) == m:
@@ -114,7 +111,7 @@ def enumerate_valid(m: int) -> tuple[ValidImage, ...]:
 
 
 def count_valid(m: int) -> int:
-    _check_length(m)
+    check_length(m)
     return fibonacci(m) + 2 * fibonacci(m - 1)
 
 
@@ -128,13 +125,16 @@ class ImageFilter:
     max_droop: int | None = None
 
     def admits(self, image: ValidImage) -> bool:
-        if self.balanced_only and image.bias != 0:
+        return self.admits_features(image.bias, image.transits, image.droop)
+
+    def admits_features(self, bias: int, transits: int, droop: int) -> bool:
+        if self.balanced_only and bias != 0:
             return False
-        if self.max_abs_bias is not None and abs(image.bias) > self.max_abs_bias:
+        if self.max_abs_bias is not None and abs(bias) > self.max_abs_bias:
             return False
-        if image.transits < self.min_transits:
+        if transits < self.min_transits:
             return False
-        return self.max_droop is None or image.droop <= self.max_droop
+        return self.max_droop is None or droop <= self.max_droop
 
 
 UNIT_BIAS = ImageFilter(max_abs_bias=1)
@@ -149,12 +149,39 @@ def filter_for_data_bits(m_bits: int) -> ImageFilter:
     return BALANCED if m_bits == 8 else UNIT_BIAS
 
 
+@lru_cache(maxsize=None)
+def image_histogram(m: int) -> dict[tuple[str, int, int, int], int]:
+    """(mask, bias, transits, droop) -> count over the valid images of length m.
+
+    A transfer-matrix count over the no-KK automaton instead of a listing.
+    The state is the first two letters, the last letter, the line level
+    (-1 for L, +1 for H), the bias and the transits so far; J toggles the
+    level and K adds it to the bias.
+    """
+    check_length(m)
+    states = Counter({("", "", -1, 0, 0): 1})
+    for _ in range(m):
+        grown = Counter()
+        for (head, last, level, bias, transits), count in states.items():
+            grown[(head + J)[:2], J, -level, bias, transits + 1] += count
+            if last != K:
+                grown[(head + K)[:2], K, level, bias + level, transits] += count
+        states = grown
+    cells = Counter()
+    for (head, last, _, bias, transits), count in states.items():
+        if head[0] == K and last == K:
+            continue
+        droop = 2 if K in (head[1], last) else 1
+        cells[head[0] + last, bias, transits, droop] += count
+    return dict(cells)
+
+
 def census(m: int, image_filter: ImageFilter = ImageFilter()) -> dict[str, dict[str, int]]:
     """Per-mask, per-pattern counts of the admitted valid images."""
     counts = {mask: {pattern: 0 for pattern in PATTERNS} for mask in MASKS}
-    for image in enumerate_valid(m):
-        if image_filter.admits(image):
-            counts[image.mask][image.pattern] += 1
+    for (mask, bias, transits, droop), count in image_histogram(m).items():
+        if image_filter.admits_features(bias, transits, droop):
+            counts[mask][pattern_of(bias)] += count
     return counts
 
 

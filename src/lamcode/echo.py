@@ -4,16 +4,15 @@ Two disjoint sample pools share one code-point range: native echoes carry
 an auxiliary bit plus six octal digits, forced echoes carry an event
 position plus three octal digits.  Around them sit the super-group
 placement rules, round-length planning, the single-word mocking round,
-and an exhaustive census over the 3^12 serial-image space.
+and an exact census over the 3^12 serial-image space.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
-
-import numpy as np
 
 from . import scrambler
 from .errors import RangeError, WorkbenchError
@@ -291,22 +290,28 @@ def image_profile(index: int) -> Pam3Image:
 
 
 @lru_cache(maxsize=1)
-def image_features() -> dict[str, np.ndarray]:
-    """Feature columns for every image, ordered by index."""
-    rest = np.arange(IMAGE_SPACE)
-    trits = np.empty((IMAGE_SPACE, IMAGE_SYMBOLS), dtype=np.int8)
-    for pos in range(IMAGE_SYMBOLS - 1, -1, -1):
-        trits[:, pos] = rest % 3
-        rest //= 3
-    jumps = trits[:, 1:] != trits[:, :-1]
-    forward = np.cumsum(jumps, axis=1)
-    backward = np.cumsum(jumps[:, ::-1], axis=1)
-    return {
-        "head": (1 + (forward == 0).sum(axis=1)).astype(np.int8),
-        "tail": (1 + (backward == 0).sum(axis=1)).astype(np.int8),
-        "dc": (trits.astype(np.int16) - 1).sum(axis=1, dtype=np.int16),
-        "transits": jumps.sum(axis=1, dtype=np.int8),
-    }
+def image_features() -> dict[tuple[int, int, int, int], int]:
+    """(head droop, tail droop, |dc|, transits) -> count over all 3^12 images.
+
+    A transfer-matrix count over the run automaton instead of a listing.
+    The state is the last level, the current run, the closed head run (0
+    while the first run is still open), the dc sum and the transits so
+    far.  Every filter compares |dc|, so the cells fold the sign away.
+    """
+    states = Counter({(level, 1, 0, level, 0): 1 for level in (-1, 0, 1)})
+    for _ in range(IMAGE_SYMBOLS - 1):
+        grown = Counter()
+        for (last, run, head, dc, transits), count in states.items():
+            for level in (-1, 0, 1):
+                if level == last:
+                    grown[last, run + 1, head, dc + level, transits] += count
+                else:
+                    grown[level, 1, head or run, dc + level, transits + 1] += count
+        states = grown
+    cells = Counter()
+    for (_, run, head, dc, transits), count in states.items():
+        cells[head or run, run, abs(dc), transits] += count
+    return dict(cells)
 
 
 def image_filter_census(
@@ -316,15 +321,15 @@ def image_filter_census(
     min_transits: int = 0,
     dc_unit: int = 1,
 ) -> int:
-    """Count images passing every threshold, exhaustively over 3^12."""
+    """Count images passing every threshold, exactly over 3^12."""
     if dc_unit < 1:
         raise RangeError("dc unit scales the bound and must be positive")
-    cols = image_features()
-    keep = cols["head"] <= max_head_droop
-    keep &= cols["tail"] <= max_tail_droop
-    keep &= np.abs(cols["dc"]) <= dc_bound * dc_unit
-    keep &= cols["transits"] >= min_transits
-    return int(np.count_nonzero(keep))
+    dc_limit = dc_bound * dc_unit
+    return sum(
+        count
+        for (head, tail, dc, transits), count in image_features().items()
+        if head <= max_head_droop and tail <= max_tail_droop and dc <= dc_limit and transits >= min_transits
+    )
 
 
 SELECTION_GRID = (

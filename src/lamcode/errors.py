@@ -7,3 +7,7 @@ class WorkbenchError(Exception):
 
 class RangeError(WorkbenchError, ValueError):
     """An argument lies outside its documented domain."""
+
+
+class SizeLimit(WorkbenchError, ValueError):
+    """A request beyond the supported desk-scale size."""

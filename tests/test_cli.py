@@ -183,3 +183,11 @@ def test_negative_counts_exit_2(capsys, argv):
         "--letters": "letter count must be a positive even number",
     }
     assert expected[argv[-2]] in err
+
+
+def test_cli_import_leaves_numpy_out():
+    probe = "import sys, lamcode.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+

@@ -3,13 +3,15 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lamcode.dictionary import (
     BALANCED,
     MASKS,
+    PATTERNS,
     UNIT_BIAS,
     DecodeError,
     Degenerate,
@@ -120,6 +122,55 @@ def test_filter_monotone():
     for mask in MASKS:
         for pattern, n in tight[mask].items():
             assert n <= loose[mask][pattern]
+
+
+@lru_cache(maxsize=None)
+def bitmask_features(m: int) -> tuple[tuple[str, int, int, int], ...]:
+    """(mask, bias, transits, droop) of each valid image, scanning all 2^m
+    masks: K is a 1 bit, letter 0 the top bit, the line starts low (-1)."""
+    top = 1 << (m - 1)
+    rows = []
+    for v in range(1 << m):
+        if v & (v >> 1) or (v & top and v & 1):
+            continue
+        level = -1
+        bias = transits = 0
+        for bit in range(m - 1, -1, -1):
+            if (v >> bit) & 1:
+                bias += level
+            else:
+                level = -level
+                transits += 1
+        droop = 2 if v & (top >> 1) or v & 1 else 1
+        mask = "KJ" if v & top else "JK" if v & 1 else "JJ"
+        rows.append((mask, bias, transits, droop))
+    return tuple(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=16),
+    st.builds(
+        ImageFilter,
+        max_abs_bias=st.none() | st.integers(min_value=0, max_value=9),
+        balanced_only=st.booleans(),
+        min_transits=st.integers(min_value=0, max_value=17),
+        max_droop=st.none() | st.integers(min_value=0, max_value=3),
+    ),
+)
+def test_census_matches_bitmask_brute_force(m, image_filter):
+    expected = {mask: {pattern: 0 for pattern in PATTERNS} for mask in MASKS}
+    for mask, bias, transits, droop in bitmask_features(m):
+        if image_filter.balanced_only and bias:
+            continue
+        if image_filter.max_abs_bias is not None and abs(bias) > image_filter.max_abs_bias:
+            continue
+        if transits < image_filter.min_transits:
+            continue
+        if image_filter.max_droop is not None and droop > image_filter.max_droop:
+            continue
+        expected[mask][PATTERNS[min(abs(bias), 2)]] += 1
+    assert census(m, image_filter) == expected
 
 
 def test_page_sizes():

@@ -1,8 +1,12 @@
 """Echo pools, super-group placement, round planning, image census."""
 
+import math
 import random
 import time
+from collections import Counter
+from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -199,9 +203,38 @@ def test_census_monotone_in_every_threshold():
     assert floors == sorted(floors, reverse=True)
 
 
+@lru_cache(maxsize=1)
+def feature_columns() -> dict[str, np.ndarray]:
+    """Independent oracle: head, tail, dc and transits of every image by index."""
+    rest = np.arange(echo.IMAGE_SPACE)
+    trits = np.empty((echo.IMAGE_SPACE, echo.IMAGE_SYMBOLS), dtype=np.int8)
+    for pos in range(echo.IMAGE_SYMBOLS - 1, -1, -1):
+        trits[:, pos] = rest % 3
+        rest //= 3
+    jumps = trits[:, 1:] != trits[:, :-1]
+    return {
+        "head": 1 + (np.cumsum(jumps, axis=1) == 0).sum(axis=1),
+        "tail": 1 + (np.cumsum(jumps[:, ::-1], axis=1) == 0).sum(axis=1),
+        "dc": (trits.astype(np.int16) - 1).sum(axis=1),
+        "transits": jumps.sum(axis=1),
+    }
+
+
 def test_census_matches_scalar_profile():
+    cols = feature_columns()
+    radix = echo.IMAGE_SYMBOLS + 1  # every feature lies in [0, 12]
+    codes = ((cols["head"] * radix + cols["tail"]) * radix + np.abs(cols["dc"])) * radix + cols["transits"]
+    counts = np.bincount(codes)
+    oracle = {}
+    for code in np.flatnonzero(counts):
+        rest, transits = divmod(int(code), radix)
+        rest, dc = divmod(rest, radix)
+        head, tail = divmod(rest, radix)
+        oracle[head, tail, dc, transits] = int(counts[code])
+    histogram = echo.image_features()
+    assert histogram == oracle
+    assert len(histogram) == 1882
     rng = random.Random(0x1A6E)
-    cols = echo.image_features()
     for _ in range(300):
         index = rng.randrange(echo.IMAGE_SPACE)
         profile = echo.image_profile(index)
@@ -210,6 +243,8 @@ def test_census_matches_scalar_profile():
         assert profile.tail_droop == int(cols["tail"][index])
         assert profile.dc_unbalance == int(cols["dc"][index])
         assert profile.transits == int(cols["transits"][index])
+        cell = (profile.head_droop, profile.tail_droop, abs(profile.dc_unbalance), profile.transits)
+        assert histogram[cell] >= 1
 
 
 def test_image_profile_validation():
@@ -222,9 +257,12 @@ def test_image_profile_validation():
 
 
 def test_mean_transits_over_whole_space():
-    cols = echo.image_features()
+    transits = Counter()
+    for (_, _, _, cell_transits), count in echo.image_features().items():
+        transits[cell_transits] += count
     # eleven boundaries, each unequal with probability 2/3
-    assert int(cols["transits"].sum()) * 3 == 22 * echo.IMAGE_SPACE
+    assert sum(t * n for t, n in transits.items()) * 3 == 22 * echo.IMAGE_SPACE
+    assert transits == {t: 3 * 2**t * math.comb(11, t) for t in range(12)}
 
 
 def test_selection_sweep():
