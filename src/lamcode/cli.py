@@ -49,6 +49,7 @@ def _census_report(args) -> tuple[list[str], list[list]]:
 def _check_letters(letters: int) -> None:
     if letters % 2 or letters < 2:
         raise UsageError("letter count must be a positive even number")
+    dictionary.check_length(letters)
 
 
 def _pages_report(args) -> tuple[list[str], list[list]]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from . import scrambler
-from .errors import RangeError, WorkbenchError
+from .errors import RangeError, SizeLimit, WorkbenchError
 
 OCTAL = 8
 NATIVE_DIGITS = 6
@@ -31,6 +31,7 @@ WORD_NS = 30.0
 NIBBLE_NS = 40.0
 MII_POSITIONS = 9
 FRAMINGS = ("preamble_sfd", "ifg", "frame")
+ROUND_BIT_BUDGET = 1 << 20  # largest power, in bits, a round plan may build
 
 
 class Infeasible(WorkbenchError, ArithmeticError):
@@ -180,9 +181,20 @@ class RoundPlan:
             raise RangeError("cancellation must lie in (1, echo_modulus]")
         if self.word_count < 1:
             raise RangeError("a round spans at least one word")
-        lhs = self.cancellation * self.data_radix**self.word_count
-        if lhs > self.echo_radix**self.word_count:
+        if not _cancels(self.data_radix, self.echo_radix, self.cancellation, self.word_count):
             raise RangeError("round too short to cancel the echo factor")
+
+
+@lru_cache(maxsize=16)
+def _cancels(data_radix: int, echo_radix: int, cancellation: int, count: int) -> bool:
+    """cancellation * data_radix**count <= echo_radix**count, within the bit budget.
+
+    Cached, so the round `schedule_round` settles on is not rebuilt when
+    `RoundPlan` checks it.
+    """
+    if count * echo_radix.bit_length() > ROUND_BIT_BUDGET:
+        raise SizeLimit(f"a {count}-word round needs powers beyond {ROUND_BIT_BUDGET} bits")
+    return cancellation * data_radix**count <= echo_radix**count
 
 
 def schedule_round(data_radix: int, echo_radix: int, echo_modulus: int) -> int:
@@ -194,19 +206,25 @@ def schedule_round(data_radix: int, echo_radix: int, echo_modulus: int) -> int:
     if echo_radix <= data_radix:
         raise Infeasible("echo-capable radix must exceed the data radix")
 
-    def holds(count: int) -> bool:
-        return echo_modulus * data_radix**count <= echo_radix**count
-
-    # n >= log(modulus) / log(echo/data).  log1p keeps the step sharp when the
-    # radices are close and n is large; far-apart radices take the difference
-    # of logs, as their ratio may not fit a float.  The condition is monotone
+    # n >= log(modulus) / log(echo/data), with the step taken from the logs of
+    # the integers, which a float holds at any size.  log1p keeps the step
+    # sharp when the radices are close (their ratio gap/data may underflow);
+    # far-apart radices take the difference of logs.  A round past the bit
+    # budget is refused before any power is built.  The condition is monotone
     # in n, so exact comparisons walk the estimate onto the boundary.
     gap = echo_radix - data_radix
-    step = math.log1p(gap / data_radix) if gap < data_radix else math.log(echo_radix) - math.log(data_radix)
-    count = max(1, math.ceil(math.log(echo_modulus) / step))
-    while not holds(count):
+    log_data = math.log(data_radix)
+    if gap < data_radix:
+        step = math.log1p(math.exp(math.log(gap) - log_data))
+    else:
+        step = math.log(echo_radix) - log_data
+    need = math.log(echo_modulus)
+    if need * echo_radix.bit_length() > ROUND_BIT_BUDGET * step:
+        raise SizeLimit(f"the round needs powers beyond {ROUND_BIT_BUDGET} bits")
+    count = max(1, math.ceil(need / step))
+    while not _cancels(data_radix, echo_radix, echo_modulus, count):
         count += 1
-    while count > 1 and holds(count - 1):
+    while count > 1 and _cancels(data_radix, echo_radix, echo_modulus, count - 1):
         count -= 1
     return count
 

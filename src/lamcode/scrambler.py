@@ -37,6 +37,7 @@ WORD_NS = 30.0
 ROUND_NS = 180.0  # six words per echo round
 ROUND_BITS = 72
 ROOT_MIN_BITS = 9  # ceil(log2 259)
+MAX_WIDTH = 4096  # widest partition: its cells stay well inside int-to-str limits
 
 
 class ZeroState(WorkbenchError, ValueError):
@@ -138,8 +139,8 @@ class PartitionSolution:
 
 
 def _check_rn(r: int, n: int) -> None:
-    if r < 1:
-        raise RangeError("r must be at least 1")
+    if not 1 <= r <= MAX_WIDTH:
+        raise RangeError(f"r must lie in [1, {MAX_WIDTH}]")
     if n < 1:
         raise RangeError("base must be at least 1")
     if n > 1 << r:

@@ -4,6 +4,7 @@ import json
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -191,3 +192,31 @@ def test_cli_import_leaves_numpy_out():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 
+
+HUGE = str(10**4000)  # argparse's int() takes up to 4300 digits
+NEXT_TO_HUGE = str(10**4000 + 1)
+EXTREMES = [
+    (("scramble", "solve", "--r", "4096"), 0),
+    (("scramble", "solve", "--r", "4096", "--n", str(2**4096)), 0),
+    (("scramble", "solve", "--r", "4097"), 2),
+    (("scramble", "solve", "--r", "1000000"), 2),
+    (("lam", "codec", "--letters", "24", "--count", "2000"), 0),
+    (("lam", "codec", "--letters", "26"), 2),
+    (("lam", "codec", "--letters", "200000", "--count", "2000"), 2),
+    (("lam", "pages", "--letters", "26"), 2),
+    (("echo", "plan", "--data", "3000", "--capable", "3001", "--modulus", "3000"), 0),
+    (("echo", "plan", "--data", "2", "--capable", "3", "--modulus", HUGE), 0),
+    (("echo", "plan", "--data", "100000", "--capable", "100001", "--modulus", "100000"), 2),
+    (("echo", "plan", "--data", str(10**330), "--capable", str(10**330 + 1)), 2),
+    (("echo", "plan", "--data", HUGE, "--capable", NEXT_TO_HUGE, "--modulus", HUGE), 2),
+    (("echo", "census", "--head", HUGE, "--tail", HUGE, "--dc", HUGE, "--transits", HUGE), 0),
+    (("reconcile", "run", "--count", "200", "--threshold", HUGE), 0),
+]
+
+
+def test_accepted_extremes_exit_0_or_2_in_bounded_time(capsys):
+    started = time.perf_counter()
+    for argv, expected in EXTREMES:
+        code, _, err = run_cli(capsys, *argv)
+        assert code == expected, f"{' '.join(argv)[:80]}: {err[:200]}"
+    assert time.perf_counter() - started < 10.0

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lamcode import echo, scrambler
-from lamcode.errors import RangeError, WorkbenchError
+from lamcode.errors import RangeError, SizeLimit, WorkbenchError
 
 
 def test_pool_arithmetic():
@@ -122,6 +122,19 @@ def test_round_plan_invariant():
         echo.RoundPlan(16, 20, 2, 1, 4)
     with pytest.raises(RangeError):
         echo.RoundPlan(16, 20, 2, 3, 4)
+
+
+def test_rounds_past_the_bit_budget_are_refused():
+    started = time.perf_counter()
+    # 1151299 words of 17 bits; adjacent radices whose ratio underflows a float;
+    # a modulus of 10^400000 over radices 2 and 3
+    for args in ((10**5, 10**5 + 1, 10**5), (10**330, 10**330 + 1, 2), (2, 3, 10**400000)):
+        with pytest.raises(SizeLimit):
+            echo.plan_round(*args)
+    with pytest.raises(SizeLimit):
+        echo.RoundPlan(16, 20, 2, 2, 10**9)
+    assert echo.plan_round(2, 3, 10**4000).word_count == 22716
+    assert time.perf_counter() - started < 1.0
 
 
 def test_place_event():
