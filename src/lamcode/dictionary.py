@@ -20,7 +20,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 from .errors import RangeError, SizeLimit, WorkbenchError
 from .manchester import J, K, metrics
@@ -124,10 +125,7 @@ class ImageFilter:
     min_transits: int = 0
     max_droop: int | None = None
 
-    def admits(self, image: ValidImage) -> bool:
-        return self.admits_features(image.bias, image.transits, image.droop)
-
-    def admits_features(self, bias: int, transits: int, droop: int) -> bool:
+    def admits(self, bias: int, transits: int, droop: int) -> bool:
         if self.balanced_only and bias != 0:
             return False
         if self.max_abs_bias is not None and abs(bias) > self.max_abs_bias:
@@ -149,8 +147,8 @@ def filter_for_data_bits(m_bits: int) -> ImageFilter:
     return BALANCED if m_bits == 8 else UNIT_BIAS
 
 
-@lru_cache(maxsize=None)
-def image_histogram(m: int) -> dict[tuple[str, int, int, int], int]:
+@lru_cache(maxsize=32)
+def image_histogram(m: int) -> Mapping[tuple[str, int, int, int], int]:
     """(mask, bias, transits, droop) -> count over the valid images of length m.
 
     A transfer-matrix count over the no-KK automaton instead of a listing.
@@ -173,14 +171,14 @@ def image_histogram(m: int) -> dict[tuple[str, int, int, int], int]:
             continue
         droop = 2 if K in (head[1], last) else 1
         cells[head[0] + last, bias, transits, droop] += count
-    return dict(cells)
+    return MappingProxyType(cells)
 
 
 def census(m: int, image_filter: ImageFilter = ImageFilter()) -> dict[str, dict[str, int]]:
     """Per-mask, per-pattern counts of the admitted valid images."""
     counts = {mask: {pattern: 0 for pattern in PATTERNS} for mask in MASKS}
     for (mask, bias, transits, droop), count in image_histogram(m).items():
-        if image_filter.admits_features(bias, transits, droop):
+        if image_filter.admits(bias, transits, droop):
             counts[mask][pattern_of(bias)] += count
     return counts
 
@@ -213,7 +211,7 @@ def build_pages(m: int, image_filter: ImageFilter = UNIT_BIAS) -> tuple[Page, Pa
     words_a = []
     words_b = []
     for image in enumerate_valid(m):
-        if not image_filter.admits(image):
+        if not image_filter.admits(image.bias, image.transits, image.droop):
             continue
         if image.mask in PAGE_A_MASKS:
             words_a.append(image.letters)

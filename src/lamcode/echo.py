@@ -13,6 +13,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
 from . import scrambler
 from .errors import RangeError, SizeLimit, WorkbenchError
@@ -308,7 +310,7 @@ def image_profile(index: int) -> Pam3Image:
 
 
 @lru_cache(maxsize=1)
-def image_features() -> dict[tuple[int, int, int, int], int]:
+def image_features() -> Mapping[tuple[int, int, int, int], int]:
     """(head droop, tail droop, |dc|, transits) -> count over all 3^12 images.
 
     A transfer-matrix count over the run automaton instead of a listing.
@@ -329,7 +331,7 @@ def image_features() -> dict[tuple[int, int, int, int], int]:
     cells = Counter()
     for (_, run, head, dc, transits), count in states.items():
         cells[head or run, run, abs(dc), transits] += count
-    return dict(cells)
+    return MappingProxyType(cells)
 
 
 def image_filter_census(
