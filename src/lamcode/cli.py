@@ -21,6 +21,7 @@ from .errors import WorkbenchError
 DEFAULT_SEED = 20259
 EVEN_LETTERS = tuple(range(2, 21, 2))
 PAGE_LETTERS = (8, 12, 16)
+JUMP_LETTERS = 8
 SYMMETRIC_ROWS = (9, 27, 28, 29, 35, 36, 37, 38, 44, 45)
 DM_ROWS = (14, 15, 19, 20, 23, 26)
 BUDGET_DEMANDS = (72, 36, 29, 28, 27, 26, 25, 24, 23, 22, 21, 20)
@@ -113,11 +114,10 @@ def _budget_report(args) -> tuple[list[str], list[list]]:
 
 
 def _jump_report(args) -> tuple[list[str], list[list]]:
-    letters = getattr(args, "letters", None) or 8
-    pages = dictionary.build_pages(letters)
+    pages = dictionary.build_pages(JUMP_LETTERS)
     header = ["position", "jj", "jk", "kj", "all"]
     rows = []
-    for i in range(letters):
+    for i in range(JUMP_LETTERS):
         cells = [i]
         for mask in ("JJ", "JK", "KJ", None):
             p = dictionary.position_jump_probability(pages, i, mask=mask)

@@ -24,7 +24,8 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .errors import RangeError, SizeLimit, WorkbenchError
-from .manchester import J, K, metrics
+from .manchester import J, K
+from .manchester import metrics  # noqa: F401 - benchmarks/tracer.py patches dictionary.metrics
 from .paging import CodeOutOfRange, PagedCodec, PageMiss
 
 MAX_IMAGE_LENGTH = 24
@@ -88,27 +89,41 @@ def check_length(m: int) -> None:
         raise SizeLimit(f"image length must lie in [2, {MAX_IMAGE_LENGTH}]")
 
 
-def _image(letters: str) -> ValidImage:
-    m = metrics(letters)
-    droop = max(m.head_run, m.tail_run)
-    return ValidImage(letters, mask_of(letters), m.dc_bias, pattern_of(m.dc_bias), m.transit_count, droop)
+def _walk(m: int, head: int):
+    """The valid images of length m, as end states of the no-KK automaton.
+
+    A transfer-matrix count (Marcus, Roth & Siegel): the state is the first
+    `head` letters, the last letter, the line level (-1 for L, +1 for H),
+    the bias and the transits so far. J toggles the level and counts a
+    transit, K holds it and adds it to the bias, and no K follows a K. With
+    head = m each state is one word, reached in lexicographic order (J
+    before K). Yields (prefix, mask, bias, transits, droop, count); words
+    anchored by K at both ends are dropped, and the droop is 2 when the
+    second or the last letter is K, else 1.
+    """
+    check_length(m)
+    states = Counter({("", "", -1, 0, 0): 1})
+    for _ in range(m):
+        grown = Counter()
+        for (prefix, last, level, bias, transits), count in states.items():
+            grown[(prefix + J)[:head], J, -level, bias, transits + 1] += count
+            if last != K:
+                grown[(prefix + K)[:head], K, level, bias + level, transits] += count
+        states = grown
+    for (prefix, last, _, bias, transits), count in states.items():
+        if prefix[0] == K == last:
+            continue
+        droop = 2 if K in (prefix[1], last) else 1
+        yield prefix, prefix[0] + last, bias, transits, droop, count
 
 
 @lru_cache(maxsize=8)
 def enumerate_valid(m: int) -> tuple[ValidImage, ...]:
     """All valid serial images of length m, lexicographic (J before K)."""
-    check_length(m)
-
-    def grow(prefix: str):
-        if len(prefix) == m:
-            if not (prefix[0] == K and prefix[-1] == K):
-                yield prefix
-            return
-        yield from grow(prefix + J)
-        if not prefix.endswith(K):
-            yield from grow(prefix + K)
-
-    return tuple(_image(letters) for letters in grow(""))
+    return tuple(
+        ValidImage(letters, mask, bias, pattern_of(bias), transits, droop)
+        for letters, mask, bias, transits, droop, _ in _walk(m, m)
+    )
 
 
 def count_valid(m: int) -> int:
@@ -151,26 +166,12 @@ def filter_for_data_bits(m_bits: int) -> ImageFilter:
 def image_histogram(m: int) -> Mapping[tuple[str, int, int, int], int]:
     """(mask, bias, transits, droop) -> count over the valid images of length m.
 
-    A transfer-matrix count over the no-KK automaton instead of a listing.
-    The state is the first two letters, the last letter, the line level
-    (-1 for L, +1 for H), the bias and the transits so far; J toggles the
-    level and K adds it to the bias.
+    The walk keeps only the first two letters of each prefix, so it counts
+    the words instead of listing them.
     """
-    check_length(m)
-    states = Counter({("", "", -1, 0, 0): 1})
-    for _ in range(m):
-        grown = Counter()
-        for (head, last, level, bias, transits), count in states.items():
-            grown[(head + J)[:2], J, -level, bias, transits + 1] += count
-            if last != K:
-                grown[(head + K)[:2], K, level, bias + level, transits] += count
-        states = grown
     cells = Counter()
-    for (head, last, _, bias, transits), count in states.items():
-        if head[0] == K and last == K:
-            continue
-        droop = 2 if K in (head[1], last) else 1
-        cells[head[0] + last, bias, transits, droop] += count
+    for _, mask, bias, transits, droop, count in _walk(m, 2):
+        cells[mask, bias, transits, droop] += count
     return MappingProxyType(cells)
 
 
@@ -183,31 +184,12 @@ def census(m: int, image_filter: ImageFilter = ImageFilter()) -> dict[str, dict[
     return counts
 
 
-@dataclass(frozen=True)
-class Page:
-    """An ordered word list with ordinal lookup."""
-
-    id: str
-    words: tuple[str, ...]
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-    def __iter__(self):
-        return iter(self.words)
-
-    def index_of(self, word: str) -> int:
-        try:
-            return self.words.index(word)
-        except ValueError:
-            raise DecodeError(f"{word!r} is not in page {self.id}") from None
-
-
 PAGE_A_MASKS = frozenset({"JJ", "JK"})  # J-starting: legal after any word
 PAGE_B_MASKS = frozenset({"JJ", "KJ"})  # J-ending
 
 
-def build_pages(m: int, image_filter: ImageFilter = UNIT_BIAS) -> tuple[Page, Page]:
+def build_pages(m: int, image_filter: ImageFilter = UNIT_BIAS) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The admitted words of pages A and B, each in lexicographic order."""
     words_a = []
     words_b = []
     for image in enumerate_valid(m):
@@ -219,7 +201,7 @@ def build_pages(m: int, image_filter: ImageFilter = UNIT_BIAS) -> tuple[Page, Pa
             words_b.append(image.letters)
     if not words_a or not words_b:
         raise EmptyPage(f"filter admits no page words at length {m}")
-    return Page("A", tuple(words_a)), Page("B", tuple(words_b))
+    return tuple(words_a), tuple(words_b)
 
 
 def next_page(previous: str) -> str:
@@ -241,8 +223,8 @@ def paged_codec(m: int, image_filter: ImageFilter | None = None) -> PagedCodec:
     """The page tables of length-m words; the state is the page id."""
     if image_filter is None:
         image_filter = filter_for_data_bits(m // 2)
-    pages = build_pages(m, image_filter)
-    return PagedCodec({page.id: [(word, next_page(word)) for word in page] for page in pages})
+    pages = zip("AB", build_pages(m, image_filter))
+    return PagedCodec({page: [(word, next_page(word)) for word in words] for page, words in pages})
 
 
 def encode_stream(
@@ -260,8 +242,8 @@ def decode_stream(
 
 def multiplex_feasible(m_bits: int) -> bool:
     """Whether one page can carry 2^m data words plus a control word."""
-    if not 1 <= m_bits <= 8:
-        raise RangeError("payload width must lie in [1, 8]")
+    if not 1 <= m_bits <= MAX_IMAGE_LENGTH // 2:
+        raise RangeError(f"payload width must lie in [1, {MAX_IMAGE_LENGTH // 2}]")
     page_a, _ = build_pages(2 * m_bits, filter_for_data_bits(m_bits))
     return len(page_a) >= (1 << m_bits) + 1
 
@@ -287,7 +269,7 @@ def stationary_two_page(p_j_given_a, p_j_given_b):
 
 
 def position_jump_probability(
-    pages: Sequence[Page | Iterable[str]], i: int, mask: str | None = None
+    pages: Sequence[Iterable[str]], i: int, mask: str | None = None
 ) -> Fraction:
     """Probability that letter i is J over the deduplicated page union."""
     union = sorted({word for page in pages for word in page})

@@ -173,16 +173,8 @@ def metrics(letters: str, initial_level: str = LOW) -> ImageMetrics:
 def letter_contributions(letters: str, initial_level: str = LOW) -> list[int]:
     """Per-letter DC contributions: 0 for J, +1/-1 for K at H/L."""
     check_letters(letters)
-    _check_level(initial_level)
-    level = initial_level
-    out: list[int] = []
-    for ch in letters:
-        if ch == J:
-            level = HIGH if level == LOW else LOW
-            out.append(0)
-        else:
-            out.append(1 if level == HIGH else -1)
-    return out
+    levels = level_trace(letters, initial_level)
+    return [0 if ch == J else 1 if level == HIGH else -1 for ch, level in zip(letters, levels)]
 
 
 @dataclass(frozen=True)
@@ -208,15 +200,7 @@ def pulse_train(bits: Sequence[int], initial_level: str = LOW) -> list[Pulse]:
     and trailing half cells fall outside it. Runs never exceed a full
     bit time: each pulse is narrow or wide.
     """
-    _check_level(initial_level)
-    levels: list[str] = []
-    for bit in bits:
-        if bit not in (0, 1):
-            raise RangeError(f"bit must be 0 or 1, got {bit!r}")
-        first = HIGH if bit == 0 else LOW
-        levels.append(first)
-        levels.append(other_level(first))
-    window = levels[1:-1]
+    window = level_trace(bits_to_letters(bits, initial_level), initial_level)[1:-1]
     train: list[Pulse] = []
     i = 0
     while i < len(window):

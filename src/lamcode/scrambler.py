@@ -16,6 +16,7 @@ period against the observation time a given root width implies.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -254,16 +255,15 @@ def format_unbalance(value: Fraction) -> str:
     decimals for magnitudes of ten and above, else three.
     """
     magnitude = abs(value)
-    for unit, scale in (("%", 100), ("ppm", 10**6), ("ppB", 10**9)):
-        scaled = value * scale
-        if magnitude >= Fraction(1, 10**5) or unit == "ppB":
-            decimals = 2 if abs(scaled) >= 10 else 3
-            text = f"{float(scaled):+.{decimals}f}"
-            return f"{text}{unit}" if unit == "%" else f"{text} {unit}"
-        if magnitude >= Fraction(1, 10**7) and unit == "ppm":
-            decimals = 2 if abs(scaled) >= 10 else 3
-            return f"{float(scaled):+.{decimals}f} ppm"
-    raise AssertionError("unreachable")
+    if magnitude >= Fraction(1, 10**5):
+        unit, scale = "%", 100
+    elif magnitude >= Fraction(1, 10**7):
+        unit, scale = " ppm", 10**6
+    else:
+        unit, scale = " ppB", 10**9
+    scaled = value * scale
+    decimals = 2 if abs(scaled) >= 10 else 3
+    return f"{float(scaled):+.{decimals}f}{unit}"
 
 
 @dataclass(frozen=True)
@@ -396,6 +396,8 @@ def repetition_period(t: int) -> float:
 
 def observation_time(r: int) -> float:
     """Seconds to watch all 2^r draws once at one draw per round."""
+    if not 0 <= r < sys.float_info.max_exp:
+        raise RangeError(f"draw width must lie in [0, {sys.float_info.max_exp})")
     return (2.0**r) * ROUND_NS * 1e-9
 
 

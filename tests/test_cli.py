@@ -1,5 +1,6 @@
 """CLI subcommands: formats, determinism, exit codes, spot values."""
 
+import importlib.util
 import json
 import shlex
 import subprocess
@@ -203,6 +204,7 @@ EXTREMES = [
     (("lam", "codec", "--letters", "24", "--count", "2000"), 0),
     (("lam", "codec", "--letters", "26"), 2),
     (("lam", "codec", "--letters", "200000", "--count", "2000"), 2),
+    (("lam", "pages", "--letters", "24"), 0),
     (("lam", "pages", "--letters", "26"), 2),
     (("echo", "plan", "--data", "3000", "--capable", "3001", "--modulus", "3000"), 0),
     (("echo", "plan", "--data", "2", "--capable", "3", "--modulus", HUGE), 0),
@@ -220,3 +222,19 @@ def test_accepted_extremes_exit_0_or_2_in_bounded_time(capsys):
         code, _, err = run_cli(capsys, *argv)
         assert code == expected, f"{' '.join(argv)[:80]}: {err[:200]}"
     assert time.perf_counter() - started < 10.0
+
+
+def test_tracer_targets_resolve():
+    # benchmarks/tracer.py patches each (module, attr) by name, including the
+    # re-exported dictionary.metrics and ternary.bubble_map bindings
+    import lamcode
+    from lamcode import dictionary, echo, manchester, reconciler, scrambler, ternary  # noqa: F401
+
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("lamcode_bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    targets = tracer.targets(lamcode)
+    assert targets
+    for module, attr, _, _ in targets:
+        assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"

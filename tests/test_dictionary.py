@@ -35,7 +35,7 @@ from lamcode.dictionary import (
     position_jump_probability,
     stationary_two_page,
 )
-from lamcode.errors import WorkbenchError
+from lamcode.errors import RangeError, WorkbenchError
 from lamcode.manchester import J, K, check_letters, metrics
 
 
@@ -83,14 +83,18 @@ def test_size_limit():
 
 
 def test_images_are_valid_and_sorted():
-    images = enumerate_valid(10)
-    letters = [i.letters for i in images]
-    assert letters == sorted(letters)
-    for image in images:
-        check_letters(image.letters)  # no KK
-        assert image.mask != "KK"
-        assert image.bias == metrics(image.letters).dc_bias
-        assert image.pattern == pattern_of(image.bias)
+    for m in range(2, 17):
+        images = enumerate_valid(m)
+        letters = [i.letters for i in images]
+        assert letters == sorted(letters)
+        for image in images:
+            check_letters(image.letters)  # no KK
+            assert image.mask == mask_of(image.letters) != "KK"
+            measured = metrics(image.letters)
+            assert image.bias == measured.dc_bias
+            assert image.transits == measured.transit_count
+            assert image.droop == max(measured.head_run, measured.tail_run)
+            assert image.pattern == pattern_of(image.bias)
 
 
 def test_census_pinned_cells():
@@ -188,16 +192,13 @@ def test_page_structure():
     a, b = build_pages(8, UNIT_BIAS)
     assert all(w[0] == J for w in a)
     assert all(w[-1] == J for w in b)
-    assert list(a.words) == sorted(a.words)
-    assert a.index_of(a.words[13]) == 13
-    with pytest.raises(DecodeError):
-        a.index_of("KJJJJJJJ")
+    assert list(a) == sorted(a)
 
 
 def test_page_reversal_symmetry():
     for m in (4, 8, 12):
         a, b = build_pages(m, UNIT_BIAS)
-        assert {w[::-1] for w in a} == set(b.words)
+        assert {w[::-1] for w in a} == set(b)
         for w in a:
             assert abs(metrics(w).dc_bias) == abs(metrics(w[::-1]).dc_bias)
 
@@ -260,16 +261,10 @@ def test_codec_bias_stays_bounded():
 
 
 def test_multiplex_feasibility():
-    assert [multiplex_feasible(m) for m in range(1, 9)] == [
-        False,
-        True,
-        True,
-        True,
-        True,
-        True,
-        True,
-        True,
-    ]
+    assert [multiplex_feasible(m) for m in range(1, 13)] == [False] + [True] * 11
+    for m in (0, 13):
+        with pytest.raises(RangeError):
+            multiplex_feasible(m)
     a, _ = build_pages(4, filter_for_data_bits(2))
     assert len(a) == 5  # exactly 2^2 + 1
 
@@ -317,7 +312,7 @@ def test_jump_probability_interior():
     # union deduplicates the shared J..J words
     total = position_jump_probability(pages, 0)
     union_size = total.denominator
-    assert union_size == len(set(pages[0].words) | set(pages[1].words))
+    assert union_size == len(set(pages[0]) | set(pages[1]))
 
 
 def test_decode_stream_bad_length_is_size_limit():

@@ -407,6 +407,13 @@ def test_observation_times():
     assert observation_time(9) == pytest.approx(92.16e-6)
     assert observation_time(15) == pytest.approx(5.89824e-3)
     assert observation_time(27) == pytest.approx(24.159, rel=1e-3)
+    assert observation_time(0) == pytest.approx(180e-9)
+    assert observation_time(1023) > 0
+    for r in (-1, 1024, 2000):
+        with pytest.raises(RangeError):
+            observation_time(r)
+    with pytest.raises(RangeError):
+        budget(11)  # r = -1
 
 
 def test_budget_report():
