@@ -53,22 +53,23 @@ def _check_letters(letters: int) -> None:
     dictionary.check_length(letters)
 
 
-def _pages_report(args) -> tuple[list[str], list[list]]:
+def _pages_report(letters: tuple[int, ...]) -> tuple[list[str], list[list]]:
     header = ["letters", "data_bits", "selection", "page_a", "page_b", "multiplex_ok"]
-    letters = PAGE_LETTERS
-    if getattr(args, "letters", None) is not None:  # `report tbt-table9-pages` has no --letters
-        _check_letters(args.letters)
-        letters = (args.letters,)
     rows = []
     for m in letters:
         bits = m // 2
         chooser = dictionary.filter_for_data_bits(bits)
-        pages = dictionary.build_pages(m, chooser)
+        page_a, page_b = dictionary.page_sizes(m, chooser)
         kind = "balanced" if chooser.balanced_only else f"bias<={chooser.max_abs_bias}"
-        rows.append(
-            [m, bits, kind, len(pages[0]), len(pages[1]), dictionary.multiplex_feasible(bits)]
-        )
+        rows.append([m, bits, kind, page_a, page_b, dictionary.multiplex_feasible(bits)])
     return header, rows
+
+
+def _lam_pages_command(args) -> tuple[list[str], list[list]]:
+    if args.letters is None:
+        return _pages_report(PAGE_LETTERS)
+    _check_letters(args.letters)
+    return _pages_report((args.letters,))
 
 
 def _partition_row(sol, label) -> list:
@@ -218,7 +219,7 @@ def _features_report(args) -> tuple[list[str], list[list]]:
 
 REPORTS = {
     "tbt-table13-census": _census_report,
-    "tbt-table9-pages": _pages_report,
+    "tbt-table9-pages": lambda args: _pages_report(PAGE_LETTERS),
     "t1-table6-symmetric": _symmetric_report,
     "t1-table6-dm": _dm_report,
     "t1-table6-budget": _budget_report,
@@ -315,14 +316,11 @@ def _echo_plan_command(args) -> tuple[list[str], list[list]]:
 
 
 def _echo_census_command(args) -> tuple[list[str], list[list]]:
-    if args.sweep:
-        return _sweep_report(args)
     count = echo.image_filter_census(
         max_head_droop=args.head,
         max_tail_droop=args.tail,
         dc_bound=args.dc,
         min_transits=args.transits,
-        dc_unit=args.dc_unit,
     )
     header = ["max_head_droop", "max_tail_droop", "dc_bound", "min_transits", "count", "matches_pool"]
     return header, [[args.head, args.tail, args.dc, args.transits, count, count == echo.POOL_TOTAL]]
@@ -348,7 +346,6 @@ def _common_flags() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "csv", "json"), default="text")
     common.add_argument("--out", help="write the report to this path instead of stdout")
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED)
     return common
 
 
@@ -366,10 +363,11 @@ def _parser() -> argparse.ArgumentParser:
     enum.set_defaults(handler=_census_report)
     pages = lam.add_parser("pages", parents=[common], help="page sizes per letter count")
     pages.add_argument("--letters", type=int)
-    pages.set_defaults(handler=_pages_report)
+    pages.set_defaults(handler=_lam_pages_command)
     codec = lam.add_parser("codec", parents=[common], help="randomized codec round trip")
     codec.add_argument("--letters", type=int, default=8)
     codec.add_argument("--count", type=int, default=2000)
+    codec.add_argument("--seed", type=int, default=DEFAULT_SEED)
     codec.set_defaults(handler=_lam_codec_command)
 
     scram = sub.add_parser("scramble", help="partition solver and budgets").add_subparsers(
@@ -393,6 +391,7 @@ def _parser() -> argparse.ArgumentParser:
     run.add_argument("--n-in", type=int, default=256)
     run.add_argument("--n-out", type=int, default=259)
     run.add_argument("--threshold", type=int, default=1 << 20)
+    run.add_argument("--seed", type=int, default=DEFAULT_SEED)
     run.set_defaults(handler=_reconcile_command)
 
     t1l = sub.add_parser("t1l", help="paged ternary transport").add_subparsers(
@@ -401,6 +400,7 @@ def _parser() -> argparse.ArgumentParser:
     tcodec = t1l.add_parser("codec", parents=[common], help="randomized codec round trip")
     tcodec.add_argument("--words", type=int, default=10000)
     tcodec.add_argument("--variant", choices=ternary.VARIANTS, default=ternary.REFERENCE)
+    tcodec.add_argument("--seed", type=int, default=DEFAULT_SEED)
     tcodec.set_defaults(handler=_t1l_codec_command)
     tport = t1l.add_parser("portrait", parents=[common], help="stationary statistics table")
     tport.add_argument("--variant", choices=ternary.VARIANTS, default=ternary.REFERENCE)
@@ -419,8 +419,6 @@ def _parser() -> argparse.ArgumentParser:
     census.add_argument("--tail", type=int, default=echo.IMAGE_SYMBOLS)
     census.add_argument("--dc", type=int, default=echo.IMAGE_SYMBOLS)
     census.add_argument("--transits", type=int, default=0)
-    census.add_argument("--dc-unit", type=int, default=1)
-    census.add_argument("--sweep", action="store_true")
     census.set_defaults(handler=_echo_census_command)
 
     report = sub.add_parser("report", parents=[common], help="render a table by id")

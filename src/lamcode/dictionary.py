@@ -204,6 +204,16 @@ def build_pages(m: int, image_filter: ImageFilter = UNIT_BIAS) -> tuple[tuple[st
     return tuple(words_a), tuple(words_b)
 
 
+def page_sizes(m: int, image_filter: ImageFilter = UNIT_BIAS) -> tuple[int, int]:
+    """The sizes of pages A and B, counted from the census without listing words."""
+    totals = {mask: sum(row.values()) for mask, row in census(m, image_filter).items()}
+    size_a = sum(totals[mask] for mask in PAGE_A_MASKS)
+    size_b = sum(totals[mask] for mask in PAGE_B_MASKS)
+    if not size_a or not size_b:
+        raise EmptyPage(f"filter admits no page words at length {m}")
+    return size_a, size_b
+
+
 def next_page(previous: str) -> str:
     """Page id for the word after `previous`.
 
@@ -244,8 +254,8 @@ def multiplex_feasible(m_bits: int) -> bool:
     """Whether one page can carry 2^m data words plus a control word."""
     if not 1 <= m_bits <= MAX_IMAGE_LENGTH // 2:
         raise RangeError(f"payload width must lie in [1, {MAX_IMAGE_LENGTH // 2}]")
-    page_a, _ = build_pages(2 * m_bits, filter_for_data_bits(m_bits))
-    return len(page_a) >= (1 << m_bits) + 1
+    size_a, _ = page_sizes(2 * m_bits, filter_for_data_bits(m_bits))
+    return size_a >= (1 << m_bits) + 1
 
 
 def stationary_two_page(p_j_given_a, p_j_given_b):

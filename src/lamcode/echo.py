@@ -339,16 +339,12 @@ def image_filter_census(
     max_tail_droop: int = IMAGE_SYMBOLS,
     dc_bound: int = IMAGE_SYMBOLS,
     min_transits: int = 0,
-    dc_unit: int = 1,
 ) -> int:
     """Count images passing every threshold, exactly over 3^12."""
-    if dc_unit < 1:
-        raise RangeError("dc unit scales the bound and must be positive")
-    dc_limit = dc_bound * dc_unit
     return sum(
         count
         for (head, tail, dc, transits), count in image_features().items()
-        if head <= max_head_droop and tail <= max_tail_droop and dc <= dc_limit and transits >= min_transits
+        if head <= max_head_droop and tail <= max_tail_droop and dc <= dc_bound and transits >= min_transits
     )
 
 
@@ -359,10 +355,10 @@ SELECTION_GRID = (
 )
 
 
-def selection_sweep(dc_unit: int = 1) -> list[dict]:
+def selection_sweep() -> list[dict]:
     """Census every selection-criteria row, noting pool-size matches."""
     rows = []
     for criteria in SELECTION_GRID:
-        total = image_filter_census(**criteria, dc_unit=dc_unit)
+        total = image_filter_census(**criteria)
         rows.append({**criteria, "count": total, "matches_pool": total == POOL_TOTAL})
     return rows

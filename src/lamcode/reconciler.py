@@ -29,10 +29,6 @@ class Underflow(WorkbenchError, ValueError):
     """Dequeue from a queue holding no information (N_q <= 1)."""
 
 
-class QueueOverflow(WorkbenchError, ValueError):
-    """Enqueue would push N_q beyond the configured bound."""
-
-
 class FlushAmbiguity(WorkbenchError, ValueError):
     """Symbol count does not match the replayed schedule."""
 
@@ -70,25 +66,19 @@ def constant_oracle(n_in: int, n_out: int) -> RadixOracle:
 @dataclass(frozen=True)
 class ReconcilerConfig:
     capacity_threshold: int = 1  # K: dequeue only while N_q >= K * $N
-    queue_bound: int | None = None
 
     def __post_init__(self) -> None:
         if self.capacity_threshold < 1:
             raise RangeError("capacity threshold K must be at least 1")
 
 
-def enqueue(
-    q: MixedRadixQueue, b_in: int, n_in: int, queue_bound: int | None = None
-) -> MixedRadixQueue:
+def enqueue(q: MixedRadixQueue, b_in: int, n_in: int) -> MixedRadixQueue:
     """Push one radix-N_in symbol on top of the queued value."""
     if n_in < 2:
         raise RangeError("input radix must be at least 2")
     if not 0 <= b_in < n_in:
         raise RangeError(f"symbol {b_in} outside radix {n_in}")
-    n_q = n_in * q.n_q
-    if queue_bound is not None and n_q > queue_bound:
-        raise QueueOverflow(f"queue capacity {n_q} exceeds bound {queue_bound}")
-    return replace(q, b_q=b_in * q.n_q + q.b_q, n_q=n_q, m=q.m + 1)
+    return replace(q, b_q=b_in * q.n_q + q.b_q, n_q=n_in * q.n_q, m=q.m + 1)
 
 
 def test(q: MixedRadixQueue, out_radix: int, k: int = 1) -> bool:
@@ -127,11 +117,10 @@ def _schedule(
     """The capacity gate: (op, radix, N_q before, N_q after) per queue step.
 
     op is "enqueue", "dequeue" (gated mid-stream) or "flush" (the final
-    drain). The only reader of the oracle, K and the queue bound; it
-    validates every radix it reads.
+    drain). The only reader of the oracle and K; it validates every radix
+    it reads.
     """
     k = config.capacity_threshold
-    bound = config.queue_bound
 
     def out_radix(n: int) -> int:
         radix = oracle.output_radix(n)
@@ -146,8 +135,6 @@ def _schedule(
         if radix < 2:
             raise RangeError("input radix must be at least 2")
         before, n_q = n_q, n_q * radix
-        if bound is not None and n_q > bound:
-            raise QueueOverflow(f"queue capacity {n_q} exceeds bound {bound}")
         yield "enqueue", radix, before, n_q
         radix = out_radix(n)
         while n_q >= k * radix:

@@ -33,6 +33,7 @@ ROOT_BASE = 259
 AFFIX_BITS = 11
 AFFIX_SPACE = 1 << AFFIX_BITS
 POINT_SPACE = ROOT_BASE * AFFIX_SPACE  # 530,432 = 524,288 + 6,144
+KEY_BITS = 5  # per-word key width of the small paged dictionaries
 
 WORD_NS = 30.0
 ROUND_NS = 180.0  # six words per echo round
@@ -155,20 +156,11 @@ def solve_dx1(r: int, n: int) -> PartitionSolution:
     automatic; when N divides 2^r the second class is left empty.
     """
     _check_rn(r, n)
-    total = 1 << r
-    low = total // n
-    m_high = total - n * low
-    if m_high == 0:
-        # single size; the empty class takes the adjacent parity
-        if low % 2 == 0:
-            return PartitionSolution(r, n, m_even=n, m_odd=0, x_even=low, x_odd=low + 1)
-        return PartitionSolution(r, n, m_even=0, m_odd=n, x_even=low + 1, x_odd=low)
-    if low % 2 == 0:
-        return PartitionSolution(
-            r, n, m_even=n - m_high, m_odd=m_high, x_even=low, x_odd=low + 1
-        )
+    low, m_high = divmod(1 << r, n)
+    counts = {low: n - m_high, low + 1: m_high}
+    x_even, x_odd = (low, low + 1) if low % 2 == 0 else (low + 1, low)
     return PartitionSolution(
-        r, n, m_even=m_high, m_odd=n - m_high, x_even=low + 1, x_odd=low
+        r, n, m_even=counts[x_even], m_odd=counts[x_odd], x_even=x_even, x_odd=x_odd
     )
 
 
@@ -310,11 +302,11 @@ def convert(value: int, bin_map: BinMap) -> int:
     return bin_map.digit_of(value)
 
 
-def bubble_map(n: int, r: int = 5) -> BinMap:
-    """Per-word cipher-point map for small paged dictionaries (N <= 2^r)."""
-    if n > 1 << r:
-        raise NoSolution(f"{n} words cannot share {1 << r} cipher points")
-    return build_bin_map(solve_dx1(r, n))
+def bubble_map(n: int) -> BinMap:
+    """Per-word cipher-point map for small paged dictionaries (N <= 2^KEY_BITS)."""
+    if n > 1 << KEY_BITS:
+        raise NoSolution(f"{n} words cannot share {1 << KEY_BITS} cipher points")
+    return build_bin_map(solve_dx1(KEY_BITS, n))
 
 
 @dataclass(frozen=True)
@@ -410,9 +402,9 @@ class BudgetReport:
     root_feasible: bool  # r wide enough for a base-259 root
 
 
-def budget(t: int, with_inversion: bool = True) -> BudgetReport:
+def budget(t: int) -> BudgetReport:
     """Time budget when t side-stream bits are demanded per echo round."""
-    r = t - 12 if with_inversion else t - 11
+    r = t - AFFIX_BITS - 1  # the affix and the inversion bit take the other 12
     return BudgetReport(
         t=t,
         r=r,

@@ -20,7 +20,7 @@ from importlib import resources
 
 from .errors import RangeError, WorkbenchError
 from .paging import PagedCodec, PageMiss
-from .scrambler import bubble_map  # noqa: F401 - benchmarks/tracer.py patches ternary.bubble_map
+from .scrambler import KEY_BITS, bubble_map  # noqa: F401 - benchmarks/tracer.py patches ternary.bubble_map
 
 SYMBOLS = "LzH"
 SYMBOL_VALUES = {"L": -1, "z": 0, "H": 1}
@@ -30,7 +30,7 @@ START_SIGMA = 1
 REFERENCE = "reference"
 BROADENED = "broadened"
 VARIANTS = (REFERENCE, BROADENED)
-KEY_SPACE = 32
+KEY_SPACE = 1 << KEY_BITS
 DELIMITER_KINDS = ("SSD", "ESD", "ESD_ERR")
 DELIMITER_PERIODS = (1, 2, 3, 4)
 EVENT_SLOTS = ("fade_in", "flag", "meta")

@@ -187,6 +187,29 @@ def test_negative_counts_exit_2(capsys, argv):
     assert expected[argv[-2]] in err
 
 
+@pytest.mark.parametrize(
+    "line, expected",
+    [
+        ("report t1-table7-sweep --seed 1", 2),
+        ("lam enum --seed 1", 2),
+        ("scramble budget --seed 1", 2),
+        ("echo census --sweep", 2),
+        ("echo census --dc-unit 2", 2),
+        ("lam codec --count 50 --seed 3", 0),
+        ("reconcile run --count 50 --seed 3", 0),
+        ("t1l codec --words 50 --seed 3", 0),
+    ],
+)
+def test_only_commands_that_draw_take_seed(capsys, line, expected):
+    try:
+        code = cli.main(line.split())
+    except SystemExit as exit_:
+        code = exit_.code
+    out = capsys.readouterr().out
+    assert code == expected, line
+    assert (out == "") == bool(expected), line
+
+
 def test_cli_import_leaves_numpy_out():
     probe = "import sys, lamcode.cli; print('numpy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120)

@@ -30,6 +30,7 @@ from lamcode.dictionary import (
     mask_of,
     multiplex_feasible,
     next_page,
+    page_sizes,
     paged_codec,
     pattern_of,
     position_jump_probability,
@@ -188,6 +189,19 @@ def test_page_sizes():
         assert len(a) == len(b) == size
 
 
+def test_page_sizes_match_listed_pages():
+    for m in range(2, 25, 2):
+        filters = (
+            UNIT_BIAS,
+            BALANCED,
+            filter_for_data_bits(m // 2),
+            ImageFilter(min_transits=m // 4, max_droop=1),
+        )
+        for image_filter in filters:
+            a, b = build_pages(m, image_filter)
+            assert page_sizes(m, image_filter) == (len(a), len(b)), (m, image_filter)
+
+
 def test_page_structure():
     a, b = build_pages(8, UNIT_BIAS)
     assert all(w[0] == J for w in a)
@@ -206,6 +220,8 @@ def test_page_reversal_symmetry():
 def test_empty_page():
     with pytest.raises(EmptyPage):
         build_pages(4, ImageFilter(min_transits=100))
+    with pytest.raises(EmptyPage):
+        page_sizes(4, ImageFilter(min_transits=100))
 
 
 def test_next_page():

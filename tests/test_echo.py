@@ -293,9 +293,3 @@ def test_selection_sweep():
 def test_census_sharding_agrees():
     assert echo.image_filter_census(8, 8, 8, 2) == 530432
     assert echo.image_filter_census(7, 7, 7, 3) == 527378
-
-
-def test_dc_unit_scaling():
-    assert echo.image_filter_census(dc_bound=4, dc_unit=3) == echo.image_filter_census(dc_bound=12)
-    with pytest.raises(RangeError):
-        echo.image_filter_census(dc_unit=0)

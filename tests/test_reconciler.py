@@ -14,7 +14,6 @@ from lamcode.reconciler import (
     EncodedStream,
     FlushAmbiguity,
     MixedRadixQueue,
-    QueueOverflow,
     RadixOracle,
     ReconcilerConfig,
     Underflow,
@@ -43,8 +42,6 @@ def test_enqueue_examples():
     assert (q.b_q, q.n_q, q.m) == (73, 100, 2)
     with pytest.raises(RangeError):
         enqueue(q, 10, 10)
-    with pytest.raises(QueueOverflow):
-        enqueue(q, 1, 10, queue_bound=500)
 
 
 def test_dequeue_example():
@@ -192,17 +189,6 @@ def test_round_trip_property(data, k, out_radix):
     oracle = constant_oracle(16, out_radix)
     config = ReconcilerConfig(capacity_threshold=k)
     assert decode_stream(encode_stream(data, oracle, config), oracle, config) == data
-
-
-def test_queue_bound_respected_in_replay():
-    oracle = constant_oracle(16, 3)
-    config = ReconcilerConfig(capacity_threshold=1, queue_bound=10**6)
-    data = [1] * 50
-    encoded = encode_stream(data, oracle, config)
-    assert decode_stream(encoded, oracle, config) == data
-    tight = ReconcilerConfig(capacity_threshold=2**40, queue_bound=10**6)
-    with pytest.raises(QueueOverflow):
-        encode_stream(data, oracle, tight)
 
 
 @settings(max_examples=300)

@@ -425,7 +425,6 @@ def test_budget_report():
         observation_time=observation_time(9),
         root_feasible=True,
     )
-    assert budget(21, with_inversion=False).r == 10
     assert not budget(20).root_feasible
     with pytest.raises(RangeError):
         budget(0)
