@@ -341,6 +341,8 @@ def image_filter_census(
     min_transits: int = 0,
 ) -> int:
     """Count images passing every threshold, exactly over 3^12."""
+    if min(max_head_droop, max_tail_droop, dc_bound, min_transits) < 0:
+        raise RangeError("image filter thresholds must be nonnegative")
     return sum(
         count
         for (head, tail, dc, transits), count in image_features().items()

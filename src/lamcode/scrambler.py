@@ -50,12 +50,16 @@ class NoSolution(WorkbenchError, ValueError):
     """No partition satisfies the requested constraints."""
 
 
-def lfsr_next(state: int) -> tuple[int, int]:
-    """Advance the register one half-bit tick; returns (state, output bit)."""
+def _check_state(state: int) -> None:
     if state == 0:
         raise ZeroState("LFSR state must be nonzero")
     if state != state & _LFSR_MASK:
         raise RangeError(f"state needs at most {LFSR_WIDTH} bits")
+
+
+def lfsr_next(state: int) -> tuple[int, int]:
+    """Advance the register one half-bit tick; returns (state, output bit)."""
+    _check_state(state)
     out = state & 1
     feedback = (state ^ (state >> LFSR_TAP)) & 1
     return (state >> 1) | (feedback << (LFSR_WIDTH - 1)), out
@@ -67,8 +71,12 @@ def lfsr_advance_word(state: int) -> int:
     The next 33 output bits of a Fibonacci register are exactly the
     current state, LSB first, so whole-state draws need only this step.
     """
-    if state == 0:
-        raise ZeroState("LFSR state must be nonzero")
+    _check_state(state)
+    return _advance_word(state)
+
+
+def _advance_word(state: int) -> int:
+    """lfsr_advance_word for a checked state; the draw loop checks once, not per step."""
     folded = state ^ (state >> LFSR_TAP)
     return (folded & 0xFFFFF) | ((((folded >> 20) ^ folded) & 0x1FFF) << 20)
 
@@ -77,8 +85,7 @@ def lfsr_values(state: int, nbits: int, count: int) -> tuple[int, list[int]]:
     """Draw `count` values of `nbits` each; first output bit lands in the LSB."""
     if nbits < 1:
         raise RangeError("nbits must be positive")
-    if state == 0:
-        raise ZeroState("LFSR state must be nonzero")
+    _check_state(state)
     out: list[int] = []
     buffer = 0
     filled = 0
@@ -87,7 +94,7 @@ def lfsr_values(state: int, nbits: int, count: int) -> tuple[int, list[int]]:
         while filled < nbits:
             buffer |= state << filled
             filled += LFSR_WIDTH
-            state = lfsr_advance_word(state)
+            state = _advance_word(state)
         out.append(buffer & mask)
         buffer >>= nbits
         filled -= nbits

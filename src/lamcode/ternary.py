@@ -48,7 +48,7 @@ class UndefinedCell(WorkbenchError, ValueError):
 
 
 class Reducible(WorkbenchError, ArithmeticError):
-    """Disparity chain splits into closed components."""
+    """Disparity chain with several closed classes or transient states."""
 
 
 class SlotUnavailable(WorkbenchError, ValueError):
@@ -104,11 +104,6 @@ def word_metrics(symbols: str) -> TernaryWord:
         peak_neg = min(peak_neg, total)
     transits = sum(1 for a, b in zip(symbols, symbols[1:]) if a != b)
     return TernaryWord(symbols, total, peak_pos, peak_neg, transits)
-
-
-def partial_sum(symbols: str, count: int) -> int:
-    """Running sum after the first `count` symbols of a word."""
-    return sum(SYMBOL_VALUES[ch] for ch in symbols[:count])
 
 
 @dataclass(frozen=True)
@@ -335,51 +330,38 @@ def event_pattern(sigma: int, slot: str) -> tuple[int, ...]:
     raise RangeError(f"slot must be one of {EVENT_SLOTS}, got {slot!r}")
 
 
+def _chain(dictionary: PagedTernaryDictionary):
+    """The word-choice chain, one page entry at a time.
+
+    Yields (disparity, share, word, next disparity); the share is the
+    entry's rep_count over its page total, the chance a uniform key picks
+    it.  A word that leaves the band raises PageMiss.
+    """
+    for sigma in SIGMA_LEVELS:
+        entries = dictionary.page(sigma).entries
+        total = sum(entry.rep_count for entry in entries)
+        for entry in entries:
+            after = sigma + entry.word.delta_dc
+            if after not in SIGMA_LEVELS:
+                raise PageMiss(f"word {entry.word.symbols!r} leaves the band from {sigma}")
+            yield sigma, Fraction(entry.rep_count, total), entry.word, after
+
+
 def transition_matrix(dictionary: PagedTernaryDictionary) -> tuple[tuple[Fraction, ...], ...]:
     """Page-to-page chain under uniform codes weighted by rep_count."""
-    rows = []
-    for sigma in SIGMA_LEVELS:
-        page = dictionary.page(sigma)
-        total = sum(entry.rep_count for entry in page.entries)
-        row = [Fraction(0)] * len(SIGMA_LEVELS)
-        for entry in page.entries:
-            target = sigma + entry.word.delta_dc
-            if target not in SIGMA_LEVELS:
-                raise PageMiss(f"word {entry.word.symbols!r} leaves the band from {sigma}")
-            row[target - 1] += Fraction(entry.rep_count, total)
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def _components(matrix) -> list[tuple[int, ...]]:
-    n = len(matrix)
-    reach = []
-    for i in range(n):
-        seen = {i}
-        frontier = [i]
-        while frontier:
-            at = frontier.pop()
-            for j in range(n):
-                if matrix[at][j] > 0 and j not in seen:
-                    seen.add(j)
-                    frontier.append(j)
-        reach.append(seen)
-    groups = []
-    placed = set()
-    for i in range(n):
-        if i in placed:
-            continue
-        group = tuple(j for j in range(n) if j in reach[i] and i in reach[j])
-        placed.update(group)
-        groups.append(group)
-    return groups
+    rows = {sigma: [Fraction(0)] * len(SIGMA_LEVELS) for sigma in SIGMA_LEVELS}
+    for sigma, share, _, after in _chain(dictionary):
+        rows[sigma][after - 1] += share
+    return tuple(tuple(row) for row in rows.values())
 
 
 def stationary_distribution(matrix) -> tuple[Fraction, ...]:
-    """Exact stationary row vector of an irreducible chain."""
-    components = _components(matrix)
-    if len(components) > 1:
-        raise Reducible(f"chain splits into components {components}")
+    """Exact stationary row vector of an irreducible chain.
+
+    The balance equations with the normalisation have one solution exactly
+    when the chain has one closed class, and that solution is positive
+    exactly when no state is transient; otherwise Reducible is raised.
+    """
     n = len(matrix)
     rows = []
     for j in range(n - 1):
@@ -387,7 +369,9 @@ def stationary_distribution(matrix) -> tuple[Fraction, ...]:
         rows.append(row + [Fraction(0)])
     rows.append([Fraction(1)] * n + [Fraction(1)])
     for col in range(n):
-        pivot = next(r for r in range(col, n) if rows[r][col] != 0)
+        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if pivot is None:
+            raise Reducible("chain splits into several closed components")
         rows[col], rows[pivot] = rows[pivot], rows[col]
         head = rows[col][col]
         rows[col] = [v / head for v in rows[col]]
@@ -395,11 +379,19 @@ def stationary_distribution(matrix) -> tuple[Fraction, ...]:
             if r != col and rows[r][col] != 0:
                 factor = rows[r][col]
                 rows[r] = [v - factor * w for v, w in zip(rows[r], rows[col])]
-    return tuple(rows[i][n] for i in range(n))
+    pi = tuple(rows[i][n] for i in range(n))
+    transient = [i for i, share in enumerate(pi) if share == 0]
+    if transient:
+        raise Reducible(f"chain has transient states {transient}")
+    return pi
 
 
 def run_bounds(dictionary: PagedTernaryDictionary) -> dict[str, int]:
     """Longest same-symbol run over every reachable word path, per symbol."""
+    moves = {sigma: [] for sigma in SIGMA_LEVELS}
+    for sigma, share, word, after in _chain(dictionary):
+        if share:
+            moves[sigma].append((word.symbols, after))
     best = {ch: 0 for ch in SYMBOLS}
     seen = set()
     frontier = [(START_SIGMA, "", 0)]
@@ -409,18 +401,16 @@ def run_bounds(dictionary: PagedTernaryDictionary) -> dict[str, int]:
             continue
         seen.add(state)
         sigma, tail, run = state
-        for entry in dictionary.page(sigma).entries:
-            if entry.rep_count == 0:
-                continue
+        for symbols, after in moves[sigma]:
             current, length = tail, run
-            for ch in entry.word.symbols:
+            for ch in symbols:
                 length = length + 1 if ch == current else 1
                 current = ch
                 if length > best[ch]:
                     if length > RUN_CAP:
                         raise RangeError(f"run of {ch!r} exceeds the cap of {RUN_CAP}")
                     best[ch] = length
-            frontier.append((sigma + entry.word.delta_dc, current, length))
+            frontier.append((after, current, length))
     return best
 
 
@@ -455,57 +445,35 @@ class PortraitStats:
 
 
 def portrait(dictionary: PagedTernaryDictionary) -> PortraitStats:
-    """Exact occupancy statistics under uniform code flow."""
-    matrix = transition_matrix(dictionary)
-    boundary = stationary_distribution(matrix)
-    totals = {}
-    for sigma in SIGMA_LEVELS:
-        totals[sigma] = sum(entry.rep_count for entry in dictionary.page(sigma).entries)
+    """Exact occupancy statistics under uniform code flow, in one pass.
 
-    def joint(sigma: int, entry: PageEntry) -> Fraction:
-        return boundary[sigma - 1] * Fraction(entry.rep_count, totals[sigma])
-
-    p_sigma_phase = []
-    p_letter_phase = []
-    for k in range(WORD_LENGTH):
-        sigma_dist: dict[int, Fraction] = {}
-        letter_dist = {ch: Fraction(0) for ch in SYMBOLS}
-        for sigma in SIGMA_LEVELS:
-            for entry in dictionary.page(sigma).entries:
-                weight = joint(sigma, entry)
-                level = sigma + partial_sum(entry.word.symbols, k + 1)
-                sigma_dist[level] = sigma_dist.get(level, Fraction(0)) + weight
-                letter_dist[entry.word.symbols[k]] += weight
-        p_sigma_phase.append({level: sigma_dist[level] for level in sorted(sigma_dist)})
-        p_letter_phase.append(letter_dist)
-
-    first_symbol = {}
-    for sigma in SIGMA_LEVELS:
-        dist = {ch: Fraction(0) for ch in SYMBOLS}
-        for entry in dictionary.page(sigma).entries:
-            dist[entry.word.symbols[0]] += Fraction(entry.rep_count, totals[sigma])
-        first_symbol[sigma] = dist
-
-    p_transit = []
-    for k in range(WORD_LENGTH):
-        total = Fraction(0)
-        for sigma in SIGMA_LEVELS:
-            for entry in dictionary.page(sigma).entries:
-                weight = joint(sigma, entry)
-                word = entry.word.symbols
-                if k < WORD_LENGTH - 1:
-                    if word[k] != word[k + 1]:
-                        total += weight
-                else:
-                    follow = first_symbol[sigma + entry.word.delta_dc]
-                    total += weight * (1 - follow[word[-1]])
-        p_transit.append(total)
+    The boundary transit is one minus the chance that the next word opens
+    with the symbol this one ends on: `ends` meets `opens` per (page, symbol).
+    """
+    boundary = stationary_distribution(transition_matrix(dictionary))
+    levels = [{} for _ in range(WORD_LENGTH)]
+    letters = [dict.fromkeys(SYMBOLS, Fraction(0)) for _ in range(WORD_LENGTH)]
+    transits = [Fraction(0)] * WORD_LENGTH
+    opens = {}  # (disparity, symbol): share of the page's words that open with it
+    ends = {}  # (next disparity, symbol): weight of words that end with it there
+    for sigma, share, word, after in _chain(dictionary):
+        weight = boundary[sigma - 1] * share
+        level = sigma
+        for k, ch in enumerate(word.symbols):
+            level += SYMBOL_VALUES[ch]
+            levels[k][level] = levels[k].get(level, 0) + weight
+            letters[k][ch] += weight
+            if k + 1 < WORD_LENGTH and ch != word.symbols[k + 1]:
+                transits[k] += weight
+        opens[sigma, word.symbols[0]] = opens.get((sigma, word.symbols[0]), 0) + share
+        ends[after, word.symbols[-1]] = ends.get((after, word.symbols[-1]), 0) + weight
+    transits[-1] = 1 - sum(weight * opens.get(key, 0) for key, weight in ends.items())
 
     return PortraitStats(
         variant=dictionary.variant,
-        boundary=tuple(boundary),
-        p_sigma_phase=tuple(p_sigma_phase),
-        p_letter_phase=tuple(p_letter_phase),
-        p_transit=tuple(p_transit),
+        boundary=boundary,
+        p_sigma_phase=tuple({level: phase[level] for level in sorted(phase)} for phase in levels),
+        p_letter_phase=tuple(letters),
+        p_transit=tuple(transits),
         run_bounds=run_bounds(dictionary),
     )

@@ -75,6 +75,14 @@ def test_out_file(tmp_path, capsys):
     assert target.read_text().startswith("letters,")
 
 
+@pytest.mark.parametrize("where, reason", [("missing/x.txt", "No such file"), (".", "Is a directory")])
+def test_unwritable_out_exits_2(tmp_path, capsys, where, reason):
+    target = tmp_path / where
+    code, out, err = run_cli(capsys, "report", "t1-table6-budget", "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {target}: {reason}")
+
+
 def test_unknown_table_exits_2(capsys):
     code, out, err = run_cli(capsys, "report", "no-such-table")
     assert code == 2 and out == ""
@@ -173,6 +181,7 @@ def test_readme_cli_block_runs(capsys, monkeypatch, tmp_path):
         ("reconcile", "run", "--n-in", "0"),
         ("lam", "pages", "--letters", "0"),
         ("lam", "pages", "--letters", "3"),
+        ("echo", "census", "--head", "-1"),
     ],
 )
 def test_negative_counts_exit_2(capsys, argv):
@@ -183,6 +192,7 @@ def test_negative_counts_exit_2(capsys, argv):
         "--words": "must be nonnegative",
         "--n-in": "input radix must be at least 2",
         "--letters": "letter count must be a positive even number",
+        "--head": "thresholds must be nonnegative",
     }
     assert expected[argv[-2]] in err
 

@@ -203,6 +203,9 @@ def test_census_open_and_impossible():
     assert echo.image_filter_census(min_transits=13) == 0
     assert echo.image_filter_census(min_transits=12) == 0
     assert echo.image_filter_census(min_transits=11) > 0
+    for threshold in ("max_head_droop", "max_tail_droop", "dc_bound", "min_transits"):
+        with pytest.raises(RangeError):
+            echo.image_filter_census(**{threshold: -4})
 
 
 def test_census_monotone_in_every_threshold():

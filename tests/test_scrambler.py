@@ -50,6 +50,15 @@ def test_lfsr_rejects_zero():
         lfsr_next(0)
     with pytest.raises(ZeroState):
         lfsr_advance_word(0)
+    with pytest.raises(ZeroState):
+        lfsr_values(0, 5, 3)
+
+
+@pytest.mark.parametrize("state", [1 << 40, -5])
+def test_lfsr_rejects_states_wider_than_the_register(state):
+    for step in (lfsr_next, lfsr_advance_word, lambda s: lfsr_values(s, 5, 3)):
+        with pytest.raises(RangeError):
+            step(state)
 
 
 def test_lfsr_never_reaches_zero_locally():

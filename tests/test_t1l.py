@@ -287,13 +287,32 @@ def test_stationary_exact():
 
 
 def test_reducible_chain_reported():
-    frozen = (
-        (Fraction(1), Fraction(0)),
-        (Fraction(0), Fraction(1)),
-    )
+    one, half, zero = Fraction(1), Fraction(1, 2), Fraction(0)
+    frozen = ((one, zero), (zero, one))
     with pytest.raises(ternary.Reducible) as info:
         ternary.stationary_distribution(frozen)
     assert "components" in str(info.value)
+    # two closed classes, {0} and {2}, with state 1 leaking into both
+    two_classes = ((one, zero, zero), (half, zero, half), (zero, zero, one))
+    with pytest.raises(ternary.Reducible, match="components"):
+        ternary.stationary_distribution(two_classes)
+    # one closed class {1}; state 0 is transient
+    leaking = ((half, half), (zero, one))
+    with pytest.raises(ternary.Reducible, match=r"transient states \[0\]"):
+        ternary.stationary_distribution(leaking)
+    # irreducible but periodic: still one positive stationary vector
+    assert ternary.stationary_distribution(((zero, one), (one, zero))) == (half, half)
+
+
+def test_word_leaving_the_band_is_a_page_miss():
+    pages = list(ternary.reference_dictionary().pages)
+    top = pages[-1]
+    escape = ternary.PageEntry(ternary.word_metrics("HHH"), 0, top.entries[0].rep_count)
+    pages[-1] = ternary.TernaryPage(top.sigma, (escape,) + top.entries[1:])
+    broken = ternary.PagedTernaryDictionary("reference", tuple(pages))
+    for reader in (ternary.transition_matrix, ternary.run_bounds, ternary.portrait):
+        with pytest.raises(ternary.PageMiss, match="'HHH' leaves the band from 4"):
+            reader(broken)
 
 
 def test_reference_portrait_cells():
