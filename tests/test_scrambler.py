@@ -55,7 +55,7 @@ def test_lfsr_rejects_zero():
 
 
 @pytest.mark.parametrize("state", [1 << 40, -5])
-def test_lfsr_rejects_states_wider_than_the_register(state):
+def test_lfsr_rejects_states_outside_the_register(state):
     for step in (lfsr_next, lfsr_advance_word, lambda s: lfsr_values(s, 5, 3)):
         with pytest.raises(RangeError):
             step(state)
