@@ -93,7 +93,7 @@ def _dm_report(args) -> tuple[list[str], list[list]]:
     rows = []
     for r in DM_ROWS:
         sol = scrambler.solve_dm1(r, 259)[0]
-        rows.append(_partition_row(sol, abs(sol.x_even - sol.x_odd)))
+        rows.append(_partition_row(sol, sol.delta_x))
     return header, rows
 
 
@@ -127,7 +127,7 @@ def _jump_report(args) -> tuple[list[str], list[list]]:
     return header, rows
 
 
-def _dictionary_report(rows) -> tuple[list[str], list[list]]:
+def _records_report(rows) -> tuple[list[str], list[list]]:
     header = list(rows[0].keys())
     return header, [[row[key] for key in header] for row in rows]
 
@@ -181,14 +181,6 @@ def _portrait_report(args, variant: str) -> tuple[list[str], list[list]]:
     return header, rows
 
 
-def _sweep_report(args) -> tuple[list[str], list[list]]:
-    header = ["max_head_droop", "max_tail_droop", "dc_bound", "min_transits", "count", "matches_pool"]
-    rows = []
-    for entry in echo.selection_sweep():
-        rows.append([entry[key] for key in header])
-    return header, rows
-
-
 def _features_report(args) -> tuple[list[str], list[list]]:
     pools = echo.pool_arithmetic()
     resolution, uncertainty = echo.event_resolution()
@@ -198,16 +190,16 @@ def _features_report(args) -> tuple[list[str], list[list]]:
     mean_transits = sum(key[3] * count for key, count in cells.items()) / echo.IMAGE_SPACE
     rows = [
         ["tx_delay_words", echo.GROUP_WORDS],
-        ["tx_delay_ns", int(echo.GROUP_WORDS * echo.WORD_NS)],
+        ["tx_delay_ns", int(echo.GROUP_WORDS * scrambler.WORD_NS)],
         ["rx_delay_words", 2 * echo.GROUP_WORDS],
-        ["rx_delay_ns", int(2 * echo.GROUP_WORDS * echo.WORD_NS)],
+        ["rx_delay_ns", int(2 * echo.GROUP_WORDS * scrambler.WORD_NS)],
         ["event_resolution_ns", f"{resolution:g}"],
         ["event_uncertainty_ns", f"{uncertainty:g}"],
         ["mii_resolution_ns", f"{mii_resolution:g}"],
         ["mii_uncertainty_ns", f"{mii_uncertainty:g}"],
         ["mii_positions", echo.MII_POSITIONS],
         ["event_rate_words", words_per_event],
-        ["event_rate_mev_s", f"{1e3 / (words_per_event * echo.WORD_NS):.2f}"],
+        ["event_rate_mev_s", f"{1e3 / (words_per_event * scrambler.WORD_NS):.2f}"],
         ["mean_transits_per_image", f"{mean_transits:.2f}"],
         ["native_pool", pools["native"]],
         ["forced_pool", pools["forced"]],
@@ -224,12 +216,12 @@ REPORTS = {
     "t1-table6-dm": _dm_report,
     "t1-table6-budget": _budget_report,
     "t1s-table14-jump": _jump_report,
-    "t1l-table6-dictionary": lambda args: _dictionary_report(ternary.reference_rows()),
-    "t1l-table8-dictionary": lambda args: _dictionary_report(ternary.broadened_rows()),
+    "t1l-table6-dictionary": lambda args: _records_report(ternary.reference_rows()),
+    "t1l-table8-dictionary": lambda args: _records_report(ternary.broadened_rows()),
     "t1l-table10-delimiters": _delimiter_report,
     "t1l-table7-portrait": lambda args: _portrait_report(args, ternary.REFERENCE),
     "t1l-table9-portrait": lambda args: _portrait_report(args, ternary.BROADENED),
-    "t1-table7-sweep": _sweep_report,
+    "t1-table7-sweep": lambda args: _records_report(echo.selection_sweep()),
     "t1-table8-features": _features_report,
 }
 
@@ -316,14 +308,10 @@ def _echo_plan_command(args) -> tuple[list[str], list[list]]:
 
 
 def _echo_census_command(args) -> tuple[list[str], list[list]]:
-    count = echo.image_filter_census(
-        max_head_droop=args.head,
-        max_tail_droop=args.tail,
-        dc_bound=args.dc,
-        min_transits=args.transits,
+    row = echo.selection_row(
+        max_head_droop=args.head, max_tail_droop=args.tail, dc_bound=args.dc, min_transits=args.transits
     )
-    header = ["max_head_droop", "max_tail_droop", "dc_bound", "min_transits", "count", "matches_pool"]
-    return header, [[args.head, args.tail, args.dc, args.transits, count, count == echo.POOL_TOTAL]]
+    return _records_report([row])
 
 
 def _render(header: list[str], rows: list[list], fmt: str) -> str:
@@ -431,7 +419,7 @@ def _solve_command(args) -> tuple[list[str], list[list]]:
     header = ["r", "m_even", "m_odd", "x_even", "x_odd", "kind", "unb_pos", "unb_neg"]
     rows = []
     for sol in scrambler.solve_partitions(args.r, args.n):
-        kind = "dx1" if abs(sol.x_even - sol.x_odd) <= 1 else "dm1"
+        kind = "dx1" if sol.delta_x <= 1 else "dm1"
         rows.append(_partition_row(sol, kind))
     return header, rows
 

@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 from .errors import RangeError, SizeLimit, WorkbenchError
 from .manchester import J, K
 from .manchester import metrics  # noqa: F401 - benchmarks/tracer.py patches dictionary.metrics
-from .paging import CodeOutOfRange, PagedCodec, PageMiss
+from .paging import CodeOutOfRange, PagedCodec, PageMiss, stationary_distribution
 
 MAX_IMAGE_LENGTH = 24
 MASKS = ("JJ", "JK", "KJ")
@@ -39,10 +39,6 @@ class EmptyPage(WorkbenchError, ValueError):
 
 ValueOutOfRange = CodeOutOfRange  # a data value exceeds the current page size
 DecodeError = PageMiss  # a received word is not listed in the expected page
-
-
-class Degenerate(WorkbenchError, ArithmeticError):
-    """The page chain is reducible or periodic; no unique fixed point."""
 
 
 def fibonacci(n: int) -> int:
@@ -264,30 +260,23 @@ def stationary_two_page(p_j_given_a, p_j_given_b):
     Convention here follows the source's fixed-point equation: the next
     word is served from page A exactly when the previous word ends in J.
     (The structural `next_page` rule names pages the other way around;
-    the equation is kept literal.) Exact inputs give exact outputs.
+    the equation is kept literal.) Exact inputs give exact outputs; two
+    absorbing pages raise Reducible.
     """
-    for p in (p_j_given_a, p_j_given_b):
-        if not 0 <= p <= 1:
-            raise RangeError("probabilities must lie in [0, 1]")
-    pair = (p_j_given_a, p_j_given_b)
-    if pair == (1, 0):
-        raise Degenerate("both pages absorb; every split is stationary")
-    if pair == (0, 1):
-        raise Degenerate("period-two alternation; iteration does not settle")
-    p_a = p_j_given_b / (1 - p_j_given_a + p_j_given_b)
-    return p_a, 1 - p_a
+    rows = ((p_j_given_a, 1 - p_j_given_a), (p_j_given_b, 1 - p_j_given_b))
+    return stationary_distribution(rows, allow_transient=True)
 
 
 def position_jump_probability(
     pages: Sequence[Iterable[str]], i: int, mask: str | None = None
 ) -> Fraction:
     """Probability that letter i is J over the deduplicated page union."""
-    union = sorted({word for page in pages for word in page})
+    union = {word for page in pages for word in page}
     if mask is not None:
         union = [word for word in union if mask_of(word) == mask]
     if not union:
         raise EmptyPage("no words to sample")
-    length = len(union[0])
+    length = len(next(iter(union)))
     if not 0 <= i < length:
         raise RangeError(f"position must lie in [0, {length})")
     return Fraction(sum(word[i] == J for word in union), len(union))

@@ -29,7 +29,6 @@ FORCED_POOL = GROUP_WORDS * OCTAL**FORCED_DIGITS
 POOL_TOTAL = NATIVE_POOL + FORCED_POOL
 IMAGE_SYMBOLS = 12
 IMAGE_SPACE = 3**IMAGE_SYMBOLS
-WORD_NS = 30.0
 NIBBLE_NS = 40.0
 MII_POSITIONS = 9
 FRAMINGS = ("preamble_sfd", "ifg", "frame")
@@ -44,6 +43,13 @@ class Conflict(WorkbenchError, ValueError):
     """The odd half of the super group already carries a forced echo."""
 
 
+def _check_digits(pool: str, digits: tuple[int, ...], count: int) -> None:
+    if len(digits) != count:
+        raise RangeError(f"{pool} sample carries {count} digits")
+    if any(not 0 <= d < OCTAL for d in digits):
+        raise RangeError("digits must be octal")
+
+
 @dataclass(frozen=True)
 class NativeSample:
     """Auxiliary bit plus six octal digits, low digit first."""
@@ -54,10 +60,7 @@ class NativeSample:
     def __post_init__(self) -> None:
         if self.aux not in (0, 1):
             raise RangeError("aux is a single bit")
-        if len(self.digits) != NATIVE_DIGITS:
-            raise RangeError(f"native sample carries {NATIVE_DIGITS} digits")
-        if any(not 0 <= d < OCTAL for d in self.digits):
-            raise RangeError("digits must be octal")
+        _check_digits("native", self.digits, NATIVE_DIGITS)
 
 
 @dataclass(frozen=True)
@@ -70,10 +73,7 @@ class ForcedSample:
     def __post_init__(self) -> None:
         if not 0 <= self.position < GROUP_WORDS:
             raise RangeError(f"position must lie in [0, {GROUP_WORDS})")
-        if len(self.digits) != FORCED_DIGITS:
-            raise RangeError(f"forced sample carries {FORCED_DIGITS} digits")
-        if any(not 0 <= d < OCTAL for d in self.digits):
-            raise RangeError("digits must be octal")
+        _check_digits("forced", self.digits, FORCED_DIGITS)
 
 
 def pool_arithmetic() -> dict[str, int]:
@@ -82,26 +82,27 @@ def pool_arithmetic() -> dict[str, int]:
         "native": NATIVE_POOL,
         "forced": FORCED_POOL,
         "total": POOL_TOTAL,
-        "n_q": scrambler.ROOT_BASE * scrambler.AFFIX_SPACE,
+        "n_q": scrambler.POINT_SPACE,
         "image_space": IMAGE_SPACE,
         "slack": IMAGE_SPACE - POOL_TOTAL,
     }
 
 
+def _octal_value(head: int, digits: tuple[int, ...]) -> int:
+    """head * OCTAL**len(digits) plus the digits, low digit first."""
+    for digit in reversed(digits):
+        head = head * OCTAL + digit
+    return head
+
+
 def pack_native(sample: NativeSample) -> scrambler.CodePoint:
     """Map a native sample into the low code-point range."""
-    value = sample.aux * OCTAL**NATIVE_DIGITS
-    for power, digit in enumerate(sample.digits):
-        value += digit * OCTAL**power
-    return scrambler.unpack_point(value)
+    return scrambler.unpack_point(_octal_value(sample.aux, sample.digits))
 
 
 def pack_forced(sample: ForcedSample) -> scrambler.CodePoint:
     """Map a forced sample into the high code-point range."""
-    value = NATIVE_POOL + sample.position * OCTAL**FORCED_DIGITS
-    for power, digit in enumerate(sample.digits):
-        value += digit * OCTAL**power
-    return scrambler.unpack_point(value)
+    return scrambler.unpack_point(NATIVE_POOL + _octal_value(sample.position, sample.digits))
 
 
 def unpack_sample(point: scrambler.CodePoint | int) -> NativeSample | ForcedSample:
@@ -162,7 +163,7 @@ def place_event(
 
 def event_resolution(mii: bool = False) -> tuple[float, float]:
     """Fixation resolution and uncertainty in nanoseconds."""
-    period = NIBBLE_NS if mii else WORD_NS
+    period = NIBBLE_NS if mii else scrambler.WORD_NS
     return (period, period / 2)
 
 
@@ -357,10 +358,12 @@ SELECTION_GRID = (
 )
 
 
+def selection_row(**criteria: int) -> dict:
+    """Census one set of image_filter_census thresholds, noting a pool-size match."""
+    count = image_filter_census(**criteria)
+    return {**criteria, "count": count, "matches_pool": count == POOL_TOTAL}
+
+
 def selection_sweep() -> list[dict]:
     """Census every selection-criteria row, noting pool-size matches."""
-    rows = []
-    for criteria in SELECTION_GRID:
-        total = image_filter_census(**criteria)
-        rows.append({**criteria, "count": total, "matches_pool": total == POOL_TOTAL})
-    return rows
+    return [selection_row(**criteria) for criteria in SELECTION_GRID]

@@ -3,9 +3,13 @@
 Each word of a paged stream comes from a page, and the word just sent picks
 the page (the state) for the next word. Both ends read one fixed-state map,
 built once from the pages, as tabled ANS does (Duda, arXiv:1311.2540).
+The page chain that this choice drives has one exact stationary solve,
+`stationary_distribution`, shared by the J/K and PAM-3 dictionaries.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from .errors import RangeError, WorkbenchError
 
@@ -16,6 +20,10 @@ class CodeOutOfRange(RangeError):
 
 class PageMiss(WorkbenchError, ValueError):
     """A word is torn or absent from the page its state selects."""
+
+
+class Reducible(WorkbenchError, ArithmeticError):
+    """Page chain with several closed classes or transient states."""
 
 
 class PagedCodec:
@@ -60,3 +68,40 @@ class PagedCodec:
                 raise PageMiss(f"word {word!r} not in page {state}") from None
             codes.append(code)
         return codes, state
+
+
+def stationary_distribution(matrix, *, allow_transient: bool = False) -> tuple:
+    """Exact stationary row vector of a page chain given as transition rows.
+
+    Every row must be a probability vector. The balance equations with the
+    normalisation have one solution exactly when the chain has one closed
+    class (Kemeny & Snell, ch. 5; periodic chains included), and that
+    solution is positive exactly when no state is transient. Several closed
+    classes raise Reducible; so do transient states, unless
+    `allow_transient`, which gives them a share of 0.
+    """
+    for i, row in enumerate(matrix):
+        if any(p < 0 for p in row) or sum(row) != 1:
+            raise RangeError(f"row {i} of the chain is not a probability vector")
+    n = len(matrix)
+    rows = []
+    for j in range(n - 1):
+        row = [matrix[i][j] - (Fraction(1) if i == j else Fraction(0)) for i in range(n)]
+        rows.append(row + [Fraction(0)])
+    rows.append([Fraction(1)] * n + [Fraction(1)])
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if pivot is None:
+            raise Reducible("chain splits into several closed components")
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        head = rows[col][col]
+        rows[col] = [v / head for v in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [v - factor * w for v, w in zip(rows[r], rows[col])]
+    pi = tuple(rows[i][n] for i in range(n))
+    transient = [i for i, share in enumerate(pi) if share == 0]
+    if transient and not allow_transient:
+        raise Reducible(f"chain has transient states {transient}")
+    return pi

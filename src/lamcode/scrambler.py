@@ -101,6 +101,12 @@ def lfsr_values(state: int, nbits: int, count: int) -> tuple[int, list[int]]:
     return state, out
 
 
+def _nests(a: int, b: int) -> bool:
+    """The smaller count is positive and divides the larger."""
+    lo, hi = sorted((a, b))
+    return lo > 0 and hi % lo == 0
+
+
 @dataclass(frozen=True)
 class PartitionSolution:
     """One solution of m_even*x_even + m_odd*x_odd = 2^r, m_even + m_odd = N.
@@ -136,15 +142,11 @@ class PartitionSolution:
 
     @property
     def symmetric_e(self) -> bool:
-        lo = min(self.m_even - 1, self.m_odd)
-        hi = max(self.m_even - 1, self.m_odd)
-        return lo > 0 and hi % lo == 0
+        return _nests(self.m_even - 1, self.m_odd)
 
     @property
     def symmetric_o(self) -> bool:
-        lo = min(self.m_even, self.m_odd - 1)
-        hi = max(self.m_even, self.m_odd - 1)
-        return lo > 0 and hi % lo == 0
+        return _nests(self.m_even, self.m_odd - 1)
 
 
 def _check_rn(r: int, n: int) -> None:
@@ -351,27 +353,25 @@ def unpack_point(value: int) -> CodePoint:
     return CodePoint(value // AFFIX_SPACE, value % AFFIX_SPACE)
 
 
-def scramble_point(point: CodePoint, key: tuple[int, int, int]) -> CodePoint:
-    """Additive root, XOR affix, XOR inversion; one sub-scrambler each."""
+def _key_step(point: CodePoint, key: tuple[int, int, int], sign: int) -> CodePoint:
+    """Shift the root by sign * s259, XOR the affix and the inversion."""
     s259, s11, s1 = key
     if not 0 <= s259 < ROOT_BASE:
         raise RangeError(f"root key must lie in [0, {ROOT_BASE})")
     return CodePoint(
-        (point.root + s259) % ROOT_BASE,
+        (point.root + sign * s259) % ROOT_BASE,
         point.affix ^ (s11 & (AFFIX_SPACE - 1)),
         point.inversion ^ (s1 & 1),
     )
+
+
+def scramble_point(point: CodePoint, key: tuple[int, int, int]) -> CodePoint:
+    """Additive root, XOR affix, XOR inversion; one sub-scrambler each."""
+    return _key_step(point, key, 1)
 
 
 def descramble_point(point: CodePoint, key: tuple[int, int, int]) -> CodePoint:
-    s259, s11, s1 = key
-    if not 0 <= s259 < ROOT_BASE:
-        raise RangeError(f"root key must lie in [0, {ROOT_BASE})")
-    return CodePoint(
-        (point.root - s259) % ROOT_BASE,
-        point.affix ^ (s11 & (AFFIX_SPACE - 1)),
-        point.inversion ^ (s1 & 1),
-    )
+    return _key_step(point, key, -1)
 
 
 def scramble_values(values, key: tuple[int, int, int]):

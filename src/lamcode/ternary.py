@@ -19,7 +19,8 @@ from functools import lru_cache
 from importlib import resources
 
 from .errors import RangeError, WorkbenchError
-from .paging import PagedCodec, PageMiss
+from .paging import PagedCodec, PageMiss, stationary_distribution  # benchmarks/tracer.py patches this binding
+from .paging import Reducible  # noqa: F401 - re-exported beside its solver
 from .scrambler import KEY_BITS, bubble_map  # noqa: F401 - benchmarks/tracer.py patches ternary.bubble_map
 
 SYMBOLS = "LzH"
@@ -47,12 +48,13 @@ class UndefinedCell(WorkbenchError, ValueError):
     """Delimiter slot with no word assigned."""
 
 
-class Reducible(WorkbenchError, ArithmeticError):
-    """Disparity chain with several closed classes or transient states."""
-
-
 class SlotUnavailable(WorkbenchError, ValueError):
     """Event slot with no reserved words at the current disparity."""
+
+
+def _check_sigma(sigma: int) -> None:
+    if sigma not in SIGMA_LEVELS:
+        raise RangeError(f"disparity {sigma} outside {SIGMA_LEVELS}")
 
 
 def check_word(symbols: str) -> None:
@@ -150,8 +152,7 @@ class PagedTernaryDictionary:
     pages: tuple[TernaryPage, ...]
 
     def page(self, sigma: int) -> TernaryPage:
-        if sigma not in SIGMA_LEVELS:
-            raise RangeError(f"disparity {sigma} outside {SIGMA_LEVELS}")
+        _check_sigma(sigma)
         return self.pages[sigma - 1]
 
 
@@ -215,8 +216,7 @@ def flag_rep_counts(sigma: int) -> dict[int, int]:
 
     Shipped as data only; the regular codec never consumes them.
     """
-    if sigma not in SIGMA_LEVELS:
-        raise RangeError(f"disparity {sigma} outside {SIGMA_LEVELS}")
+    _check_sigma(sigma)
     counts = {}
     for row in broadened_rows():
         code = row[f"s{sigma}_id"]
@@ -290,8 +290,7 @@ def delimiter_word(s4: int, sigma: int, period: int, kind: str = "any") -> str:
     """One cell of the delimiting grid; blank cells raise UndefinedCell."""
     if s4 not in (0, 1):
         raise RangeError(f"scrambler bit must be 0 or 1, got {s4!r}")
-    if sigma not in SIGMA_LEVELS:
-        raise RangeError(f"disparity {sigma} outside {SIGMA_LEVELS}")
+    _check_sigma(sigma)
     if period not in DELIMITER_PERIODS:
         raise RangeError(f"period {period} outside {DELIMITER_PERIODS}")
     if kind != "any" and kind not in DELIMITER_KINDS:
@@ -316,8 +315,7 @@ def delimiter(kind: str, sigma: int, s4: int) -> tuple[str, str, str, str]:
 
 def event_pattern(sigma: int, slot: str) -> tuple[int, ...]:
     """Reserved broadened-page codes for an event slot at this disparity."""
-    if sigma not in SIGMA_LEVELS:
-        raise RangeError(f"disparity {sigma} outside {SIGMA_LEVELS}")
+    _check_sigma(sigma)
     if slot == "fade_in":
         return FADE_IN_PAIRS[sigma]
     if slot == "flag":
@@ -335,11 +333,14 @@ def _chain(dictionary: PagedTernaryDictionary):
 
     Yields (disparity, share, word, next disparity); the share is the
     entry's rep_count over its page total, the chance a uniform key picks
-    it.  A word that leaves the band raises PageMiss.
+    it.  A page without weight raises RangeError, a word that leaves the
+    band PageMiss.
     """
     for sigma in SIGMA_LEVELS:
         entries = dictionary.page(sigma).entries
         total = sum(entry.rep_count for entry in entries)
+        if total <= 0:
+            raise RangeError(f"page {sigma} has no representation weight to share")
         for entry in entries:
             after = sigma + entry.word.delta_dc
             if after not in SIGMA_LEVELS:
@@ -353,37 +354,6 @@ def transition_matrix(dictionary: PagedTernaryDictionary) -> tuple[tuple[Fractio
     for sigma, share, _, after in _chain(dictionary):
         rows[sigma][after - 1] += share
     return tuple(tuple(row) for row in rows.values())
-
-
-def stationary_distribution(matrix) -> tuple[Fraction, ...]:
-    """Exact stationary row vector of an irreducible chain.
-
-    The balance equations with the normalisation have one solution exactly
-    when the chain has one closed class, and that solution is positive
-    exactly when no state is transient; otherwise Reducible is raised.
-    """
-    n = len(matrix)
-    rows = []
-    for j in range(n - 1):
-        row = [matrix[i][j] - (Fraction(1) if i == j else Fraction(0)) for i in range(n)]
-        rows.append(row + [Fraction(0)])
-    rows.append([Fraction(1)] * n + [Fraction(1)])
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            raise Reducible("chain splits into several closed components")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        head = rows[col][col]
-        rows[col] = [v / head for v in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [v - factor * w for v, w in zip(rows[r], rows[col])]
-    pi = tuple(rows[i][n] for i in range(n))
-    transient = [i for i, share in enumerate(pi) if share == 0]
-    if transient:
-        raise Reducible(f"chain has transient states {transient}")
-    return pi
 
 
 def run_bounds(dictionary: PagedTernaryDictionary) -> dict[str, int]:

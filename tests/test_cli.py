@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import random
 import shlex
 import subprocess
 import sys
@@ -257,17 +258,45 @@ def test_accepted_extremes_exit_0_or_2_in_bounded_time(capsys):
     assert time.perf_counter() - started < 10.0
 
 
+BENCH = Path(__file__).resolve().parents[1] / "benchmarks"
+
+
+def _bench_module(name: str):
+    spec = importlib.util.spec_from_file_location(f"lamcode_bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_tracer_targets_resolve():
     # benchmarks/tracer.py patches each (module, attr) by name, including the
     # re-exported dictionary.metrics and ternary.bubble_map bindings
     import lamcode
     from lamcode import dictionary, echo, manchester, reconciler, scrambler, ternary  # noqa: F401
 
-    path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("lamcode_bench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _bench_module("tracer")
     targets = tracer.targets(lamcode)
     assert targets
     for module, attr, _, _ in targets:
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+
+@pytest.mark.parametrize("name", ["workload_stream", "workload_exact"])
+def test_benchmark_workload_checks_pass(name, monkeypatch):
+    # The benchmark reads data shapes (page entries, rep counts, partition
+    # fields) and checks outputs against its oracles; a request whose check
+    # lists problems counts as failed there, so one seeded deck runs here.
+    import lamcode
+
+    before = set(sys.modules)
+    monkeypatch.syspath_prepend(str(BENCH))
+    try:
+        workload = _bench_module(name)
+        tracer = _bench_module("tracer").Tracer()
+        state = workload.setup(lamcode)
+        for request in workload.deck(state, random.Random(20259), tracer):
+            assert request.check(request.run()) == [], request.kind
+    finally:
+        for added in set(sys.modules) - before:
+            if str(BENCH) in (getattr(sys.modules[added], "__file__", None) or ""):
+                del sys.modules[added]

@@ -14,7 +14,6 @@ from lamcode.dictionary import (
     PATTERNS,
     UNIT_BIAS,
     DecodeError,
-    Degenerate,
     EmptyPage,
     ImageFilter,
     SizeLimit,
@@ -36,6 +35,7 @@ from lamcode.dictionary import (
     position_jump_probability,
     stationary_two_page,
 )
+from lamcode import ternary
 from lamcode.errors import RangeError, WorkbenchError
 from lamcode.manchester import J, K, check_letters, metrics
 
@@ -290,10 +290,28 @@ def test_stationary_examples():
     assert stationary_two_page(q, q) == (q, 1 - q)
     pa, pb = stationary_two_page(Fraction(1, 2), Fraction(1, 4))
     assert (pa, pb) == (Fraction(1, 3), Fraction(2, 3))
-    with pytest.raises(Degenerate):
+    # both pages absorb: two closed classes
+    with pytest.raises(ternary.Reducible):
         stationary_two_page(1, 0)
-    with pytest.raises(Degenerate):
-        stationary_two_page(0, 1)
+    # the period-two alternation has one fixed point, as the PAM-3 solver finds
+    zero, one = Fraction(0), Fraction(1)
+    assert stationary_two_page(0, 1) == ternary.stationary_distribution(((zero, one), (one, zero)))
+    with pytest.raises(RangeError):
+        stationary_two_page(Fraction(3, 2), Fraction(1, 2))
+
+
+PROBABILITIES = st.one_of(st.sampled_from((Fraction(0), Fraction(1))), st.fractions(0, 1, max_denominator=1000))
+
+
+@given(PROBABILITIES, PROBABILITIES)
+def test_stationary_matches_closed_form(p_a, p_b):
+    # the source's fixed-point equation stays the oracle for the shared solver
+    if (p_a, p_b) == (1, 0):
+        with pytest.raises(ternary.Reducible):
+            stationary_two_page(p_a, p_b)
+        return
+    share_a = p_b / (1 - p_a + p_b)
+    assert stationary_two_page(p_a, p_b) == (share_a, 1 - share_a)
 
 
 @given(

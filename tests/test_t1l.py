@@ -315,6 +315,33 @@ def test_word_leaving_the_band_is_a_page_miss():
             reader(broken)
 
 
+def _reference_with_page_two(entries):
+    pages = list(ternary.reference_dictionary().pages)
+    pages[1] = ternary.TernaryPage(2, entries)
+    return ternary.PagedTernaryDictionary("reference", tuple(pages))
+
+
+def test_empty_page_is_refused():
+    # an empty page would leave a zero row and a "stationary" vector of a chain that leaks
+    with pytest.raises(RangeError, match="page 2"):
+        ternary.portrait(_reference_with_page_two(()))
+
+
+def test_weightless_page_is_refused():
+    page = ternary.reference_dictionary().page(2)
+    weightless = tuple(ternary.PageEntry(e.word, e.code, 0) for e in page.entries)
+    with pytest.raises(RangeError, match="page 2"):
+        ternary.portrait(_reference_with_page_two(weightless))
+
+
+def test_substochastic_row_is_refused():
+    half, zero = Fraction(1, 2), Fraction(0)
+    with pytest.raises(RangeError, match="row 1 of the chain is not a probability vector"):
+        ternary.stationary_distribution(((half, half), (zero, zero)))
+    with pytest.raises(RangeError, match="row 0"):
+        ternary.stationary_distribution(((Fraction(3, 2), -half), (half, half)))
+
+
 def test_reference_portrait_cells():
     stats = ternary.portrait(ternary.reference_dictionary())
     assert stats.boundary == (Fraction(2, 13), Fraction(9, 26), Fraction(9, 26), Fraction(2, 13))
