@@ -8,6 +8,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lamcode import ternary
 from lamcode.dictionary import (
     BALANCED,
     MASKS,
@@ -35,7 +36,6 @@ from lamcode.dictionary import (
     position_jump_probability,
     stationary_two_page,
 )
-from lamcode import ternary
 from lamcode.errors import RangeError, WorkbenchError
 from lamcode.manchester import J, K, check_letters, metrics
 
