@@ -9,7 +9,7 @@ K..J, F(1) = F(2) = 1.
 Words are served from two equal-size pages switched by the boundary
 letter of the previous word: page A holds the J-starting masks (legal
 after anything, mandatory after K), page B holds the J-ending masks.
-Both pages carry the same J..J interior, so a stream can always switch.
+Page B words all end in J, so page B absorbs and page A is transient.
 Bias filters narrow a page to its DC-safe subset before the stream
 codec maps ordinal values onto words.
 """
@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 from .errors import RangeError, SizeLimit, WorkbenchError
 from .manchester import J, K
 from .manchester import metrics  # noqa: F401 - benchmarks/tracer.py patches dictionary.metrics
-from .paging import CodeOutOfRange, PagedCodec, PageMiss, stationary_distribution
+from .paging import CodeOutOfRange, PagedCodec, PageMiss
 
 MAX_IMAGE_LENGTH = 24
 MASKS = ("JJ", "JK", "KJ")
@@ -213,8 +213,8 @@ def page_sizes(m: int, image_filter: ImageFilter = UNIT_BIAS) -> tuple[int, int]
 def next_page(previous: str) -> str:
     """Page id for the word after `previous`.
 
-    A K-ending word forces a J-starting successor, which is what page A
-    serves; after a J-ending word the stream switches to page B.
+    A K-ending word forces a J-starting successor, served by page A; a J-ending
+    word leads to page B, whose words all end in J: page B absorbs, page A is transient.
     """
     if not previous:
         raise RangeError("previous word must be nonempty")
@@ -252,19 +252,6 @@ def multiplex_feasible(m_bits: int) -> bool:
         raise RangeError(f"payload width must lie in [1, {MAX_IMAGE_LENGTH // 2}]")
     size_a, _ = page_sizes(2 * m_bits, filter_for_data_bits(m_bits))
     return size_a >= (1 << m_bits) + 1
-
-
-def stationary_two_page(p_j_given_a, p_j_given_b):
-    """Fixed point of the two-page chain from per-page J-ending odds.
-
-    Convention here follows the source's fixed-point equation: the next
-    word is served from page A exactly when the previous word ends in J.
-    (The structural `next_page` rule names pages the other way around;
-    the equation is kept literal.) Exact inputs give exact outputs; two
-    absorbing pages raise Reducible.
-    """
-    rows = ((p_j_given_a, 1 - p_j_given_a), (p_j_given_b, 1 - p_j_given_b))
-    return stationary_distribution(rows, allow_transient=True)
 
 
 def position_jump_probability(

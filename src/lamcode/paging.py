@@ -4,7 +4,8 @@ Each word of a paged stream comes from a page, and the word just sent picks
 the page (the state) for the next word. Both ends read one fixed-state map,
 built once from the pages, as tabled ANS does (Duda, arXiv:1311.2540).
 The page chain that this choice drives has one exact stationary solve,
-`stationary_distribution`, shared by the J/K and PAM-3 dictionaries.
+`stationary_distribution`; it refuses chains with transient states, such
+as the J/K chain, whose page B absorbs.
 """
 
 from __future__ import annotations
@@ -28,12 +29,15 @@ class Reducible(WorkbenchError, ArithmeticError):
 
 class PagedCodec:
     """Closed pages of equal-width words, given as {state: [(word, next_state), ...]}
-    in code order. `forward` maps (state, code) to (word, next_state) and
-    `inverse` maps (state, word) to (code, next_state)."""
+    in code order; a next state that names no page raises PageMiss. `forward` maps
+    (state, code) to (word, next_state), `inverse` (state, word) to (code, next_state)."""
 
     def __init__(self, pages: dict) -> None:
         self.sizes = {state: len(page) for state, page in pages.items()}
         self.forward = {(s, code): entry for s, page in pages.items() for code, entry in enumerate(page)}
+        for (state, _), (word, nxt) in self.forward.items():
+            if nxt not in self.sizes:
+                raise PageMiss(f"word {word!r} leaves the band from {state}")
         self.inverse = {(s, word): (code, nxt) for (s, code), (word, nxt) in self.forward.items()}
         self.width = len(next(iter(self.forward.values()))[0])
 
@@ -70,15 +74,14 @@ class PagedCodec:
         return codes, state
 
 
-def stationary_distribution(matrix, *, allow_transient: bool = False) -> tuple:
+def stationary_distribution(matrix) -> tuple:
     """Exact stationary row vector of a page chain given as transition rows.
 
     Every row must be a probability vector. The balance equations with the
     normalisation have one solution exactly when the chain has one closed
     class (Kemeny & Snell, ch. 5; periodic chains included), and that
     solution is positive exactly when no state is transient. Several closed
-    classes raise Reducible; so do transient states, unless
-    `allow_transient`, which gives them a share of 0.
+    classes raise Reducible, and so do transient states.
     """
     for i, row in enumerate(matrix):
         if any(p < 0 for p in row) or sum(row) != 1:
@@ -102,6 +105,6 @@ def stationary_distribution(matrix, *, allow_transient: bool = False) -> tuple:
                 rows[r] = [v - factor * w for v, w in zip(rows[r], rows[col])]
     pi = tuple(rows[i][n] for i in range(n))
     transient = [i for i, share in enumerate(pi) if share == 0]
-    if transient and not allow_transient:
+    if transient:
         raise Reducible(f"chain has transient states {transient}")
     return pi

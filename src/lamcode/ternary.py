@@ -236,11 +236,16 @@ def encode_nibble(code: int, sigma: int, variant: str = REFERENCE) -> TernaryWor
     return dictionary_for(variant).page(sigma).entry_for(code).word
 
 
+def _codec(dictionary: PagedTernaryDictionary) -> PagedCodec:
+    """The page tables of a dictionary; the state is the running disparity."""
+    pages = {p.sigma: [(e.word.symbols, p.sigma + e.word.delta_dc) for e in p] for p in dictionary.pages}
+    return PagedCodec(pages)
+
+
 @lru_cache(maxsize=None)
 def paged_codec(variant: str = REFERENCE) -> PagedCodec:
-    """The page tables of one variant; the state is the running disparity."""
-    pages = dictionary_for(variant).pages
-    return PagedCodec({p.sigma: [(e.word.symbols, p.sigma + e.word.delta_dc) for e in p] for p in pages})
+    """The page tables of one shipped variant."""
+    return _codec(dictionary_for(variant))
 
 
 def decode_word(symbols: str, sigma: int, variant: str = REFERENCE) -> tuple[int, int]:
@@ -269,12 +274,18 @@ def representation_table(page: TernaryPage) -> tuple[int, ...]:
     return tuple(slots)
 
 
+@lru_cache(maxsize=None)
+def _key_words(variant: str, sigma: int) -> tuple[TernaryWord, ...]:
+    """The word each scrambler key selects on one page."""
+    page = dictionary_for(variant).page(sigma)
+    return tuple(page.entry_for(code).word for code in representation_table(page))
+
+
 def scrambled_word(key: int, sigma: int, variant: str = BROADENED) -> TernaryWord:
     """Word selected by a 5-bit key; selection weight equals rep_count."""
     if not 0 <= key < KEY_SPACE:
         raise RangeError(f"key {key} outside [0, {KEY_SPACE})")
-    page = dictionary_for(variant).page(sigma)
-    return page.entry_for(representation_table(page)[key]).word
+    return _key_words(variant, sigma)[key]
 
 
 @lru_cache(maxsize=None)
@@ -331,21 +342,19 @@ def event_pattern(sigma: int, slot: str) -> tuple[int, ...]:
 def _chain(dictionary: PagedTernaryDictionary):
     """The word-choice chain, one page entry at a time.
 
-    Yields (disparity, share, word, next disparity); the share is the
-    entry's rep_count over its page total, the chance a uniform key picks
-    it.  A page without weight raises RangeError, a word that leaves the
-    band PageMiss.
+    Yields (disparity, share, word, the codec's next disparity); the share
+    is the entry's rep_count over its page total, the chance a uniform key
+    picks it.  A page without weight raises RangeError, a word that leaves
+    the band PageMiss.
     """
+    forward = _codec(dictionary).forward
     for sigma in SIGMA_LEVELS:
         entries = dictionary.page(sigma).entries
         total = sum(entry.rep_count for entry in entries)
         if total <= 0:
             raise RangeError(f"page {sigma} has no representation weight to share")
         for entry in entries:
-            after = sigma + entry.word.delta_dc
-            if after not in SIGMA_LEVELS:
-                raise PageMiss(f"word {entry.word.symbols!r} leaves the band from {sigma}")
-            yield sigma, Fraction(entry.rep_count, total), entry.word, after
+            yield sigma, Fraction(entry.rep_count, total), entry.word, forward[sigma, entry.code][1]
 
 
 def transition_matrix(dictionary: PagedTernaryDictionary) -> tuple[tuple[Fraction, ...], ...]:

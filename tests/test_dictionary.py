@@ -8,7 +8,6 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lamcode import ternary
 from lamcode.dictionary import (
     BALANCED,
     MASKS,
@@ -34,10 +33,10 @@ from lamcode.dictionary import (
     paged_codec,
     pattern_of,
     position_jump_probability,
-    stationary_two_page,
 )
 from lamcode.errors import RangeError, WorkbenchError
 from lamcode.manchester import J, K, check_letters, metrics
+from lamcode.paging import Reducible, stationary_distribution
 
 
 def brute_force_census(m: int) -> Counter:
@@ -285,19 +284,23 @@ def test_multiplex_feasibility():
     assert len(a) == 5  # exactly 2^2 + 1
 
 
+def two_page(p_a, p_b):
+    """Stationary vector of the chain that stays in state 0 with odds p_a and enters it from 1 with odds p_b."""
+    return stationary_distribution(((p_a, 1 - p_a), (p_b, 1 - p_b)))
+
+
 def test_stationary_examples():
     q = Fraction(1, 3)
-    assert stationary_two_page(q, q) == (q, 1 - q)
-    pa, pb = stationary_two_page(Fraction(1, 2), Fraction(1, 4))
+    assert two_page(q, q) == (q, 1 - q)
+    pa, pb = two_page(Fraction(1, 2), Fraction(1, 4))
     assert (pa, pb) == (Fraction(1, 3), Fraction(2, 3))
     # both pages absorb: two closed classes
-    with pytest.raises(ternary.Reducible):
-        stationary_two_page(1, 0)
-    # the period-two alternation has one fixed point, as the PAM-3 solver finds
-    zero, one = Fraction(0), Fraction(1)
-    assert stationary_two_page(0, 1) == ternary.stationary_distribution(((zero, one), (one, zero)))
+    with pytest.raises(Reducible):
+        two_page(1, 0)
+    # the period-two alternation has one fixed point
+    assert two_page(0, 1) == (Fraction(1, 2), Fraction(1, 2))
     with pytest.raises(RangeError):
-        stationary_two_page(Fraction(3, 2), Fraction(1, 2))
+        two_page(Fraction(3, 2), Fraction(1, 2))
 
 
 PROBABILITIES = st.one_of(st.sampled_from((Fraction(0), Fraction(1))), st.fractions(0, 1, max_denominator=1000))
@@ -305,13 +308,14 @@ PROBABILITIES = st.one_of(st.sampled_from((Fraction(0), Fraction(1))), st.fracti
 
 @given(PROBABILITIES, PROBABILITIES)
 def test_stationary_matches_closed_form(p_a, p_b):
-    # the source's fixed-point equation stays the oracle for the shared solver
-    if (p_a, p_b) == (1, 0):
-        with pytest.raises(ternary.Reducible):
-            stationary_two_page(p_a, p_b)
+    # the source's fixed-point equation is the oracle; an absorbing page leaves a
+    # transient one or a second closed class, and either is Reducible
+    if p_a == 1 or p_b == 0:
+        with pytest.raises(Reducible):
+            two_page(p_a, p_b)
         return
     share_a = p_b / (1 - p_a + p_b)
-    assert stationary_two_page(p_a, p_b) == (share_a, 1 - share_a)
+    assert two_page(p_a, p_b) == (share_a, 1 - share_a)
 
 
 @given(
@@ -319,13 +323,29 @@ def test_stationary_matches_closed_form(p_a, p_b):
     st.floats(min_value=0.1, max_value=0.9),
 )
 def test_stationary_matches_power_iteration(p_a, p_b):
-    got_a, got_b = stationary_two_page(p_a, p_b)
+    got_a, got_b = two_page(p_a, p_b)
     va, vb = 0.5, 0.5
     for _ in range(400):
         va, vb = va * p_a + vb * p_b, va * (1 - p_a) + vb * (1 - p_b)
     assert got_a == pytest.approx(va, abs=1e-12)
     assert got_b == pytest.approx(vb, abs=1e-12)
     assert got_a + got_b == pytest.approx(1)
+
+
+@pytest.mark.parametrize("m, stay_a", [(8, Fraction(10, 27)), (12, Fraction(59, 162)), (16, Fraction(143, 376))])
+def test_jk_page_chain_is_absorbing(m, stay_a):
+    # uniform codes on the codec's pages: a K-ending word keeps page A, and
+    # page B words all end in J, so page B absorbs and page A is transient
+    codec = paged_codec(m)
+    rows = []
+    for page in "AB":
+        shares = dict.fromkeys("AB", Fraction(0))
+        for code in range(codec.sizes[page]):
+            shares[codec.forward[page, code][1]] += Fraction(1, codec.sizes[page])
+        rows.append(tuple(shares.values()))
+    assert rows == [(stay_a, 1 - stay_a), (0, 1)]
+    with pytest.raises(Reducible, match=r"transient states \[0\]"):
+        stationary_distribution(rows)
 
 
 def test_jump_probability_forced_positions():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from lamcode import scrambler, ternary
 from lamcode.errors import RangeError, WorkbenchError
+from lamcode.paging import PagedCodec
 
 
 def test_word_metrics_examples():
@@ -313,6 +314,12 @@ def test_word_leaving_the_band_is_a_page_miss():
     for reader in (ternary.transition_matrix, ternary.run_bounds, ternary.portrait):
         with pytest.raises(ternary.PageMiss, match="'HHH' leaves the band from 4"):
             reader(broken)
+
+
+def test_open_codec_is_refused_when_built():
+    # closure is the codec's own check; an open codec used to fail later, in encode, with KeyError
+    with pytest.raises(ternary.PageMiss, match="'a' leaves the band from 1"):
+        PagedCodec({1: [("a", 2)]})
 
 
 def _reference_with_page_two(entries):
