@@ -38,6 +38,8 @@ class PagedCodec:
         for (state, _), (word, nxt) in self.forward.items():
             if nxt not in self.sizes:
                 raise PageMiss(f"word {word!r} leaves the band from {state}")
+        if not self.forward:
+            raise RangeError("pages hold no words")
         self.inverse = {(s, word): (code, nxt) for (s, code), (word, nxt) in self.forward.items()}
         self.width = len(next(iter(self.forward.values()))[0])
 
@@ -53,8 +55,7 @@ class PagedCodec:
             try:
                 word, state = self.forward[state, code]
             except KeyError:
-                size = self.sizes[state]
-                raise CodeOutOfRange(f"code {code} outside page {state} of {size} words") from None
+                raise CodeOutOfRange(f"code {code} outside page {state} of {self.sizes[state]} words") from None
             words.append(word)
         return "".join(words), state
 

@@ -238,8 +238,7 @@ def encode_nibble(code: int, sigma: int, variant: str = REFERENCE) -> TernaryWor
 
 def _codec(dictionary: PagedTernaryDictionary) -> PagedCodec:
     """The page tables of a dictionary; the state is the running disparity."""
-    pages = {p.sigma: [(e.word.symbols, p.sigma + e.word.delta_dc) for e in p] for p in dictionary.pages}
-    return PagedCodec(pages)
+    return PagedCodec({p.sigma: [(e.word.symbols, p.sigma + e.word.delta_dc) for e in p] for p in dictionary.pages})
 
 
 @lru_cache(maxsize=None)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from lamcode import scrambler, ternary
 from lamcode.errors import RangeError, WorkbenchError
-from lamcode.paging import PagedCodec
+from lamcode.paging import PagedCodec, PageMiss
 
 
 def test_word_metrics_examples():
@@ -317,8 +317,8 @@ def test_word_leaving_the_band_is_a_page_miss():
 
 
 def test_open_codec_is_refused_when_built():
-    # closure is the codec's own check; an open codec used to fail later, in encode, with KeyError
-    with pytest.raises(ternary.PageMiss, match="'a' leaves the band from 1"):
+    # closure is checked once, when the codec is built, not on first use
+    with pytest.raises(PageMiss, match="'a' leaves the band from 1"):
         PagedCodec({1: [("a", 2)]})
 
 
@@ -332,6 +332,10 @@ def test_empty_page_is_refused():
     # an empty page would leave a zero row and a "stationary" vector of a chain that leaks
     with pytest.raises(RangeError, match="page 2"):
         ternary.portrait(_reference_with_page_two(()))
+    # with no word on any page there is no codec to build either
+    empty = tuple(ternary.TernaryPage(s, ()) for s in ternary.SIGMA_LEVELS)
+    with pytest.raises(RangeError):
+        ternary.portrait(ternary.PagedTernaryDictionary("reference", empty))
 
 
 def test_weightless_page_is_refused():
