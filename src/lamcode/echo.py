@@ -18,6 +18,7 @@ from typing import Mapping
 
 from . import scrambler
 from .errors import RangeError, SizeLimit, WorkbenchError
+from .record import Record
 
 OCTAL = 8
 NATIVE_DIGITS = 6
@@ -43,37 +44,38 @@ class Conflict(WorkbenchError, ValueError):
     """The odd half of the super group already carries a forced echo."""
 
 
+_OCTAL_DIGITS = frozenset(range(OCTAL))
+
+
 def _check_digits(pool: str, digits: tuple[int, ...], count: int) -> None:
     if len(digits) != count:
         raise RangeError(f"{pool} sample carries {count} digits")
-    if any(not 0 <= d < OCTAL for d in digits):
+    if not _OCTAL_DIGITS.issuperset(digits):
         raise RangeError("digits must be octal")
 
 
-@dataclass(frozen=True)
-class NativeSample:
+class NativeSample(Record, fields=("aux", "digits")):
     """Auxiliary bit plus six octal digits, low digit first."""
 
-    aux: int
-    digits: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.aux not in (0, 1):
+    def __new__(cls, aux: int, digits: tuple[int, ...]) -> NativeSample:
+        if aux not in (0, 1):
             raise RangeError("aux is a single bit")
-        _check_digits("native", self.digits, NATIVE_DIGITS)
+        _check_digits("native", digits, NATIVE_DIGITS)
+        return tuple.__new__(cls, (aux, digits))
 
 
-@dataclass(frozen=True)
-class ForcedSample:
+class ForcedSample(Record, fields=("position", "digits")):
     """Event position within a super group plus three octal digits."""
 
-    position: int
-    digits: tuple[int, ...] = (0, 0, 0)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.position < GROUP_WORDS:
+    def __new__(cls, position: int, digits: tuple[int, ...] = (0, 0, 0)) -> ForcedSample:
+        if not 0 <= position < GROUP_WORDS:
             raise RangeError(f"position must lie in [0, {GROUP_WORDS})")
-        _check_digits("forced", self.digits, FORCED_DIGITS)
+        _check_digits("forced", digits, FORCED_DIGITS)
+        return tuple.__new__(cls, (position, digits))
 
 
 def pool_arithmetic() -> dict[str, int]:
@@ -105,25 +107,24 @@ def pack_forced(sample: ForcedSample) -> scrambler.CodePoint:
     return scrambler.unpack_point(NATIVE_POOL + _octal_value(sample.position, sample.digits))
 
 
+# The three octal digits of every 9-bit value, low digit first.  An octal
+# digit is 3 bits, so a native value is aux << 18 over two such 9-bit
+# groups, and a forced offset is position << 9 over one.
+_OCTAL3 = tuple((v & 7, v >> 3 & 7, v >> 6) for v in range(OCTAL**3))
+
+
 def unpack_sample(point: scrambler.CodePoint | int) -> NativeSample | ForcedSample:
-    """Recover the sample behind a code point, picking the pool by range."""
+    """Recover the sample behind a code point, picking the pool by range.
+
+    The range check puts every field in range, so the sample is built unchecked.
+    """
     value = point.value if isinstance(point, scrambler.CodePoint) else point
     if not 0 <= value < POOL_TOTAL:
         raise RangeError(f"code point must lie in [0, {POOL_TOTAL})")
     if value < NATIVE_POOL:
-        aux, rest = divmod(value, OCTAL**NATIVE_DIGITS)
-        return NativeSample(aux, _octal_digits(rest, NATIVE_DIGITS))
+        return tuple.__new__(NativeSample, (value >> 18, _OCTAL3[value & 511] + _OCTAL3[value >> 9 & 511]))
     offset = value - NATIVE_POOL
-    position, rest = divmod(offset, OCTAL**FORCED_DIGITS)
-    return ForcedSample(position, _octal_digits(rest, FORCED_DIGITS))
-
-
-def _octal_digits(value: int, count: int) -> tuple[int, ...]:
-    digits = []
-    for _ in range(count):
-        value, digit = divmod(value, OCTAL)
-        digits.append(digit)
-    return tuple(digits)
+    return tuple.__new__(ForcedSample, (offset >> 9, _OCTAL3[offset & 511]))
 
 
 @dataclass(frozen=True)

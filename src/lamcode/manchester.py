@@ -18,6 +18,8 @@ the glued pair JJ and a wide pulse to JKJ, adjacent pulses sharing one J.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, chain
+from operator import ne, xor
 from typing import Iterable, Sequence
 
 from .errors import RangeError, WorkbenchError
@@ -30,6 +32,10 @@ HIGH = "H"
 BIT_TIME_NS = 100
 NARROW_PULSE_NS = BIT_TIME_NS // 2
 WIDE_PULSE_NS = BIT_TIME_NS
+
+_NOT_JK = str.maketrans("", "", J + K)
+_BOUNDARY_LETTER = bytes.maketrans(b"\0\1", (J + K).encode())  # bit change flag -> letter
+_BOUNDARY_FLAG = bytes.maketrans((J + K).encode(), b"\0\1")  # letter -> bit change flag
 
 
 class InvalidRun(WorkbenchError, ValueError):
@@ -52,9 +58,9 @@ def other_level(level: str) -> str:
 
 def check_letters(letters: str) -> None:
     """Validate a JK string; KK adjacency raises InvalidRun."""
-    for ch in letters:
-        if ch not in (J, K):
-            raise RangeError(f"letter must be {J!r} or {K!r}, got {ch!r}")
+    stray = letters.translate(_NOT_JK)
+    if stray:
+        raise RangeError(f"letter must be {J!r} or {K!r}, got {stray[0]!r}")
     if K + K in letters:
         raise InvalidRun(f"KK run in {letters!r}")
 
@@ -66,18 +72,20 @@ def bits_to_letters(bits: Iterable[int], initial_level: str = LOW) -> str:
     every cell carries a mid-cell transition and the encoding is total.
     The result never contains a KK run: K can only appear at a bit
     boundary, and the following mid-cell slot is always a J.
+
+    Each cell ends at the level of its bit (H for 1), so the boundary
+    letter is K exactly when the bit differs from the one before it; the
+    initial level stands as the bit before the first.
     """
     _check_level(initial_level)
-    level = initial_level
-    out: list[str] = []
-    for bit in bits:
-        if bit not in (0, 1):
-            raise RangeError(f"bit must be 0 or 1, got {bit!r}")
-        first = HIGH if bit == 0 else LOW
-        for target in (first, other_level(first)):
-            out.append(K if target == level else J)
-            level = target
-    return "".join(out)
+    bits = list(bits)
+    if bits.count(0) + bits.count(1) != len(bits):
+        bad = next(bit for bit in bits if bit not in (0, 1))
+        raise RangeError(f"bit must be 0 or 1, got {bad!r}")
+    if not bits:
+        return ""
+    changes = bytes(map(ne, bits, chain((initial_level == HIGH,), bits)))
+    return J.join(changes.translate(_BOUNDARY_LETTER).decode()) + J
 
 
 def level_trace(letters: str, initial_level: str = LOW) -> str:
@@ -100,17 +108,19 @@ def letters_to_bits(letters: str, initial_level: str = LOW) -> list[int]:
     Raises InvalidRun on a KK run and FramingError when the stream is
     not a whole number of bit cells or a cell lacks its mid transition
     (any K in an odd, mid-cell slot).
+
+    Every mid letter is J, so each bit is the one before it flipped by a
+    K at its cell boundary: the running XOR of the boundary flags.
     """
     check_letters(letters)
     if len(letters) % 2:
         raise FramingError("odd letter count, stream truncated mid cell")
-    trace = level_trace(letters, initial_level)
-    bits: list[int] = []
-    for i in range(0, len(trace), 2):
-        if trace[i] == trace[i + 1]:
-            raise FramingError(f"no mid-cell transition in bit cell {i // 2}")
-        bits.append(0 if trace[i] == HIGH else 1)
-    return bits
+    _check_level(initial_level)
+    missing = letters[1::2].find(K)
+    if missing >= 0:
+        raise FramingError(f"no mid-cell transition in bit cell {missing}")
+    flags = letters[0::2].encode().translate(_BOUNDARY_FLAG)
+    return list(accumulate(flags, xor, initial=int(initial_level == HIGH)))[1:]
 
 
 @dataclass(frozen=True)
@@ -140,29 +150,38 @@ def metrics(letters: str, initial_level: str = LOW) -> ImageMetrics:
     is H, -1 when it is L. J letters toggle the level and contribute 0.
     Only a K extends a level run and no K follows a K, so a droop run is 2
     when the second (for the tail, the last) letter is K, else 1.
+
+    Only the K letters are walked: the J run before each K flips the level
+    once per J.
     """
     check_letters(letters)
     _check_level(initial_level)
-    level = initial_level
-    bias = peak_pos = peak_neg = j_count = k_count = 0
-    for ch in letters:
-        if ch == J:
-            level = HIGH if level == LOW else LOW
-            j_count += 1
-        else:
-            k_count += 1
-            bias += 1 if level == HIGH else -1
+    runs = letters.split(K)
+    last_run = runs.pop()  # the J run after the last K
+    high = initial_level == HIGH
+    bias = peak_pos = peak_neg = 0
+    for run in runs:
+        if len(run) % 2:
+            high = not high
+        if high:
+            bias += 1
             if bias > peak_pos:
                 peak_pos = bias
-            elif bias < peak_neg:
+        else:
+            bias -= 1
+            if bias < peak_neg:
                 peak_neg = bias
+    if len(last_run) % 2:
+        high = not high
+    k_count = len(runs)
+    j_count = len(letters) - k_count
     return ImageMetrics(
         j_count=j_count,
         k_count=k_count,
         dc_bias=bias,
         peak_pos=peak_pos,
         peak_neg=peak_neg,
-        final_level=level,
+        final_level=HIGH if high else LOW,
         inverting=bool(j_count % 2),
         transit_count=j_count,
         head_run=min(len(letters), 2 if letters[1:2] == K else 1),

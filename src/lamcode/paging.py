@@ -29,19 +29,22 @@ class Reducible(WorkbenchError, ArithmeticError):
 
 class PagedCodec:
     """Closed pages of equal-width words, given as {state: [(word, next_state), ...]}
-    in code order; a next state that names no page raises PageMiss. `forward` maps
+    in code order; a next state that names no page raises PageMiss, a word of
+    another width than the first RangeError. `forward` maps
     (state, code) to (word, next_state), `inverse` (state, word) to (code, next_state)."""
 
     def __init__(self, pages: dict) -> None:
         self.sizes = {state: len(page) for state, page in pages.items()}
         self.forward = {(s, code): entry for s, page in pages.items() for code, entry in enumerate(page)}
+        if not self.forward:
+            raise RangeError("pages hold no words")
+        self.width = len(next(iter(self.forward.values()))[0])
         for (state, _), (word, nxt) in self.forward.items():
             if nxt not in self.sizes:
                 raise PageMiss(f"word {word!r} leaves the band from {state}")
-        if not self.forward:
-            raise RangeError("pages hold no words")
+            if len(word) != self.width:
+                raise RangeError(f"word {word!r} has width {len(word)}, not {self.width}")
         self.inverse = {(s, word): (code, nxt) for (s, code), (word, nxt) in self.forward.items()}
-        self.width = len(next(iter(self.forward.values()))[0])
 
     def _check_state(self, state) -> None:
         if state not in self.sizes:

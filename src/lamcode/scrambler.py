@@ -23,6 +23,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .errors import RangeError, WorkbenchError
+from .record import Record
 
 LFSR_WIDTH = 33
 LFSR_TAP = 13  # x^33 + x^13 + 1, the Clause 40 master generator
@@ -318,29 +319,27 @@ def bubble_map(n: int) -> BinMap:
     return build_bin_map(solve_dx1(KEY_BITS, n))
 
 
-@dataclass(frozen=True)
-class CodePoint:
+class CodePoint(Record, fields=("root", "affix", "inversion")):
     """Composite transport value: base-259 root, 11-bit affix, inversion flag.
 
     The numeric value packs root and affix only; inversion rides outside
     as a separate morpheme selecting image inversion downstream.
     """
 
-    root: int
-    affix: int
-    inversion: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.root < ROOT_BASE:
+    def __new__(cls, root: int, affix: int, inversion: int = 0) -> CodePoint:
+        if not 0 <= root < ROOT_BASE:
             raise RangeError(f"root must lie in [0, {ROOT_BASE})")
-        if not 0 <= self.affix < AFFIX_SPACE:
+        if not 0 <= affix < AFFIX_SPACE:
             raise RangeError(f"affix must lie in [0, {AFFIX_SPACE})")
-        if self.inversion not in (0, 1):
+        if inversion not in (0, 1):
             raise RangeError("inversion is a single bit")
+        return tuple.__new__(cls, (root, affix, inversion))
 
     @property
     def value(self) -> int:
-        return self.root * AFFIX_SPACE + self.affix
+        return self[0] * AFFIX_SPACE + self[1]
 
 
 def pack_point(root: int, affix: int, inversion: int = 0) -> CodePoint:
@@ -350,18 +349,25 @@ def pack_point(root: int, affix: int, inversion: int = 0) -> CodePoint:
 def unpack_point(value: int) -> CodePoint:
     if not 0 <= value < POINT_SPACE:
         raise RangeError(f"value must lie in [0, {POINT_SPACE})")
-    return CodePoint(value // AFFIX_SPACE, value % AFFIX_SPACE)
+    return tuple.__new__(CodePoint, (value // AFFIX_SPACE, value % AFFIX_SPACE, 0))
 
 
 def _key_step(point: CodePoint, key: tuple[int, int, int], sign: int) -> CodePoint:
-    """Shift the root by sign * s259, XOR the affix and the inversion."""
+    """Shift the root by sign * s259, XOR the affix and the inversion.
+
+    A checked point and a checked root key keep every field in range, so
+    the result is built unchecked.
+    """
     s259, s11, s1 = key
     if not 0 <= s259 < ROOT_BASE:
         raise RangeError(f"root key must lie in [0, {ROOT_BASE})")
-    return CodePoint(
-        (point.root + sign * s259) % ROOT_BASE,
-        point.affix ^ (s11 & (AFFIX_SPACE - 1)),
-        point.inversion ^ (s1 & 1),
+    return tuple.__new__(
+        CodePoint,
+        (
+            (point.root + sign * s259) % ROOT_BASE,
+            point.affix ^ (s11 & (AFFIX_SPACE - 1)),
+            point.inversion ^ (s1 & 1),
+        ),
     )
 
 

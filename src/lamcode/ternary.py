@@ -338,15 +338,15 @@ def event_pattern(sigma: int, slot: str) -> tuple[int, ...]:
     raise RangeError(f"slot must be one of {EVENT_SLOTS}, got {slot!r}")
 
 
-def _chain(dictionary: PagedTernaryDictionary):
+def _chain(dictionary: PagedTernaryDictionary, codec: PagedCodec | None):
     """The word-choice chain, one page entry at a time.
 
     Yields (disparity, share, word, the codec's next disparity); the share
     is the entry's rep_count over its page total, the chance a uniform key
-    picks it.  A page without weight raises RangeError, a word that leaves
-    the band PageMiss.
+    picks it.  `codec` is the dictionary's own, or None to build it.  A page
+    without weight raises RangeError, a word that leaves the band PageMiss.
     """
-    forward = _codec(dictionary).forward
+    forward = (codec or _codec(dictionary)).forward
     for sigma in SIGMA_LEVELS:
         entries = dictionary.page(sigma).entries
         total = sum(entry.rep_count for entry in entries)
@@ -356,18 +356,20 @@ def _chain(dictionary: PagedTernaryDictionary):
             yield sigma, Fraction(entry.rep_count, total), entry.word, forward[sigma, entry.code][1]
 
 
-def transition_matrix(dictionary: PagedTernaryDictionary) -> tuple[tuple[Fraction, ...], ...]:
+def transition_matrix(
+    dictionary: PagedTernaryDictionary, *, codec: PagedCodec | None = None
+) -> tuple[tuple[Fraction, ...], ...]:
     """Page-to-page chain under uniform codes weighted by rep_count."""
     rows = {sigma: [Fraction(0)] * len(SIGMA_LEVELS) for sigma in SIGMA_LEVELS}
-    for sigma, share, _, after in _chain(dictionary):
+    for sigma, share, _, after in _chain(dictionary, codec):
         rows[sigma][after - 1] += share
     return tuple(tuple(row) for row in rows.values())
 
 
-def run_bounds(dictionary: PagedTernaryDictionary) -> dict[str, int]:
+def run_bounds(dictionary: PagedTernaryDictionary, *, codec: PagedCodec | None = None) -> dict[str, int]:
     """Longest same-symbol run over every reachable word path, per symbol."""
     moves = {sigma: [] for sigma in SIGMA_LEVELS}
-    for sigma, share, word, after in _chain(dictionary):
+    for sigma, share, word, after in _chain(dictionary, codec):
         if share:
             moves[sigma].append((word.symbols, after))
     best = {ch: 0 for ch in SYMBOLS}
@@ -427,14 +429,16 @@ def portrait(dictionary: PagedTernaryDictionary) -> PortraitStats:
 
     The boundary transit is one minus the chance that the next word opens
     with the symbol this one ends on: `ends` meets `opens` per (page, symbol).
+    The page codec is built once and read by all three chain passes.
     """
-    boundary = stationary_distribution(transition_matrix(dictionary))
+    codec = _codec(dictionary)
+    boundary = stationary_distribution(transition_matrix(dictionary, codec=codec))
     levels = [{} for _ in range(WORD_LENGTH)]
     letters = [dict.fromkeys(SYMBOLS, Fraction(0)) for _ in range(WORD_LENGTH)]
     transits = [Fraction(0)] * WORD_LENGTH
     opens = {}  # (disparity, symbol): share of the page's words that open with it
     ends = {}  # (next disparity, symbol): weight of words that end with it there
-    for sigma, share, word, after in _chain(dictionary):
+    for sigma, share, word, after in _chain(dictionary, codec):
         weight = boundary[sigma - 1] * share
         level = sigma
         for k, ch in enumerate(word.symbols):
@@ -453,5 +457,5 @@ def portrait(dictionary: PagedTernaryDictionary) -> PortraitStats:
         p_sigma_phase=tuple({level: phase[level] for level in sorted(phase)} for phase in levels),
         p_letter_phase=tuple(letters),
         p_transit=tuple(transits),
-        run_bounds=run_bounds(dictionary),
+        run_bounds=run_bounds(dictionary, codec=codec),
     )

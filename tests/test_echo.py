@@ -53,14 +53,37 @@ def test_sample_validation():
 
 
 def test_pack_round_trip_exhaustive():
+    # unpack_sample builds its records unchecked: each equals the checked constructor's
     for value in range(echo.POOL_TOTAL):
         sample = echo.unpack_sample(value)
         if value < echo.NATIVE_POOL:
-            assert isinstance(sample, echo.NativeSample)
+            assert sample == echo.NativeSample(sample.aux, sample.digits)
             assert echo.pack_native(sample).value == value
         else:
-            assert isinstance(sample, echo.ForcedSample)
+            assert sample == echo.ForcedSample(sample.position, sample.digits)
             assert echo.pack_forced(sample).value == value
+
+
+def test_sample_record_semantics():
+    native = echo.NativeSample(1, (1, 2, 3, 4, 5, 6))
+    forced = echo.ForcedSample(3)
+    assert repr(native) == "NativeSample(aux=1, digits=(1, 2, 3, 4, 5, 6))"
+    assert repr(forced) == "ForcedSample(position=3, digits=(0, 0, 0))"
+    assert forced == echo.ForcedSample(3, (0, 0, 0)) == echo.unpack_sample(echo.NATIVE_POOL + 3 * 512)
+    assert native == echo.unpack_sample(echo.pack_native(native))
+    # equal only to their own type, never to the plain tuple of their fields
+    assert native != (1, (1, 2, 3, 4, 5, 6)) and forced != (3, (0, 0, 0))
+    assert (3, (0, 0, 0)) != forced
+    assert len({native, forced, echo.ForcedSample(3), echo.unpack_sample(echo.pack_native(native))}) == 2
+    for sample, field in ((native, "aux"), (forced, "position"), (forced, "digits")):
+        with pytest.raises(AttributeError):
+            setattr(sample, field, 0)
+    for fields in ((-1, (0,) * 6), (0, (0,) * 7), (0, (0, 0, 0, 0, 0, -1))):
+        with pytest.raises(RangeError):
+            echo.NativeSample(*fields)
+    for fields in ((-1, (0, 0, 0)), (0, (0, 0)), (0, (0, 0, 8)), (0, (0, 0, 0, 0))):
+        with pytest.raises(RangeError):
+            echo.ForcedSample(*fields)
 
 
 @given(st.one_of(st.integers(min_value=0, max_value=echo.POOL_TOTAL - 1), st.integers()))

@@ -1,18 +1,21 @@
 """Letter-level codec and waveform accounting."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lamcode import ternary
 from lamcode.errors import WorkbenchError
+from lamcode.errors import RangeError
 from lamcode.manchester import (
     HIGH,
     J,
     K,
     LOW,
     FramingError,
+    ImageMetrics,
     InvalidRun,
     Pulse,
     bits_to_letters,
@@ -260,3 +263,152 @@ def test_metrics_runs_match_level_trace():
                 assert (m.head_run, m.tail_run) == _trace_runs(letters, level), (letters, level)
                 cases += 1
     assert cases == 8358
+
+
+# --- bit-serial reference ---------------------------------------------------
+# The codec works on whole strings; these walk one bit cell or one letter at a
+# time, the way the line itself is driven, and serve as its oracle.
+
+
+def _serial_check_letters(letters):
+    for ch in letters:
+        if ch not in (J, K):
+            raise RangeError(f"letter must be {J!r} or {K!r}, got {ch!r}")
+    if K + K in letters:
+        raise InvalidRun(f"KK run in {letters!r}")
+
+
+def _serial_check_level(level):
+    if level not in (LOW, HIGH):
+        raise RangeError(f"level must be {LOW!r} or {HIGH!r}, got {level!r}")
+
+
+def _serial_flip(level):
+    return HIGH if level == LOW else LOW
+
+
+def _serial_bits_to_letters(bits, initial_level=LOW):
+    _serial_check_level(initial_level)
+    level = initial_level
+    out = []
+    for bit in bits:
+        if bit not in (0, 1):
+            raise RangeError(f"bit must be 0 or 1, got {bit!r}")
+        first = HIGH if bit == 0 else LOW
+        for target in (first, _serial_flip(first)):
+            out.append(K if target == level else J)
+            level = target
+    return "".join(out)
+
+
+def _serial_letters_to_bits(letters, initial_level=LOW):
+    _serial_check_letters(letters)
+    if len(letters) % 2:
+        raise FramingError("odd letter count, stream truncated mid cell")
+    _serial_check_level(initial_level)
+    level, trace = initial_level, []
+    for ch in letters:
+        level = _serial_flip(level) if ch == J else level
+        trace.append(level)
+    bits = []
+    for i in range(0, len(trace), 2):
+        if trace[i] == trace[i + 1]:
+            raise FramingError(f"no mid-cell transition in bit cell {i // 2}")
+        bits.append(0 if trace[i] == HIGH else 1)
+    return bits
+
+
+def _serial_metrics(letters, initial_level=LOW):
+    _serial_check_letters(letters)
+    _serial_check_level(initial_level)
+    level = initial_level
+    bias = peak_pos = peak_neg = j_count = k_count = 0
+    for ch in letters:
+        if ch == J:
+            level = _serial_flip(level)
+            j_count += 1
+        else:
+            k_count += 1
+            bias += 1 if level == HIGH else -1
+            peak_pos, peak_neg = max(peak_pos, bias), min(peak_neg, bias)
+    return ImageMetrics(
+        j_count=j_count,
+        k_count=k_count,
+        dc_bias=bias,
+        peak_pos=peak_pos,
+        peak_neg=peak_neg,
+        final_level=level,
+        inverting=bool(j_count % 2),
+        transit_count=j_count,
+        head_run=min(len(letters), 2 if letters[1:2] == K else 1),
+        tail_run=min(len(letters), 2 if letters[-1:] == K else 1),
+    )
+
+
+def _outcome(call, *args):
+    """The result of a call, or the type and message of the error it raised."""
+    try:
+        return call(*args)
+    except WorkbenchError as error:
+        return type(error), str(error)
+
+
+@settings(max_examples=400)
+@given(st.lists(st.sampled_from([0, 1, 1, 0, 2]), max_size=40), levels)
+def test_bits_to_letters_matches_serial_walk(bits, level):
+    assert _outcome(bits_to_letters, bits, level) == _outcome(_serial_bits_to_letters, bits, level)
+
+
+@settings(max_examples=400)
+@given(st.text(alphabet=[J, J, K, "x", "y"], max_size=40), levels)
+def test_letters_to_bits_matches_serial_walk(letters, level):
+    assert _outcome(letters_to_bits, letters, level) == _outcome(_serial_letters_to_bits, letters, level)
+
+
+@settings(max_examples=400)
+@given(st.one_of(legal_letter_strings(40), st.text(alphabet=[J, K, "x"], max_size=12)), levels)
+def test_metrics_matches_serial_walk(letters, level):
+    assert _outcome(metrics, letters, level) == _outcome(_serial_metrics, letters, level)
+
+
+def test_round_trip_matches_serial_walk_on_long_streams():
+    rng = random.Random(0x3A7C)
+    for level in (LOW, HIGH):
+        bits = rng.choices((0, 1), k=3072)
+        letters = bits_to_letters(bits, level)
+        assert letters == _serial_bits_to_letters(bits, level)
+        assert letters_to_bits(letters, level) == _serial_letters_to_bits(letters, level) == bits
+        assert metrics(letters, level) == _serial_metrics(letters, level)
+
+
+@pytest.mark.parametrize(
+    "letters, level, error, message",
+    [
+        # each stream also breaks every rule checked after the one it reports
+        ("JxKKyJ", "X", RangeError, "letter must be 'J' or 'K', got 'x'"),
+        ("JKKJJ", "X", InvalidRun, "KK run in 'JKKJJ'"),
+        ("JJKJK", "X", FramingError, "odd letter count, stream truncated mid cell"),
+        ("JJJK", "X", RangeError, "level must be 'L' or 'H', got 'X'"),
+        ("JJJKJK", LOW, FramingError, "no mid-cell transition in bit cell 1"),
+        ("JK", HIGH, FramingError, "no mid-cell transition in bit cell 0"),
+    ],
+)
+def test_decoder_refusal_precedence(letters, level, error, message):
+    assert _outcome(letters_to_bits, letters, level) == (error, message)
+    assert _outcome(_serial_letters_to_bits, letters, level) == (error, message)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: bits_to_letters([2], "X"), RangeError, "level must be 'L' or 'H', got 'X'"),
+        (lambda: bits_to_letters([0, 1, 2, 3]), RangeError, "bit must be 0 or 1, got 2"),
+        (lambda: bits_to_letters(iter([1, "1"])), RangeError, "bit must be 0 or 1, got '1'"),
+        (lambda: metrics("KKx", "X"), RangeError, "letter must be 'J' or 'K', got 'x'"),
+        (lambda: metrics("KK", "X"), InvalidRun, "KK run in 'KK'"),
+        (lambda: metrics("JK", "X"), RangeError, "level must be 'L' or 'H', got 'X'"),
+        (lambda: check_letters("JK\nK"), RangeError, "letter must be 'J' or 'K', got '\\n'"),
+    ],
+)
+def test_encoder_and_metrics_refusals(call, error, message):
+    assert _outcome(call) == (error, message)

@@ -1,5 +1,7 @@
 """PRNG, partition solver, bin maps, code points, budgets."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -378,6 +380,39 @@ keys = st.tuples(
 def test_scramble_round_trip(point, key):
     assert descramble_point(scramble_point(point, key), key) == point
     assert scramble_point(descramble_point(point, key), key) == point
+
+
+def test_code_point_record_semantics():
+    point = CodePoint(1, 2)
+    assert point == CodePoint(1, 2, 0) and hash(point) == hash(CodePoint(1, 2, 0))
+    # equal only to its own type, never to the plain tuple of its fields
+    assert point != (1, 2, 0) and (1, 2, 0) != point and not point == (1, 2, 0)
+    assert point != CodePoint(1, 2, 1)
+    assert {point, unpack_point(point.value)} == {point}
+    assert repr(point) == "CodePoint(root=1, affix=2, inversion=0)"
+    assert (point.root, point.affix, point.inversion, point.value) == (1, 2, 0, 2050)
+    match point:
+        case CodePoint(root, affix, inversion):
+            assert (root, affix, inversion) == (1, 2, 0)
+    with pytest.raises(AttributeError):
+        point.root = 3
+    with pytest.raises(AttributeError):
+        point.extra = 3
+    assert copy.copy(point) == point == pickle.loads(pickle.dumps(point))
+    for fields in ((-1, 0), (259, 0), (0, -1), (0, 2048), (0, 0, 2), (0, 0, -1), (0.5, 0, 0.5)):
+        with pytest.raises(RangeError):
+            CodePoint(*fields)
+
+
+@given(st.integers(min_value=0, max_value=POINT_SPACE - 1), keys)
+def test_unchecked_points_equal_checked_constructor(value, key):
+    # unpack_point and the key steps build their records unchecked
+    point = unpack_point(value)
+    assert point == CodePoint(value // AFFIX_SPACE, value % AFFIX_SPACE, 0)
+    for step in (scramble_point, descramble_point):
+        for source in (point, CodePoint(point.root, point.affix, 1)):
+            out = step(source, key)
+            assert type(out) is CodePoint and out == CodePoint(out.root, out.affix, out.inversion)
 
 
 def test_scramble_examples():

@@ -322,6 +322,15 @@ def test_open_codec_is_refused_when_built():
         PagedCodec({1: [("a", 2)]})
 
 
+def test_mixed_word_widths_are_refused_when_built():
+    # a codec that took its width from the first word would encode [1, 0] as
+    # 'bba' and then fail to decode it
+    with pytest.raises(RangeError, match="word 'bb' has width 2, not 1"):
+        PagedCodec({1: [("a", 1), ("bb", 1)]})
+    with pytest.raises(RangeError, match="word 'L' has width 1, not 3"):
+        PagedCodec({1: [("LzH", 2)], 2: [("zzz", 1), ("L", 2)]})
+
+
 def _reference_with_page_two(entries):
     pages = list(ternary.reference_dictionary().pages)
     pages[1] = ternary.TernaryPage(2, entries)
