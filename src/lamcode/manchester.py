@@ -34,7 +34,7 @@ NARROW_PULSE_NS = BIT_TIME_NS // 2
 WIDE_PULSE_NS = BIT_TIME_NS
 
 _NOT_JK = str.maketrans("", "", J + K)
-_BOUNDARY_LETTER = bytes.maketrans(b"\0\1", (J + K).encode())  # bit change flag -> letter
+_CELL = {False: J + J, True: K + J}  # has the bit changed? -> the cell's two letters
 _BOUNDARY_FLAG = bytes.maketrans((J + K).encode(), b"\0\1")  # letter -> bit change flag
 
 
@@ -82,10 +82,7 @@ def bits_to_letters(bits: Iterable[int], initial_level: str = LOW) -> str:
     if bits.count(0) + bits.count(1) != len(bits):
         bad = next(bit for bit in bits if bit not in (0, 1))
         raise RangeError(f"bit must be 0 or 1, got {bad!r}")
-    if not bits:
-        return ""
-    changes = bytes(map(ne, bits, chain((initial_level == HIGH,), bits)))
-    return J.join(changes.translate(_BOUNDARY_LETTER).decode()) + J
+    return "".join(map(_CELL.__getitem__, map(ne, bits, chain((initial_level == HIGH,), bits))))
 
 
 def level_trace(letters: str, initial_level: str = LOW) -> str:

@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -379,6 +380,13 @@ def test_round_trip_matches_serial_walk_on_long_streams():
         assert letters == _serial_bits_to_letters(bits, level)
         assert letters_to_bits(letters, level) == _serial_letters_to_bits(letters, level) == bits
         assert metrics(letters, level) == _serial_metrics(letters, level)
+
+
+def test_encoder_takes_any_number_equal_to_a_bit():
+    # bools, floats and numpy integers pass the 0-or-1 check, so they encode like ints
+    expected = _serial_bits_to_letters([0, 1, 1, 0, 0], HIGH)
+    assert bits_to_letters(np.array([0, 1, 1, 0, 0]), HIGH) == expected
+    assert bits_to_letters([False, 1.0, True, 0, 0.0], HIGH) == expected
 
 
 @pytest.mark.parametrize(
