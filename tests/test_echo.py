@@ -57,9 +57,11 @@ def test_pack_round_trip_exhaustive():
     for value in range(echo.POOL_TOTAL):
         sample = echo.unpack_sample(value)
         if value < echo.NATIVE_POOL:
+            assert isinstance(sample, echo.NativeSample)
             assert sample == echo.NativeSample(sample.aux, sample.digits)
             assert echo.pack_native(sample).value == value
         else:
+            assert isinstance(sample, echo.ForcedSample)
             assert sample == echo.ForcedSample(sample.position, sample.digits)
             assert echo.pack_forced(sample).value == value
 
