@@ -5,6 +5,9 @@ are in range by construction builds the record unchecked, with
 ``tuple.__new__(cls, fields)``, so a per-element path pays for a tuple
 and nothing more. Records compare equal only to records of their own
 class, as frozen dataclasses do: a record never equals a plain tuple.
+Like frozen dataclasses, records do not order: ``<``, ``<=``, ``>`` and
+``>=`` raise TypeError, against a tuple or a record alike. Records still
+iterate, unpack and take ``len`` as tuples do.
 """
 
 from __future__ import annotations
@@ -35,6 +38,14 @@ class Record(tuple):
         return equal if equal is NotImplemented else not equal
 
     __hash__ = tuple.__hash__
+
+    def _unordered(self, other):
+        # Raised, not NotImplemented: the reflected tuple comparison would
+        # otherwise order a record against a plain tuple.
+        raise TypeError(f"{type(self).__qualname__} records do not order")
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
+    del _unordered
 
     def __getnewargs__(self) -> tuple:
         """Copies and pickles go back through the checked constructor."""

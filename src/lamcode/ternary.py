@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 
 from .errors import RangeError, WorkbenchError
@@ -155,6 +155,12 @@ class PagedTernaryDictionary:
         _check_sigma(sigma)
         return self.pages[sigma - 1]
 
+    @cached_property
+    def codec(self) -> PagedCodec:
+        """The page tables, built on first read; the state is the running disparity."""
+        moves = {p.sigma: [(e.word.symbols, p.sigma + e.word.delta_dc) for e in p] for p in self.pages}
+        return PagedCodec(moves)
+
 
 def _data_rows(name: str) -> tuple[dict[str, str], ...]:
     text = (resources.files(__package__) / "data" / name).read_text(encoding="utf-8")
@@ -236,15 +242,9 @@ def encode_nibble(code: int, sigma: int, variant: str = REFERENCE) -> TernaryWor
     return dictionary_for(variant).page(sigma).entry_for(code).word
 
 
-def _codec(dictionary: PagedTernaryDictionary) -> PagedCodec:
-    """The page tables of a dictionary; the state is the running disparity."""
-    return PagedCodec({p.sigma: [(e.word.symbols, p.sigma + e.word.delta_dc) for e in p] for p in dictionary.pages})
-
-
-@lru_cache(maxsize=None)
 def paged_codec(variant: str = REFERENCE) -> PagedCodec:
     """The page tables of one shipped variant."""
-    return _codec(dictionary_for(variant))
+    return dictionary_for(variant).codec
 
 
 def decode_word(symbols: str, sigma: int, variant: str = REFERENCE) -> tuple[int, int]:
@@ -338,15 +338,15 @@ def event_pattern(sigma: int, slot: str) -> tuple[int, ...]:
     raise RangeError(f"slot must be one of {EVENT_SLOTS}, got {slot!r}")
 
 
-def _chain(dictionary: PagedTernaryDictionary, codec: PagedCodec | None):
+def _chain(dictionary: PagedTernaryDictionary):
     """The word-choice chain, one page entry at a time.
 
     Yields (disparity, share, word, the codec's next disparity); the share
     is the entry's rep_count over its page total, the chance a uniform key
-    picks it.  `codec` is the dictionary's own, or None to build it.  A page
-    without weight raises RangeError, a word that leaves the band PageMiss.
+    picks it.  A page without weight raises RangeError, a word that leaves
+    the band PageMiss.
     """
-    forward = (codec or _codec(dictionary)).forward
+    forward = dictionary.codec.forward
     for sigma in SIGMA_LEVELS:
         entries = dictionary.page(sigma).entries
         total = sum(entry.rep_count for entry in entries)
@@ -356,20 +356,18 @@ def _chain(dictionary: PagedTernaryDictionary, codec: PagedCodec | None):
             yield sigma, Fraction(entry.rep_count, total), entry.word, forward[sigma, entry.code][1]
 
 
-def transition_matrix(
-    dictionary: PagedTernaryDictionary, *, codec: PagedCodec | None = None
-) -> tuple[tuple[Fraction, ...], ...]:
+def transition_matrix(dictionary: PagedTernaryDictionary) -> tuple[tuple[Fraction, ...], ...]:
     """Page-to-page chain under uniform codes weighted by rep_count."""
     rows = {sigma: [Fraction(0)] * len(SIGMA_LEVELS) for sigma in SIGMA_LEVELS}
-    for sigma, share, _, after in _chain(dictionary, codec):
+    for sigma, share, _, after in _chain(dictionary):
         rows[sigma][after - 1] += share
     return tuple(tuple(row) for row in rows.values())
 
 
-def run_bounds(dictionary: PagedTernaryDictionary, *, codec: PagedCodec | None = None) -> dict[str, int]:
+def run_bounds(dictionary: PagedTernaryDictionary) -> dict[str, int]:
     """Longest same-symbol run over every reachable word path, per symbol."""
     moves = {sigma: [] for sigma in SIGMA_LEVELS}
-    for sigma, share, word, after in _chain(dictionary, codec):
+    for sigma, share, word, after in _chain(dictionary):
         if share:
             moves[sigma].append((word.symbols, after))
     best = {ch: 0 for ch in SYMBOLS}
@@ -429,16 +427,14 @@ def portrait(dictionary: PagedTernaryDictionary) -> PortraitStats:
 
     The boundary transit is one minus the chance that the next word opens
     with the symbol this one ends on: `ends` meets `opens` per (page, symbol).
-    The page codec is built once and read by all three chain passes.
     """
-    codec = _codec(dictionary)
-    boundary = stationary_distribution(transition_matrix(dictionary, codec=codec))
+    boundary = stationary_distribution(transition_matrix(dictionary))
     levels = [{} for _ in range(WORD_LENGTH)]
     letters = [dict.fromkeys(SYMBOLS, Fraction(0)) for _ in range(WORD_LENGTH)]
     transits = [Fraction(0)] * WORD_LENGTH
     opens = {}  # (disparity, symbol): share of the page's words that open with it
     ends = {}  # (next disparity, symbol): weight of words that end with it there
-    for sigma, share, word, after in _chain(dictionary, codec):
+    for sigma, share, word, after in _chain(dictionary):
         weight = boundary[sigma - 1] * share
         level = sigma
         for k, ch in enumerate(word.symbols):
@@ -457,5 +453,5 @@ def portrait(dictionary: PagedTernaryDictionary) -> PortraitStats:
         p_sigma_phase=tuple({level: phase[level] for level in sorted(phase)} for phase in levels),
         p_letter_phase=tuple(letters),
         p_transit=tuple(transits),
-        run_bounds=run_bounds(dictionary, codec=codec),
+        run_bounds=run_bounds(dictionary),
     )

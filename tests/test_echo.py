@@ -4,6 +4,7 @@ import math
 import random
 import time
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -86,6 +87,11 @@ def test_sample_record_semantics():
     for fields in ((-1, (0, 0, 0)), (0, (0, 0)), (0, (0, 0, 8)), (0, (0, 0, 0, 0))):
         with pytest.raises(RangeError):
             echo.ForcedSample(*fields)
+    # a digit must equal one of 0..7: numbers between them are refused
+    with pytest.raises(RangeError, match="digits must be octal"):
+        echo.NativeSample(0, (1.5, 0, 0, 0, 0, 0))
+    with pytest.raises(RangeError, match="digits must be octal"):
+        echo.ForcedSample(0, (Fraction(1, 2), 0, 0))
 
 
 @given(st.one_of(st.integers(min_value=0, max_value=echo.POOL_TOTAL - 1), st.integers()))

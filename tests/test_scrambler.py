@@ -1,6 +1,7 @@
 """PRNG, partition solver, bin maps, code points, budgets."""
 
 import copy
+import operator
 import pickle
 from fractions import Fraction
 
@@ -390,6 +391,13 @@ def test_code_point_record_semantics():
     assert point != CodePoint(1, 2, 1)
     assert {point, unpack_point(point.value)} == {point}
     assert repr(point) == "CodePoint(root=1, affix=2, inversion=0)"
+    # no ordering, as with the frozen dataclass: not against tuples, not among records
+    for left, right in ((point, (1, 3)), ((1, 3), point), (point, CodePoint(1, 3))):
+        for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError, match="CodePoint records do not order"):
+                compare(left, right)
+    with pytest.raises(TypeError):
+        sorted([point, (1, 3)])
     assert (point.root, point.affix, point.inversion, point.value) == (1, 2, 0, 2050)
     match point:
         case CodePoint(root, affix, inversion):

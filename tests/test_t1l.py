@@ -331,6 +331,18 @@ def test_mixed_word_widths_are_refused_when_built():
         PagedCodec({1: [("LzH", 2)], 2: [("zzz", 1), ("L", 2)]})
 
 
+def test_portrait_builds_one_codec(monkeypatch):
+    # every chain pass of a portrait reads the dictionary's one codec
+    built = []
+    monkeypatch.setattr(ternary, "PagedCodec", lambda pages: built.append(pages) or PagedCodec(pages))
+    shipped = ternary.reference_dictionary()
+    book = ternary.PagedTernaryDictionary("reference", shipped.pages)
+    assert ternary.portrait(book) == ternary.portrait(book) == ternary.portrait(shipped)
+    assert len(built) == 1
+    assert book.codec is book.codec and book.codec.forward == shipped.codec.forward
+    assert ternary.paged_codec(ternary.REFERENCE) is shipped.codec
+
+
 def _reference_with_page_two(entries):
     pages = list(ternary.reference_dictionary().pages)
     pages[1] = ternary.TernaryPage(2, entries)
