@@ -254,16 +254,44 @@ def multiplex_feasible(m_bits: int) -> bool:
     return size_a >= (1 << m_bits) + 1
 
 
+@lru_cache(maxsize=4)
+def _jump_census(pages: tuple[tuple[str, ...], ...]) -> dict[str | None, tuple[int, tuple[int, ...]]]:
+    """Per mask (None for every word) of the deduplicated page union: the
+    word count and the J count at each letter position."""
+    union = {word for page in pages for word in page}
+    widths = sorted(set(map(len, union)))
+    if len(widths) > 1:
+        raise RangeError(f"page words have mixed widths {widths}")
+    width = widths[0] if widths else 0
+    groups = {None: union}
+    if width:  # the empty word has no mask
+        for word in union:
+            groups.setdefault(mask_of(word), []).append(word)
+    census = {}
+    for key, words in groups.items():
+        letters = "".join(words)  # letter i of every word sits at i, i + width, ...
+        census[key] = len(words), tuple(letters[i::width].count(J) for i in range(width))
+    return census
+
+
 def position_jump_probability(
     pages: Sequence[Iterable[str]], i: int, mask: str | None = None
 ) -> Fraction:
-    """Probability that letter i is J over the deduplicated page union."""
-    union = {word for page in pages for word in page}
+    """Probability that letter i is J over the deduplicated page union.
+
+    Every call on one page set reads one shared census of the union, so a
+    table of positions and masks counts the letters once. Pages are keyed
+    by content: a list page mutated between calls is censused afresh.
+    Words of mixed widths are refused with RangeError.
+    """
+    census = _jump_census(tuple(map(tuple, pages)))
+    size, columns = census[None]
     if mask is not None:
-        union = [word for word in union if mask_of(word) == mask]
-    if not union:
+        if size and not columns:  # the union is the empty word alone
+            raise RangeError("empty image has no mask")
+        size, columns = census.get(mask, (0, ()))
+    if not size:
         raise EmptyPage("no words to sample")
-    length = len(next(iter(union)))
-    if not 0 <= i < length:
-        raise RangeError(f"position must lie in [0, {length})")
-    return Fraction(sum(word[i] == J for word in union), len(union))
+    if not 0 <= i < len(columns):
+        raise RangeError(f"position must lie in [0, {len(columns)})")
+    return Fraction(columns[i], size)

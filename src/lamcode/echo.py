@@ -117,14 +117,19 @@ def unpack_sample(point: scrambler.CodePoint | int) -> NativeSample | ForcedSamp
     """Recover the sample behind a code point, picking the pool by range.
 
     The range check puts every field in range, so the sample is built unchecked.
+    A value that is not an integer fails the shifts and masks with TypeError,
+    which is raised as RangeError.
     """
     value = point.value if isinstance(point, scrambler.CodePoint) else point
-    if not 0 <= value < POOL_TOTAL:
-        raise RangeError(f"code point must lie in [0, {POOL_TOTAL})")
-    if value < NATIVE_POOL:
-        return tuple.__new__(NativeSample, (value >> 18, _OCTAL3[value & 511] + _OCTAL3[value >> 9 & 511]))
-    offset = value - NATIVE_POOL
-    return tuple.__new__(ForcedSample, (offset >> 9, _OCTAL3[offset & 511]))
+    try:
+        if not 0 <= value < POOL_TOTAL:
+            raise RangeError(f"code point must lie in [0, {POOL_TOTAL})")
+        if value < NATIVE_POOL:
+            return tuple.__new__(NativeSample, (value >> 18, _OCTAL3[value & 511] + _OCTAL3[value >> 9 & 511]))
+        offset = value - NATIVE_POOL
+        return tuple.__new__(ForcedSample, (offset >> 9, _OCTAL3[offset & 511]))
+    except TypeError:
+        raise RangeError(f"code point must be an integer, not {type(value).__name__}") from None
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lamcode import dictionary
 from lamcode.dictionary import (
     BALANCED,
     MASKS,
@@ -367,6 +368,89 @@ def test_jump_probability_interior():
     total = position_jump_probability(pages, 0)
     union_size = total.denominator
     assert union_size == len(set(pages[0]) | set(pages[1]))
+
+
+def jump_oracle(pages, i, mask=None):
+    """The set-comprehension count, kept as the reference for the shared census."""
+    union = {word for page in pages for word in page}
+    if mask is not None:
+        union = [word for word in union if mask_of(word) == mask]
+    if not union:
+        raise EmptyPage("no words to sample")
+    length = len(next(iter(union)))
+    if not 0 <= i < length:
+        raise RangeError(f"position must lie in [0, {length})")
+    return Fraction(sum(word[i] == J for word in union), len(union))
+
+
+def _outcome(call):
+    try:
+        return call()
+    except WorkbenchError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def equal_width_pages(draw):
+    width = draw(st.integers(0, 6))
+    pool = draw(st.lists(st.text(alphabet="JK", min_size=width, max_size=width), min_size=1, max_size=6))
+    # pages drawn from a small pool repeat words within and across pages
+    return draw(st.lists(st.lists(st.sampled_from(pool), max_size=8), max_size=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pages=equal_width_pages(),
+    shape=st.sampled_from(["tuple", "list", "generator"]),
+    i=st.integers(-2, 8),
+    mask=st.sampled_from([None, "JJ", "JK", "KJ", "KK", "J", "JKJ"]),
+)
+def test_jump_probability_matches_oracle(pages, shape, i, mask):
+    def shaped():
+        if shape == "tuple":
+            return tuple(map(tuple, pages))
+        if shape == "list":
+            return [list(page) for page in pages]
+        return [iter(page) for page in pages]
+
+    expected = _outcome(lambda: jump_oracle(pages, i, mask))
+    assert _outcome(lambda: position_jump_probability(shaped(), i, mask)) == expected
+    # a second call reads the cached census and answers the same
+    assert _outcome(lambda: position_jump_probability(shaped(), i, mask)) == expected
+
+
+def test_jump_probability_refuses_mixed_widths():
+    for i in (0, 2):
+        with pytest.raises(RangeError, match=r"mixed widths \[2, 3\]"):
+            position_jump_probability((("JJ",), ("JJJ",)), i)
+
+
+def test_jump_probability_sees_mutated_list_page():
+    page = ["JJJ", "JKJ"]
+    pages = [page, ["JJJ"]]
+    assert position_jump_probability(pages, 1) == Fraction(1, 2)
+    with pytest.raises(EmptyPage):
+        position_jump_probability(pages, 1, mask="JK")
+    page.append("JJK")
+    assert position_jump_probability(pages, 1) == Fraction(2, 3)
+    assert position_jump_probability(pages, 1, mask="JK") == 1
+
+
+def test_jump_census_once_per_page_set(monkeypatch):
+    # every (position, mask) call on one page set reads one census
+    built = []
+    count_letters = dictionary._jump_census.__wrapped__
+
+    def census(pages):
+        built.append(pages)
+        return count_letters(pages)
+
+    monkeypatch.setattr(dictionary, "_jump_census", lru_cache(maxsize=4)(census))
+    for m in (8, 12, 16):
+        pages = build_pages(m, filter_for_data_bits(m // 2))
+        cells = [(i, mask) for i in range(m) for mask in ("JJ", "JK", "KJ", None)]
+        assert [position_jump_probability(pages, *cell) for cell in cells] == [jump_oracle(pages, *cell) for cell in cells]
+    assert len(built) == 3
 
 
 def test_decode_stream_bad_length_is_size_limit():

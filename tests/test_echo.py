@@ -111,6 +111,18 @@ def test_unpack_accepts_code_points():
     assert sample.position == 0 and sample.digits == (0, 0, 0)
 
 
+def test_unpack_refuses_non_integers():
+    for value in (1.5, "3", None, 3.0, Fraction(3), echo.NATIVE_POOL + 0.5, scrambler.CodePoint(0.5, 0)):
+        with pytest.raises(RangeError, match="code point must be an integer"):
+            echo.unpack_sample(value)
+    # bools and numpy integers decode as the ints they equal
+    for value in (0, 1, 5, (1 << 18) + 9, echo.NATIVE_POOL + 7, echo.POOL_TOTAL - 1):
+        sample = echo.unpack_sample(value)
+        assert echo.unpack_sample(np.int64(value)) == echo.unpack_sample(np.uint32(value)) == sample
+        assert echo.unpack_sample(scrambler.unpack_point(value)) == sample
+    assert echo.unpack_sample(True) == echo.unpack_sample(1)
+
+
 def test_schedule_round_example():
     assert echo.schedule_round(16, 20, 2) == 4
     assert 2 * 16**4 <= 20**4
