@@ -289,7 +289,7 @@ def position_jump_probability(
     if mask is not None:
         if size and not columns:  # the union is the empty word alone
             raise RangeError("empty image has no mask")
-        size, columns = census.get(mask, (0, ()))
+        size, columns = census.get(mask, (0, ())) if isinstance(mask, str) else (0, ())
     if not size:
         raise EmptyPage("no words to sample")
     if not 0 <= i < len(columns):

@@ -403,7 +403,7 @@ def equal_width_pages(draw):
     pages=equal_width_pages(),
     shape=st.sampled_from(["tuple", "list", "generator"]),
     i=st.integers(-2, 8),
-    mask=st.sampled_from([None, "JJ", "JK", "KJ", "KK", "J", "JKJ"]),
+    mask=st.sampled_from([None, "JJ", "JK", "KJ", "KK", "J", "JKJ", ["JJ"]]),
 )
 def test_jump_probability_matches_oracle(pages, shape, i, mask):
     def shaped():
