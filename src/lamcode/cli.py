@@ -101,16 +101,8 @@ def _budget_report(args) -> tuple[list[str], list[list]]:
     header = ["t", "r", "repetition_s", "observation_s", "root_feasible"]
     rows = []
     for t in BUDGET_DEMANDS:
-        report = scrambler.budget(t)
-        rows.append(
-            [
-                report.t,
-                report.r,
-                f"{report.repetition_period:.4g}",
-                f"{report.observation_time:.3g}",
-                report.root_feasible,
-            ]
-        )
+        _, r, repetition, observation, feasible = scrambler.budget(t)
+        rows.append([t, r, f"{repetition:.4g}", f"{observation:.3g}", feasible])
     return header, rows
 
 

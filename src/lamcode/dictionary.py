@@ -17,7 +17,6 @@ codec maps ordinal values onto words.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
@@ -27,6 +26,7 @@ from .errors import RangeError, SizeLimit, WorkbenchError
 from .manchester import J, K
 from .manchester import metrics  # noqa: F401 - benchmarks/tracer.py patches dictionary.metrics
 from .paging import CodeOutOfRange, PagedCodec, PageMiss
+from .record import Record
 
 MAX_IMAGE_LENGTH = 24
 MASKS = ("JJ", "JK", "KJ")
@@ -65,8 +65,7 @@ def pattern_of(bias: int) -> str:
     return "other"
 
 
-@dataclass(frozen=True)
-class ValidImage:
+class ValidImage(Record):
     """One transport word with its mask, bias classification and footprint."""
 
     letters: str
@@ -114,12 +113,22 @@ def _walk(m: int, head: int):
 
 
 @lru_cache(maxsize=8)
-def enumerate_valid(m: int) -> tuple[ValidImage, ...]:
-    """All valid serial images of length m, lexicographic (J before K)."""
-    return tuple(
-        ValidImage(letters, mask, bias, pattern_of(bias), transits, droop)
+def _listing(m: int) -> tuple[tuple[tuple[str, int, str, int, int], ...], tuple[tuple[str, int], ...]]:
+    """The valid images of length m as (cells, rows), no record built: each distinct
+    (mask, bias, pattern, transits, droop) once, then (letters, cell index) per image."""
+    cells = {}
+    rows = tuple(
+        (letters, cells.setdefault((mask, bias, pattern_of(bias), transits, droop), len(cells)))
         for letters, mask, bias, transits, droop, _ in _walk(m, m)
     )
+    return tuple(cells), rows
+
+
+@lru_cache(maxsize=8)
+def enumerate_valid(m: int) -> tuple[ValidImage, ...]:
+    """All valid serial images of length m, lexicographic (J before K)."""
+    cells, rows = _listing(m)
+    return tuple(ValidImage(letters, *cells[cell]) for letters, cell in rows)
 
 
 def count_valid(m: int) -> int:
@@ -127,8 +136,7 @@ def count_valid(m: int) -> int:
     return fibonacci(m) + 2 * fibonacci(m - 1)
 
 
-@dataclass(frozen=True)
-class ImageFilter:
+class ImageFilter(Record):
     """Word admission thresholds; every field loosens monotonically."""
 
     max_abs_bias: int | None = None
@@ -137,13 +145,14 @@ class ImageFilter:
     max_droop: int | None = None
 
     def admits(self, bias: int, transits: int, droop: int) -> bool:
-        if self.balanced_only and bias != 0:
+        max_abs_bias, balanced_only, min_transits, max_droop = self  # one read of the fields
+        if balanced_only and bias != 0:
             return False
-        if self.max_abs_bias is not None and abs(bias) > self.max_abs_bias:
+        if max_abs_bias is not None and abs(bias) > max_abs_bias:
             return False
-        if transits < self.min_transits:
+        if transits < min_transits:
             return False
-        return self.max_droop is None or droop <= self.max_droop
+        return max_droop is None or droop <= max_droop
 
 
 UNIT_BIAS = ImageFilter(max_abs_bias=1)
@@ -186,18 +195,15 @@ PAGE_B_MASKS = frozenset({"JJ", "KJ"})  # J-ending
 
 def build_pages(m: int, image_filter: ImageFilter = UNIT_BIAS) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """The admitted words of pages A and B, each in lexicographic order."""
-    words_a = []
-    words_b = []
-    for image in enumerate_valid(m):
-        if not image_filter.admits(image.bias, image.transits, image.droop):
-            continue
-        if image.mask in PAGE_A_MASKS:
-            words_a.append(image.letters)
-        if image.mask in PAGE_B_MASKS:
-            words_b.append(image.letters)
-    if not words_a or not words_b:
+    cells, rows = _listing(m)  # the filter judges each cell once, not each word
+    admitted = [image_filter.admits(bias, transits, droop) for _, bias, _, transits, droop in cells]
+    pages = []
+    for masks in (PAGE_A_MASKS, PAGE_B_MASKS):
+        kept = {i for i, cell in enumerate(cells) if admitted[i] and cell[0] in masks}
+        pages.append(tuple([letters for letters, cell in rows if cell in kept]))
+    if not all(pages):
         raise EmptyPage(f"filter admits no page words at length {m}")
-    return tuple(words_a), tuple(words_b)
+    return pages[0], pages[1]
 
 
 def page_sizes(m: int, image_filter: ImageFilter = UNIT_BIAS) -> tuple[int, int]:

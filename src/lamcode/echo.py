@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import groupby
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from . import scrambler
 from .errors import RangeError, SizeLimit, WorkbenchError
-from .record import Record
+from .record import Record, integer
 
 OCTAL = 8
 NATIVE_DIGITS = 6
@@ -54,24 +54,32 @@ def _check_digits(pool: str, digits: tuple[int, ...], count: int) -> None:
         raise RangeError("digits must be octal")
 
 
-class NativeSample(Record, fields=("aux", "digits")):
+class NativeSample(Record):
     """Auxiliary bit plus six octal digits, low digit first."""
 
     __slots__ = ()
+    aux: int
+    digits: tuple[int, ...]
 
     def __new__(cls, aux: int, digits: tuple[int, ...]) -> NativeSample:
+        if aux.__class__ is not int:  # a plain int skips the call: this runs per element
+            aux = integer("aux", aux)
         if aux not in (0, 1):
             raise RangeError("aux is a single bit")
         _check_digits("native", digits, NATIVE_DIGITS)
         return tuple.__new__(cls, (aux, digits))
 
 
-class ForcedSample(Record, fields=("position", "digits")):
+class ForcedSample(Record):
     """Event position within a super group plus three octal digits."""
 
     __slots__ = ()
+    position: int
+    digits: tuple[int, ...] = (0, 0, 0)
 
     def __new__(cls, position: int, digits: tuple[int, ...] = (0, 0, 0)) -> ForcedSample:
+        if position.__class__ is not int:  # a plain int skips the call: this runs per element
+            position = integer("position", position)
         if not 0 <= position < GROUP_WORDS:
             raise RangeError(f"position must lie in [0, {GROUP_WORDS})")
         _check_digits("forced", digits, FORCED_DIGITS)
@@ -132,18 +140,18 @@ def unpack_sample(point: scrambler.CodePoint | int) -> NativeSample | ForcedSamp
         raise RangeError(f"code point must be an integer, not {type(value).__name__}") from None
 
 
-@dataclass(frozen=True)
-class SuperGroup:
+class SuperGroup(Record):
     """Twelve transport words: delimiters keep to the even half (slots 0-5),
     a forced echo keeps to the odd half (slots 6-11) as one round."""
 
     delimiters: frozenset[int] = frozenset()
     echo: ForcedSample | None = None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "delimiters", frozenset(self.delimiters))
-        if any(not 0 <= slot < HALF_WORDS for slot in self.delimiters):
+    def __new__(cls, delimiters: Iterable[int] = frozenset(), echo: ForcedSample | None = None) -> SuperGroup:
+        delimiters = frozenset(delimiters)
+        if any(not 0 <= integer("delimiter", slot) < HALF_WORDS for slot in delimiters):
             raise RangeError("delimiters may occupy only the even half")
+        return tuple.__new__(cls, (delimiters, echo))
 
     @property
     def words(self) -> tuple:
@@ -164,7 +172,7 @@ def place_event(
         raise RangeError(f"position must lie in [0, {limit})")
     if group.echo is not None:
         raise Conflict("odd half already carries a forced echo")
-    return replace(group, echo=ForcedSample(position, digits))
+    return SuperGroup(group.delimiters, ForcedSample(position, digits))
 
 
 def event_resolution(mii: bool = False) -> tuple[float, float]:
@@ -173,8 +181,7 @@ def event_resolution(mii: bool = False) -> tuple[float, float]:
     return (period, period / 2)
 
 
-@dataclass(frozen=True)
-class RoundPlan:
+class RoundPlan(Record):
     """Multiplexing round sized so the echo factor cancels within it."""
 
     data_radix: int
@@ -183,7 +190,8 @@ class RoundPlan:
     cancellation: int
     word_count: int
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
+        list(map(integer, self._fields, self))  # every field is an integer
         if self.data_radix < 2 or self.echo_radix < 2:
             raise RangeError("radices must be at least 2")
         if not 1 < self.cancellation <= self.echo_modulus:
@@ -244,8 +252,7 @@ def plan_round(data_radix: int, echo_radix: int, echo_modulus: int) -> RoundPlan
     return RoundPlan(data_radix, echo_radix, echo_modulus, echo_modulus, count)
 
 
-@dataclass(frozen=True)
-class MockRound:
+class MockRound(Record):
     """Round that is informationally a fixed stream delay in one word."""
 
     echo_modulus: int
@@ -272,8 +279,7 @@ def echo_area(framing: str) -> tuple[int, int]:
     return areas[framing]
 
 
-@dataclass(frozen=True)
-class Pam3Image:
+class Pam3Image(Record):
     """Twelve-symbol serial image with its filterable features."""
 
     symbols: tuple[int, ...]
@@ -282,7 +288,7 @@ class Pam3Image:
     dc_unbalance: int
     transits: int
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if len(self.symbols) != IMAGE_SYMBOLS:
             raise RangeError(f"an image spans {IMAGE_SYMBOLS} symbols")
         if any(level not in (-1, 0, 1) for level in self.symbols):
@@ -290,30 +296,16 @@ class Pam3Image:
 
     @property
     def index(self) -> int:
-        value = 0
-        for level in self.symbols:
-            value = value * 3 + level + 1
-        return value
+        return int("".join(str(level + 1) for level in self.symbols), 3)
 
 
 def image_profile(index: int) -> Pam3Image:
     """Measure one image by its index, first symbol most significant."""
     if not 0 <= index < IMAGE_SPACE:
         raise RangeError(f"index must lie in [0, {IMAGE_SPACE})")
-    levels = []
-    rest = index
-    for _ in range(IMAGE_SYMBOLS):
-        rest, trit = divmod(rest, 3)
-        levels.append(trit - 1)
-    levels.reverse()
-    head = 1
-    while head < IMAGE_SYMBOLS and levels[head] == levels[0]:
-        head += 1
-    tail = 1
-    while tail < IMAGE_SYMBOLS and levels[-1 - tail] == levels[-1]:
-        tail += 1
-    transits = sum(a != b for a, b in zip(levels, levels[1:]))
-    return Pam3Image(tuple(levels), head, tail, sum(levels), transits)
+    levels = tuple(index // 3**k % 3 - 1 for k in reversed(range(IMAGE_SYMBOLS)))
+    runs = [len(list(run)) for _, run in groupby(levels)]  # head run first, tail run last
+    return Pam3Image(levels, runs[0], runs[-1], sum(levels), len(runs) - 1)
 
 
 @lru_cache(maxsize=1)

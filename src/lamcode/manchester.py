@@ -17,12 +17,12 @@ the glued pair JJ and a wide pulse to JKJ, adjacent pulses sharing one J.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, chain
 from operator import ne, xor
 from typing import Iterable, Sequence
 
 from .errors import RangeError, WorkbenchError
+from .record import Record
 
 J = "J"
 K = "K"
@@ -120,8 +120,7 @@ def letters_to_bits(letters: str, initial_level: str = LOW) -> list[int]:
     return list(accumulate(flags, xor, initial=int(initial_level == HIGH)))[1:]
 
 
-@dataclass(frozen=True)
-class ImageMetrics:
+class ImageMetrics(Record):
     """Per-stream accounting in half-bit level units."""
 
     j_count: int
@@ -172,17 +171,12 @@ def metrics(letters: str, initial_level: str = LOW) -> ImageMetrics:
         high = not high
     k_count = len(runs)
     j_count = len(letters) - k_count
+    head_run = min(len(letters), 2 if letters[1:2] == K else 1)
+    tail_run = min(len(letters), 2 if letters[-1:] == K else 1)
+    final_level = HIGH if high else LOW
+    # positional, in field order: a record binds keywords on its slow path
     return ImageMetrics(
-        j_count=j_count,
-        k_count=k_count,
-        dc_bias=bias,
-        peak_pos=peak_pos,
-        peak_neg=peak_neg,
-        final_level=HIGH if high else LOW,
-        inverting=bool(j_count % 2),
-        transit_count=j_count,
-        head_run=min(len(letters), 2 if letters[1:2] == K else 1),
-        tail_run=min(len(letters), 2 if letters[-1:] == K else 1),
+        j_count, k_count, bias, peak_pos, peak_neg, final_level, bool(j_count % 2), j_count, head_run, tail_run
     )
 
 
@@ -193,8 +187,7 @@ def letter_contributions(letters: str, initial_level: str = LOW) -> list[int]:
     return [0 if ch == J else 1 if level == HIGH else -1 for ch, level in zip(letters, levels)]
 
 
-@dataclass(frozen=True)
-class Pulse:
+class Pulse(Record):
     """One MDI pulse: polarity '+' or '-', narrow (half bit) or wide (full bit)."""
 
     polarity: str

@@ -19,10 +19,10 @@ Both ends therefore walk the one generator `_schedule`; `enqueue`,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator
 
 from .errors import RangeError, WorkbenchError
+from .record import Record, integer
 
 
 class Underflow(WorkbenchError, ValueError):
@@ -37,8 +37,7 @@ class DecodeError(WorkbenchError, ValueError):
     """Symbol values are inconsistent with any input stream."""
 
 
-@dataclass(frozen=True)
-class MixedRadixQueue:
+class MixedRadixQueue(Record):
     """Queued value and capacity plus input/output step counters."""
 
     b_q: int = 0
@@ -46,13 +45,13 @@ class MixedRadixQueue:
     m: int = 0  # inputs consumed
     n: int = 0  # outputs produced
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
+        list(map(integer, self._fields, self))  # every field is an integer
         if self.n_q < 1 or not 0 <= self.b_q < self.n_q:
             raise RangeError(f"queue invariant violated: B_q={self.b_q}, N_q={self.n_q}")
 
 
-@dataclass(frozen=True)
-class RadixOracle:
+class RadixOracle(Record):
     """Per-step radices, known to both ends of the link."""
 
     input_radix: Callable[[int], int]
@@ -63,11 +62,11 @@ def constant_oracle(n_in: int, n_out: int) -> RadixOracle:
     return RadixOracle(lambda m: n_in, lambda n: n_out)
 
 
-@dataclass(frozen=True)
-class ReconcilerConfig:
+class ReconcilerConfig(Record):
     capacity_threshold: int = 1  # K: dequeue only while N_q >= K * $N
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
+        integer("capacity_threshold", self.capacity_threshold)
         if self.capacity_threshold < 1:
             raise RangeError("capacity threshold K must be at least 1")
 
@@ -78,7 +77,7 @@ def enqueue(q: MixedRadixQueue, b_in: int, n_in: int) -> MixedRadixQueue:
         raise RangeError("input radix must be at least 2")
     if not 0 <= b_in < n_in:
         raise RangeError(f"symbol {b_in} outside radix {n_in}")
-    return replace(q, b_q=b_in * q.n_q + q.b_q, n_q=n_in * q.n_q, m=q.m + 1)
+    return MixedRadixQueue(b_in * q.n_q + q.b_q, n_in * q.n_q, q.m + 1, q.n)
 
 
 def test(q: MixedRadixQueue, out_radix: int, k: int = 1) -> bool:
@@ -100,11 +99,10 @@ def dequeue(q: MixedRadixQueue, out_radix: int) -> tuple[MixedRadixQueue, int]:
         raise Underflow("queue holds no information")
     b_out = q.b_q % out_radix
     n_q = -(-q.n_q // out_radix)
-    return replace(q, b_q=q.b_q // out_radix, n_q=n_q, n=q.n + 1), b_out
+    return MixedRadixQueue(q.b_q // out_radix, n_q, q.m, q.n + 1), b_out
 
 
-@dataclass(frozen=True)
-class EncodedStream:
+class EncodedStream(Record):
     """Wire container: consumed-input count header plus output symbols."""
 
     count: int
@@ -121,9 +119,10 @@ def _schedule(
     it reads.
     """
     k = config.capacity_threshold
+    input_radix, output_radix = oracle.input_radix, oracle.output_radix  # bound once, not per step
 
     def out_radix(n: int) -> int:
-        radix = oracle.output_radix(n)
+        radix = output_radix(n)
         if radix < 3:
             raise RangeError("output radix must be at least 3")
         return radix
@@ -131,7 +130,7 @@ def _schedule(
     n_q = 1
     n = 0
     for m in range(count):
-        radix = oracle.input_radix(m)
+        radix = input_radix(m)
         if radix < 2:
             raise RangeError("input radix must be at least 2")
         before, n_q = n_q, n_q * radix

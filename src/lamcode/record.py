@@ -1,32 +1,57 @@
-"""Immutable tuple-backed records, checked once.
+"""Immutable tuple-backed records: the package's one value type.
 
-A record's public constructor validates every field. Code whose fields
-are in range by construction builds the record unchecked, with
-``tuple.__new__(cls, fields)``, so a per-element path pays for a tuple
-and nothing more. Records compare equal only to records of their own
-class, as frozen dataclasses do: a record never equals a plain tuple.
-Like frozen dataclasses, records do not order: ``<``, ``<=``, ``>`` and
-``>=`` raise TypeError, against a tuple or a record alike. Records still
-iterate, unpack and take ``len`` as tuples do.
+A record class declares its fields as annotations, in order, with
+optional defaults. Its constructor binds arguments as a call does (a
+missing, unknown or duplicate one raises TypeError), then runs ``_check``;
+code whose fields are in range by construction builds it unchecked with
+``tuple.__new__(cls, fields)``. Setting or deleting an attribute raises
+AttributeError, so derived values are ``cached_property``s. A record
+equals only a record of its own class, never a plain tuple, and does not
+order (``<`` and the rest raise TypeError). Copies and pickles call the
+constructor; the repr names every field; records iterate, unpack and take
+``len`` as tuples do.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
+from operator import index, itemgetter
+
+from .errors import RangeError
 
 
 class Record(tuple):
-    """Base of ``class Name(Record, fields=(...))``; each subclass sets ``__slots__ = ()``
-    and checks its fields in ``__new__``."""
+    """Base of every record class; see the module docstring for the contract."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
 
-    def __init_subclass__(cls, fields: tuple[str, ...] = (), **kwargs) -> None:
+    def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        cls._fields = cls.__match_args__ = fields
-        for index, name in enumerate(fields):
-            setattr(cls, name, property(itemgetter(index)))
+        names = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+        cls._fields = cls.__match_args__ = names
+        for position, name in enumerate(names):
+            setattr(cls, name, property(itemgetter(position)))
+
+    def __new__(cls, *args, **kwargs):
+        names = cls._fields
+        if kwargs or len(args) != len(names):  # bind as a function binds its parameters
+            bound = {**cls._defaults, **dict(zip(names, args)), **kwargs}
+            if len(args) > len(names) or len(bound) != len(names) or not kwargs.keys() <= set(names[len(args):]):
+                raise TypeError(f"{cls.__qualname__}() takes {names}: missing, unknown or duplicate arguments")
+            args = [bound[name] for name in names]
+        record = tuple.__new__(cls, args)
+        record._check()
+        return record
+
+    def _check(self) -> None:
+        """Refuse out-of-range fields; a class without a rule checks nothing."""
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"{type(self).__qualname__} records are immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -47,10 +72,18 @@ class Record(tuple):
     __lt__ = __le__ = __gt__ = __ge__ = _unordered
     del _unordered
 
-    def __getnewargs__(self) -> tuple:
-        """Copies and pickles go back through the checked constructor."""
-        return tuple(self)
+    def __reduce__(self):
+        """Copies and pickles call the checked constructor; cached values are rebuilt."""
+        return type(self), tuple(self)
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
         return f"{type(self).__qualname__}({fields})"
+
+
+def integer(name: str, value) -> int:
+    """The value as an int; RangeError if it is not an integer (bools and numpy integers are)."""
+    try:
+        return index(value)
+    except TypeError:
+        raise RangeError(f"{name} must be an integer, not {type(value).__name__}") from None

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 
 from .errors import RangeError, WorkbenchError
-from .record import Record
+from .record import Record, integer
 
 LFSR_WIDTH = 33
 LFSR_TAP = 13  # x^33 + x^13 + 1, the Clause 40 master generator
@@ -108,8 +108,7 @@ def _nests(a: int, b: int) -> bool:
     return lo > 0 and hi % lo == 0
 
 
-@dataclass(frozen=True)
-class PartitionSolution:
+class PartitionSolution(Record):
     """One solution of m_even*x_even + m_odd*x_odd = 2^r, m_even + m_odd = N.
 
     The even/odd labels follow the parity of the x values, not of the
@@ -123,7 +122,8 @@ class PartitionSolution:
     x_even: int
     x_odd: int
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
+        list(map(integer, self._fields, self))  # every field is an integer
         if min(self.m_even, self.m_odd, self.x_even, self.x_odd) < 0:
             raise RangeError("all partition quantities must be nonnegative")
         if self.x_even % 2 or self.x_odd % 2 == 0:
@@ -169,9 +169,7 @@ def solve_dx1(r: int, n: int) -> PartitionSolution:
     low, m_high = divmod(1 << r, n)
     counts = {low: n - m_high, low + 1: m_high}
     x_even, x_odd = (low, low + 1) if low % 2 == 0 else (low + 1, low)
-    return PartitionSolution(
-        r, n, m_even=counts[x_even], m_odd=counts[x_odd], x_even=x_even, x_odd=x_odd
-    )
+    return PartitionSolution(r, n, counts[x_even], counts[x_odd], x_even, x_odd)
 
 
 def solve_dm1(r: int, n: int) -> list[PartitionSolution]:
@@ -215,9 +213,7 @@ def solve_dm1(r: int, n: int) -> list[PartitionSolution]:
             best_gap = gap
             best = []
         if gap == best_gap:
-            best.append(
-                PartitionSolution(r, n, m_even=m_even, m_odd=m_odd, x_even=x_even, x_odd=x_odd)
-            )
+            best.append(PartitionSolution(r, n, m_even, m_odd, x_even, x_odd))
     return best
 
 
@@ -268,8 +264,7 @@ def format_unbalance(value: Fraction) -> str:
     return f"{float(scaled):+.{decimals}f}{unit}"
 
 
-@dataclass(frozen=True)
-class BinMap:
+class BinMap(Record):
     """Contiguous partition of [0, 2^r) into N digit bins."""
 
     r: int
@@ -277,15 +272,18 @@ class BinMap:
     sizes: tuple[int, ...]  # per digit, left to right
     layout: tuple[int, int, int]  # leaf, core, leaf bin counts
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
+        list(map(integer, ("r", "n"), self))
         if sum(self.sizes) != 1 << self.r or len(self.sizes) != self.n:
             raise RangeError("bin sizes must tile the outcome space")
-        object.__setattr__(self, "_starts", tuple(accumulate((0,) + self.sizes[:-1])))
+
+    @cached_property
+    def _table(self) -> tuple[int, tuple[int, ...]]:
+        """The outcome count and the bin starts: after the first read, one plain attribute per draw."""
+        return 1 << self.r, tuple(accumulate((0,) + self.sizes[:-1]))
 
     def digit_of(self, value: int) -> int:
-        if not 0 <= value < 1 << self.r:
-            raise RangeError(f"value must lie in [0, 2^{self.r})")
-        return bisect_right(self._starts, value) - 1
+        return convert(value, self)
 
 
 def build_bin_map(sol: PartitionSolution) -> BinMap:
@@ -309,7 +307,10 @@ def build_bin_map(sol: PartitionSolution) -> BinMap:
 
 def convert(value: int, bin_map: BinMap) -> int:
     """Fold one equiprobable r-bit draw onto a base-N digit."""
-    return bin_map.digit_of(value)
+    space, starts = bin_map._table
+    if not 0 <= value < space:
+        raise RangeError(f"value must lie in [0, 2^{bin_map.r})")
+    return bisect_right(starts, value) - 1
 
 
 def bubble_map(n: int) -> BinMap:
@@ -319,7 +320,7 @@ def bubble_map(n: int) -> BinMap:
     return build_bin_map(solve_dx1(KEY_BITS, n))
 
 
-class CodePoint(Record, fields=("root", "affix", "inversion")):
+class CodePoint(Record):
     """Composite transport value: base-259 root, 11-bit affix, inversion flag.
 
     The numeric value packs root and affix only; inversion rides outside
@@ -327,8 +328,13 @@ class CodePoint(Record, fields=("root", "affix", "inversion")):
     """
 
     __slots__ = ()
+    root: int
+    affix: int
+    inversion: int = 0
 
     def __new__(cls, root: int, affix: int, inversion: int = 0) -> CodePoint:
+        if root.__class__ is not int or affix.__class__ is not int or inversion.__class__ is not int:  # per element
+            root, affix, inversion = integer("root", root), integer("affix", affix), integer("inversion", inversion)
         if not 0 <= root < ROOT_BASE:
             raise RangeError(f"root must lie in [0, {ROOT_BASE})")
         if not 0 <= affix < AFFIX_SPACE:
@@ -406,8 +412,7 @@ def observation_time(r: int) -> float:
     return (2.0**r) * ROUND_NS * 1e-9
 
 
-@dataclass(frozen=True)
-class BudgetReport:
+class BudgetReport(Record):
     t: int
     r: int
     repetition_period: float  # seconds
@@ -418,10 +423,4 @@ class BudgetReport:
 def budget(t: int) -> BudgetReport:
     """Time budget when t side-stream bits are demanded per echo round."""
     r = t - AFFIX_BITS - 1  # the affix and the inversion bit take the other 12
-    return BudgetReport(
-        t=t,
-        r=r,
-        repetition_period=repetition_period(t),
-        observation_time=observation_time(r),
-        root_feasible=r >= ROOT_MIN_BITS,
-    )
+    return BudgetReport(t, r, repetition_period(t), observation_time(r), r >= ROOT_MIN_BITS)

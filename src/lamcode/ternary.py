@@ -13,7 +13,6 @@ profiles per letter phase) come from the induced Markov chain.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from importlib import resources
@@ -21,6 +20,7 @@ from importlib import resources
 from .errors import RangeError, WorkbenchError
 from .paging import PagedCodec, PageMiss, stationary_distribution  # benchmarks/tracer.py patches this binding
 from .paging import Reducible  # noqa: F401 - re-exported beside its solver
+from .record import Record
 from .scrambler import KEY_BITS, bubble_map  # noqa: F401 - benchmarks/tracer.py patches ternary.bubble_map
 
 SYMBOLS = "LzH"
@@ -73,8 +73,7 @@ def invert_word(symbols: str) -> str:
     return "".join(_FLIP[ch] for ch in symbols)
 
 
-@dataclass(frozen=True)
-class TernaryWord:
+class TernaryWord(Record):
     """A word and its disparity footprint.
 
     Peaks are the extrema of the running sum against zero; a peak of 0
@@ -108,8 +107,7 @@ def word_metrics(symbols: str) -> TernaryWord:
     return TernaryWord(symbols, total, peak_pos, peak_neg, transits)
 
 
-@dataclass(frozen=True)
-class PageEntry:
+class PageEntry(Record):
     """One page slot: a word, its code, and its representation count."""
 
     word: TernaryWord
@@ -117,26 +115,16 @@ class PageEntry:
     rep_count: int
 
 
-@dataclass(frozen=True)
-class TernaryPage:
-    """Words legal at one disparity level, ordered by code."""
+class TernaryPage(Record):
+    """Words legal at one disparity level, ordered by code; a record, not a container of its `entries`."""
 
     sigma: int
     entries: tuple[PageEntry, ...]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         codes = [entry.code for entry in self.entries]
         if codes != list(range(len(codes))):
             raise RangeError(f"page {self.sigma} codes must run 0..{len(codes) - 1}")
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __contains__(self, symbols: str) -> bool:
-        return any(entry.word.symbols == symbols for entry in self.entries)
 
     def entry_for(self, code: int) -> PageEntry:
         if not 0 <= code < len(self.entries):
@@ -144,8 +132,7 @@ class TernaryPage:
         return self.entries[code]
 
 
-@dataclass(frozen=True)
-class PagedTernaryDictionary:
+class PagedTernaryDictionary(Record):
     """Four disparity pages closed under their own encode moves."""
 
     variant: str
@@ -158,7 +145,7 @@ class PagedTernaryDictionary:
     @cached_property
     def codec(self) -> PagedCodec:
         """The page tables, built on first read; the state is the running disparity."""
-        moves = {p.sigma: [(e.word.symbols, p.sigma + e.word.delta_dc) for e in p] for p in self.pages}
+        moves = {p.sigma: [(e.word.symbols, p.sigma + e.word.delta_dc) for e in p.entries] for p in self.pages}
         return PagedCodec(moves)
 
 
@@ -334,7 +321,7 @@ def event_pattern(sigma: int, slot: str) -> tuple[int, ...]:
             raise SlotUnavailable(f"no flag pair at disparity {sigma}")
         return pair
     if slot == "meta":
-        return tuple(range(len(broadened_dictionary().page(sigma))))
+        return tuple(range(len(broadened_dictionary().page(sigma).entries)))
     raise RangeError(f"slot must be one of {EVENT_SLOTS}, got {slot!r}")
 
 
@@ -392,8 +379,7 @@ def run_bounds(dictionary: PagedTernaryDictionary) -> dict[str, int]:
     return best
 
 
-@dataclass(frozen=True)
-class PortraitStats:
+class PortraitStats(Record):
     """Exact letter-resolution statistics of the word-choice chain.
 
     Phase k covers the state right after the (k+1)-th symbol of a word;

@@ -81,10 +81,10 @@ def test_sample_record_semantics():
     for sample, field in ((native, "aux"), (forced, "position"), (forced, "digits")):
         with pytest.raises(AttributeError):
             setattr(sample, field, 0)
-    for fields in ((-1, (0,) * 6), (0, (0,) * 7), (0, (0, 0, 0, 0, 0, -1))):
+    for fields in ((-1, (0,) * 6), (0, (0,) * 7), (0, (0, 0, 0, 0, 0, -1)), (1.0, (0,) * 6)):
         with pytest.raises(RangeError):
             echo.NativeSample(*fields)
-    for fields in ((-1, (0, 0, 0)), (0, (0, 0)), (0, (0, 0, 8)), (0, (0, 0, 0, 0))):
+    for fields in ((-1, (0, 0, 0)), (0, (0, 0)), (0, (0, 0, 8)), (0, (0, 0, 0, 0)), (0.5,)):
         with pytest.raises(RangeError):
             echo.ForcedSample(*fields)
     # a digit must equal one of 0..7: numbers between them are refused
@@ -112,9 +112,12 @@ def test_unpack_accepts_code_points():
 
 
 def test_unpack_refuses_non_integers():
-    for value in (1.5, "3", None, 3.0, Fraction(3), echo.NATIVE_POOL + 0.5, scrambler.CodePoint(0.5, 0)):
+    for value in (1.5, "3", None, 3.0, Fraction(3), echo.NATIVE_POOL + 0.5):
         with pytest.raises(RangeError, match="code point must be an integer"):
             echo.unpack_sample(value)
+    # a code point with a fractional root is refused where it would be built
+    with pytest.raises(RangeError, match="root must be an integer"):
+        scrambler.CodePoint(0.5, 0)
     # bools and numpy integers decode as the ints they equal
     for value in (0, 1, 5, (1 << 18) + 9, echo.NATIVE_POOL + 7, echo.POOL_TOTAL - 1):
         sample = echo.unpack_sample(value)

@@ -33,6 +33,8 @@ def test_queue_invariant_enforced():
         MixedRadixQueue(b_q=-1, n_q=5)
     with pytest.raises(RangeError):
         MixedRadixQueue(b_q=0, n_q=0)
+    with pytest.raises(RangeError, match="b_q must be an integer"):
+        MixedRadixQueue(0.5, 2)
 
 
 def test_enqueue_examples():
@@ -83,6 +85,8 @@ def test_full_drain_renumbers():
 def test_config_validation():
     with pytest.raises(RangeError):
         ReconcilerConfig(capacity_threshold=0)
+    with pytest.raises(RangeError, match="capacity_threshold must be an integer"):
+        ReconcilerConfig(1.5)
 
 
 def test_encode_empty():

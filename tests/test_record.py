@@ -1,0 +1,170 @@
+"""The one record contract, checked on every record class in lamcode."""
+
+import copy
+import operator
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import lamcode.cli  # noqa: F401 - imports every module that declares a record
+from lamcode import dictionary, echo, manchester, reconciler, scrambler, ternary
+from lamcode.errors import RangeError
+from lamcode.record import Record
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _examples() -> dict[type, tuple]:
+    """Field values of one valid record of each class."""
+    records = [
+        scrambler.CodePoint(1, 2, 1),
+        scrambler.solve_dx1(10, 259),
+        scrambler.build_bin_map(scrambler.solve_dx1(5, 7)),
+        scrambler.budget(33),
+        echo.NativeSample(1, (1, 2, 3, 4, 5, 6)),
+        echo.ForcedSample(3, (1, 2, 3)),
+        echo.SuperGroup(frozenset({0, 4}), echo.ForcedSample(3)),
+        echo.plan_round(16, 20, 2),
+        echo.mock_round(4),
+        echo.image_profile(1234),
+        dictionary.enumerate_valid(4)[1],
+        dictionary.ImageFilter(2, False, 1, 2),
+        manchester.metrics("JKJJ"),
+        manchester.Pulse("+", True),
+        reconciler.MixedRadixQueue(73, 100, 2, 0),
+        reconciler.RadixOracle(abs, abs),  # picklable callables
+        reconciler.ReconcilerConfig(4),
+        reconciler.EncodedStream(3, (1, 2)),
+        ternary.word_metrics("LzH"),
+        ternary.PageEntry(ternary.word_metrics("LzH"), 0, 2),
+        ternary.reference_dictionary().page(1),
+        ternary.reference_dictionary(),
+        ternary.portrait(ternary.reference_dictionary()),
+    ]
+    return {type(record): tuple(record) for record in records}
+
+
+EXAMPLES = _examples()
+
+
+def _record_classes(base=Record):
+    for cls in base.__subclasses__():
+        if cls.__module__.startswith("lamcode."):
+            yield cls
+        yield from _record_classes(cls)
+
+
+RECORD_CLASSES = sorted(set(_record_classes()), key=lambda cls: (cls.__module__, cls.__qualname__))
+
+
+def test_every_record_class_has_an_example():
+    assert set(EXAMPLES) == set(RECORD_CLASSES)
+    assert len(RECORD_CLASSES) == 23
+
+
+@pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda cls: cls.__qualname__)
+def test_record_contract(cls):
+    values = EXAMPLES[cls]
+    fields = cls._fields
+    assert len(fields) == len(values) and cls.__match_args__ == fields
+    record = cls(*values)
+    keywords = dict(zip(fields, values))
+    # keyword and positional construction agree
+    assert type(record) is cls and record == cls(**keywords) == cls(*values[:1], **dict(list(keywords.items())[1:]))
+    assert tuple(getattr(record, name) for name in fields) == values
+
+    # missing, unknown and duplicate arguments
+    required = [name for name in fields if name not in cls._defaults]
+    if required:
+        with pytest.raises(TypeError):
+            cls(**{name: value for name, value in keywords.items() if name != required[-1]})
+    with pytest.raises(TypeError):
+        cls(*values, not_a_field=1)
+    with pytest.raises(TypeError):
+        cls(*values, **{fields[0]: values[0]})
+    with pytest.raises(TypeError):
+        cls(*values, values[0])
+
+    # equal only to a record of its own class, never to a plain tuple
+    other = next(c for c in RECORD_CLASSES if c is not cls)
+    assert record != values and values != record and not record == values
+    assert record != tuple.__new__(other, values)
+    for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(TypeError, match="records do not order"):
+            compare(record, record)
+
+    # immutable: no field, no derived value and no new name can be set or deleted
+    for name in fields + ("not_a_field", "codec", "admits", "_table"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert tuple(record) == values
+
+    # copies and pickles go back through the constructor
+    assert record.__reduce__() == (cls, values)
+    for duplicate in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(duplicate) is cls and tuple(duplicate) == tuple(record)
+
+    text = repr(record)
+    assert text.startswith(f"{cls.__qualname__}(") and all(f"{name}=" in text for name in fields)
+
+
+def test_copies_are_checked():
+    # a record built unchecked with an out-of-range field cannot be copied
+    for bad in (
+        tuple.__new__(scrambler.CodePoint, (259, 0, 0)),
+        tuple.__new__(reconciler.MixedRadixQueue, (5, 5, 0, 0)),
+        tuple.__new__(ternary.TernaryPage, (1, (ternary.PageEntry(ternary.word_metrics("LzH"), 1, 2),))),
+    ):
+        with pytest.raises(RangeError):
+            copy.copy(bad)
+        with pytest.raises(RangeError):
+            pickle.loads(pickle.dumps(bad))
+
+
+def test_derived_values_are_rebuilt_not_copied():
+    bin_map = scrambler.build_bin_map(scrambler.solve_dx1(5, 7))
+    assert bin_map.digit_of(31) == 6
+    clone = pickle.loads(pickle.dumps(bin_map))
+    assert "_table" not in vars(clone) and clone.digit_of(31) == 6
+    keep = dictionary.ImageFilter(max_abs_bias=1)
+    assert keep.admits(1, 0, 2) and not keep.admits(2, 0, 1)
+    assert copy.copy(keep) == keep and hash(copy.copy(keep)) == hash(keep)
+
+
+def test_non_integer_fields_are_refused():
+    # beside the code point, sample and reconciler refusal tests: the other checked records
+    for build in (
+        lambda: echo.SuperGroup({0.5}),
+        lambda: echo.RoundPlan(16, 20, 2, 2, 3.0),
+        lambda: reconciler.MixedRadixQueue(0, 2, 1.5),
+        lambda: scrambler.PartitionSolution(1, 2, 1, 1, 0, 2.0),
+        lambda: scrambler.BinMap(1.0, 2, (1, 1), (0, 2, 0)),
+    ):
+        with pytest.raises(RangeError, match="must be an integer"):
+            build()
+
+
+def test_integer_like_fields_are_accepted():
+    assert scrambler.CodePoint(np.int64(3), np.uint16(4), True) == scrambler.CodePoint(3, 4, 1)
+    assert echo.NativeSample(np.int8(1), (0,) * 6) == echo.NativeSample(True, (0,) * 6)
+    assert echo.ForcedSample(np.int32(11)).position == 11
+    assert reconciler.MixedRadixQueue(np.int64(1), 2, True).m == 1
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_out():
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import lamcode.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    env = {key: value for key, value in os.environ.items() if not key.startswith("PYTHON")}
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe, str(SRC)], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "[]"

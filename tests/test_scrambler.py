@@ -407,7 +407,7 @@ def test_code_point_record_semantics():
     with pytest.raises(AttributeError):
         point.extra = 3
     assert copy.copy(point) == point == pickle.loads(pickle.dumps(point))
-    for fields in ((-1, 0), (259, 0), (0, -1), (0, 2048), (0, 0, 2), (0, 0, -1), (0.5, 0, 0.5)):
+    for fields in ((-1, 0), (259, 0), (0, -1), (0, 2048), (0, 0, 2), (0, 0, -1), (0.5, 0, 0.5), (0.5, 0), (1, 2, 1.0)):
         with pytest.raises(RangeError):
             CodePoint(*fields)
 

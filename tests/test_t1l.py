@@ -70,10 +70,10 @@ def test_stored_cells_match_measurement():
 def test_reference_page_shape():
     d = ternary.reference_dictionary()
     for sigma in ternary.SIGMA_LEVELS:
-        page = d.page(sigma)
+        page = d.page(sigma).entries
         assert len(page) == 16
         assert [e.code for e in page] == list(range(16))
-        assert "zzz" not in page
+        assert "zzz" not in [e.word.symbols for e in page]
         assert all(e.rep_count == 2 for e in page)
         for entry in page:
             assert sigma + entry.word.delta_dc in ternary.SIGMA_LEVELS
@@ -81,11 +81,11 @@ def test_reference_page_shape():
 
 def test_broadened_page_shape():
     d = ternary.broadened_dictionary()
-    assert [len(p) for p in d.pages] == [16, 18, 18, 16]
+    assert [len(p.entries) for p in d.pages] == [16, 18, 18, 16]
     for sigma in ternary.SIGMA_LEVELS:
-        page = d.page(sigma)
+        page = d.page(sigma).entries
         assert [e.code for e in page] == list(range(len(page)))
-        assert "zzz" not in page
+        assert "zzz" not in [e.word.symbols for e in page]
         assert sum(e.rep_count for e in page) == 32
         profile = sorted(e.rep_count for e in page)
         assert profile == sorted(scrambler.bubble_map(len(page)).sizes)
@@ -97,8 +97,8 @@ def test_page_inversion_symmetry():
     for variant in ternary.VARIANTS:
         d = ternary.dictionary_for(variant)
         for sigma in ternary.SIGMA_LEVELS:
-            low = d.page(sigma)
-            high = d.page(5 - sigma)
+            low = d.page(sigma).entries
+            high = d.page(5 - sigma).entries
             flipped = {ternary.invert_word(e.word.symbols): e.rep_count for e in low}
             assert flipped == {e.word.symbols: e.rep_count for e in high}
 
@@ -148,7 +148,7 @@ def test_codec_round_trip_broadened():
     codes = []
     sigma = ternary.START_SIGMA
     for _ in range(20000):
-        code = rng.randrange(len(d.page(sigma)))
+        code = rng.randrange(len(d.page(sigma).entries))
         codes.append(code)
         sigma += ternary.encode_nibble(code, sigma, ternary.BROADENED).delta_dc
     letters = ternary.encode_stream(codes, ternary.BROADENED)
@@ -162,7 +162,7 @@ def test_representation_tables():
             page = d.page(sigma)
             table = ternary.representation_table(page)
             assert len(table) == 32
-            for entry in page:
+            for entry in page.entries:
                 assert table.count(entry.code) == entry.rep_count
     assert ternary.scrambled_word(0, 1).symbols == "HHH"
     with pytest.raises(RangeError):
@@ -177,7 +177,7 @@ def test_scrambled_selection_matches_weights():
         for key in range(32):
             word = ternary.scrambled_word(key, sigma)
             hist[word.symbols] = hist.get(word.symbols, 0) + 1
-        assert hist == {e.word.symbols: e.rep_count for e in page}
+        assert hist == {e.word.symbols: e.rep_count for e in page.entries}
 
 
 def test_delimiter_sequences():
