@@ -126,9 +126,9 @@ def _listing(m: int) -> tuple[tuple[tuple[str, int, str, int, int], ...], tuple[
 
 @lru_cache(maxsize=8)
 def enumerate_valid(m: int) -> tuple[ValidImage, ...]:
-    """All valid serial images of length m, lexicographic (J before K)."""
+    """All valid serial images of length m, J before K; built unchecked from the integer listing."""
     cells, rows = _listing(m)
-    return tuple(ValidImage(letters, *cells[cell]) for letters, cell in rows)
+    return tuple(tuple.__new__(ValidImage, (letters, *cells[cell])) for letters, cell in rows)
 
 
 def count_valid(m: int) -> int:

@@ -47,11 +47,13 @@ class Conflict(WorkbenchError, ValueError):
 _OCTAL_DIGITS = frozenset(range(OCTAL))
 
 
-def _check_digits(pool: str, digits: tuple[int, ...], count: int) -> None:
+def _octal_digits(pool: str, digits: tuple[int, ...], count: int) -> tuple[int, ...]:
+    """Digits that failed a sample's quick test, refused or returned as ints (numpy integers pass)."""
     if len(digits) != count:
         raise RangeError(f"{pool} sample carries {count} digits")
     if not _OCTAL_DIGITS.issuperset(digits):
         raise RangeError("digits must be octal")
+    return tuple(integer("digit", digit) for digit in digits)  # a float or Fraction equal to one is refused
 
 
 class NativeSample(Record):
@@ -66,7 +68,13 @@ class NativeSample(Record):
             aux = integer("aux", aux)
         if aux not in (0, 1):
             raise RangeError("aux is a single bit")
-        _check_digits("native", digits, NATIVE_DIGITS)
+        try:  # quick test: plain ints whose bitwise OR lies in 0..7 are octal digits
+            d0, d1, d2, d3, d4, d5 = digits
+            bits = d0 | d1 | d2 | d3 | d4 | d5
+        except (TypeError, ValueError):  # not six digits, or one without an integer OR
+            bits = None
+        if bits.__class__ is not int or not 0 <= bits < OCTAL:
+            digits = _octal_digits("native", digits, NATIVE_DIGITS)
         return tuple.__new__(cls, (aux, digits))
 
 
@@ -82,7 +90,13 @@ class ForcedSample(Record):
             position = integer("position", position)
         if not 0 <= position < GROUP_WORDS:
             raise RangeError(f"position must lie in [0, {GROUP_WORDS})")
-        _check_digits("forced", digits, FORCED_DIGITS)
+        try:  # the quick test of a native sample
+            d0, d1, d2 = digits
+            bits = d0 | d1 | d2
+        except (TypeError, ValueError):
+            bits = None
+        if bits.__class__ is not int or not 0 <= bits < OCTAL:
+            digits = _octal_digits("forced", digits, FORCED_DIGITS)
         return tuple.__new__(cls, (position, digits))
 
 
@@ -98,21 +112,21 @@ def pool_arithmetic() -> dict[str, int]:
     }
 
 
-def _octal_value(head: int, digits: tuple[int, ...]) -> int:
-    """head * OCTAL**len(digits) plus the digits, low digit first."""
-    for digit in reversed(digits):
-        head = head * OCTAL + digit
-    return head
-
-
 def pack_native(sample: NativeSample) -> scrambler.CodePoint:
-    """Map a native sample into the low code-point range."""
-    return scrambler.unpack_point(_octal_value(sample.aux, sample.digits))
+    """Map a native sample into the low code-point range, 3 bits per octal digit.
+
+    A checked sample packs below NATIVE_POOL, so the point is built unchecked.
+    """
+    d0, d1, d2, d3, d4, d5 = sample.digits
+    value = sample.aux << 18 | d5 << 15 | d4 << 12 | d3 << 9 | d2 << 6 | d1 << 3 | d0
+    return tuple.__new__(scrambler.CodePoint, (value >> scrambler.AFFIX_BITS, value & scrambler.AFFIX_SPACE - 1, 0))
 
 
 def pack_forced(sample: ForcedSample) -> scrambler.CodePoint:
-    """Map a forced sample into the high code-point range."""
-    return scrambler.unpack_point(NATIVE_POOL + _octal_value(sample.position, sample.digits))
+    """Map a forced sample into the high code-point range, built unchecked as a native one."""
+    d0, d1, d2 = sample.digits
+    value = NATIVE_POOL + (sample.position << 9 | d2 << 6 | d1 << 3 | d0)
+    return tuple.__new__(scrambler.CodePoint, (value >> scrambler.AFFIX_BITS, value & scrambler.AFFIX_SPACE - 1, 0))
 
 
 # The three octal digits of every 9-bit value, low digit first.  An octal
@@ -191,7 +205,6 @@ class RoundPlan(Record):
     word_count: int
 
     def _check(self) -> None:
-        list(map(integer, self._fields, self))  # every field is an integer
         if self.data_radix < 2 or self.echo_radix < 2:
             raise RangeError("radices must be at least 2")
         if not 1 < self.cancellation <= self.echo_modulus:
@@ -291,7 +304,7 @@ class Pam3Image(Record):
     def _check(self) -> None:
         if len(self.symbols) != IMAGE_SYMBOLS:
             raise RangeError(f"an image spans {IMAGE_SYMBOLS} symbols")
-        if any(level not in (-1, 0, 1) for level in self.symbols):
+        if any(integer("level", level) not in (-1, 0, 1) for level in self.symbols):
             raise RangeError("symbols take levels -1, 0, +1")
 
     @property

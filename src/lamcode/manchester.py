@@ -174,7 +174,6 @@ def metrics(letters: str, initial_level: str = LOW) -> ImageMetrics:
     head_run = min(len(letters), 2 if letters[1:2] == K else 1)
     tail_run = min(len(letters), 2 if letters[-1:] == K else 1)
     final_level = HIGH if high else LOW
-    # positional, in field order: a record binds keywords on its slow path
     return ImageMetrics(
         j_count, k_count, bias, peak_pos, peak_neg, final_level, bool(j_count % 2), j_count, head_run, tail_run
     )

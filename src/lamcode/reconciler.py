@@ -19,10 +19,11 @@ Both ends therefore walk the one generator `_schedule`; `enqueue`,
 
 from __future__ import annotations
 
+from operator import index
 from typing import Callable, Iterable, Iterator
 
 from .errors import RangeError, WorkbenchError
-from .record import Record, integer
+from .record import Record
 
 
 class Underflow(WorkbenchError, ValueError):
@@ -46,7 +47,6 @@ class MixedRadixQueue(Record):
     n: int = 0  # outputs produced
 
     def _check(self) -> None:
-        list(map(integer, self._fields, self))  # every field is an integer
         if self.n_q < 1 or not 0 <= self.b_q < self.n_q:
             raise RangeError(f"queue invariant violated: B_q={self.b_q}, N_q={self.n_q}")
 
@@ -66,7 +66,6 @@ class ReconcilerConfig(Record):
     capacity_threshold: int = 1  # K: dequeue only while N_q >= K * $N
 
     def _check(self) -> None:
-        integer("capacity_threshold", self.capacity_threshold)
         if self.capacity_threshold < 1:
             raise RangeError("capacity threshold K must be at least 1")
 
@@ -206,9 +205,12 @@ def decode_stream(
         ops.append(step)
     if produced != carried:
         raise FlushAmbiguity(f"schedule does not yield the {carried} symbols the stream carries")
+    try:
+        symbols = list(map(index, encoded.symbols))  # 5.5 would decode to 5.0
+    except TypeError:
+        raise DecodeError("symbols must be integers") from None
     value = 0
     inputs: list[int] = []
-    symbols = list(encoded.symbols)
     for op, radix, n_q_before, _ in reversed(ops):
         if op == "enqueue":
             b_in, value = divmod(value, n_q_before)

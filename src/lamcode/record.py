@@ -1,20 +1,22 @@
 """Immutable tuple-backed records: the package's one value type.
 
-A record class declares its fields as annotations, in order, with
-optional defaults. Its constructor binds arguments as a call does (a
-missing, unknown or duplicate one raises TypeError), then runs ``_check``;
-code whose fields are in range by construction builds it unchecked with
-``tuple.__new__(cls, fields)``. Setting or deleting an attribute raises
-AttributeError, so derived values are ``cached_property``s. A record
-equals only a record of its own class, never a plain tuple, and does not
-order (``<`` and the rest raise TypeError). Copies and pickles call the
-constructor; the repr names every field; records iterate, unpack and take
-``len`` as tuples do.
+A record class declares its fields as annotations, defaults last, no name
+starting with an underscore. A ``collections.namedtuple`` of the fields
+binds arguments (TypeError for a missing, unknown or duplicate one) and
+reads fields. The constructor refuses a non-integer in an ``int`` or
+``int | None`` field through ``integer``, then runs ``_check``. Records in
+range by construction are built unchecked by ``tuple.__new__(cls, fields)``
+(``enumerate_valid``, code-point and echo packing and unpacking); four
+classes store coerced values from their own ``__new__``. Attributes cannot be set or
+deleted, so derived values are ``cached_property``s. A record equals only
+records of its own class and does not order. Copies and pickles call the
+constructor; the repr names every field; records act as tuples otherwise.
 """
 
 from __future__ import annotations
 
-from operator import index, itemgetter
+from collections import namedtuple
+from operator import index
 
 from .errors import RangeError
 
@@ -23,25 +25,28 @@ class Record(tuple):
     """Base of every record class; see the module docstring for the contract."""
 
     __slots__ = ()
-    _fields: tuple[str, ...] = ()
-    _defaults: dict[str, object] = {}
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        names = tuple(cls.__dict__.get("__annotations__", ()))
-        cls._defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+        annotations = cls.__dict__.get("__annotations__", {})
+        names = tuple(annotations)
+        defaults = [cls.__dict__[name] for name in names if name in cls.__dict__]
+        if any(name in cls.__dict__ for name in names[: len(names) - len(defaults)]):
+            raise TypeError(f"{cls.__qualname__}: a field without a default follows one with a default")
+        shape = namedtuple(cls.__name__, names, defaults=defaults, module=cls.__module__)
+        cls._bind, cls._defaults = shape.__new__, shape._field_defaults
         cls._fields = cls.__match_args__ = names
-        for position, name in enumerate(names):
-            setattr(cls, name, property(itemgetter(position)))
+        optional = {"int": False, "int | None": True, int: False, int | None: True}  # integer fields: None allowed?
+        kinds = enumerate(annotations.items())
+        cls._integers = tuple((at, name, optional[kind]) for at, (name, kind) in kinds if kind in optional)
+        for name in names:
+            setattr(cls, name, shape.__dict__[name])  # the shape's C field getter
 
     def __new__(cls, *args, **kwargs):
-        names = cls._fields
-        if kwargs or len(args) != len(names):  # bind as a function binds its parameters
-            bound = {**cls._defaults, **dict(zip(names, args)), **kwargs}
-            if len(args) > len(names) or len(bound) != len(names) or not kwargs.keys() <= set(names[len(args):]):
-                raise TypeError(f"{cls.__qualname__}() takes {names}: missing, unknown or duplicate arguments")
-            args = [bound[name] for name in names]
-        record = tuple.__new__(cls, args)
+        record = cls._bind(cls, *args, **kwargs)
+        for at, name, optional in cls._integers:
+            if record[at].__class__ is not int and not (optional and record[at] is None):
+                integer(name, record[at])
         record._check()
         return record
 

@@ -123,7 +123,6 @@ class PartitionSolution(Record):
     x_odd: int
 
     def _check(self) -> None:
-        list(map(integer, self._fields, self))  # every field is an integer
         if min(self.m_even, self.m_odd, self.x_even, self.x_odd) < 0:
             raise RangeError("all partition quantities must be nonnegative")
         if self.x_even % 2 or self.x_odd % 2 == 0:
@@ -273,7 +272,6 @@ class BinMap(Record):
     layout: tuple[int, int, int]  # leaf, core, leaf bin counts
 
     def _check(self) -> None:
-        list(map(integer, ("r", "n"), self))
         if sum(self.sizes) != 1 << self.r or len(self.sizes) != self.n:
             raise RangeError("bin sizes must tile the outcome space")
 
@@ -353,9 +351,13 @@ def pack_point(root: int, affix: int, inversion: int = 0) -> CodePoint:
 
 
 def unpack_point(value: int) -> CodePoint:
-    if not 0 <= value < POINT_SPACE:
-        raise RangeError(f"value must lie in [0, {POINT_SPACE})")
-    return tuple.__new__(CodePoint, (value // AFFIX_SPACE, value % AFFIX_SPACE, 0))
+    """The point of a packed value; a value that is not an integer fails the shift, raised as RangeError."""
+    try:
+        if not 0 <= value < POINT_SPACE:
+            raise RangeError(f"value must lie in [0, {POINT_SPACE})")
+        return tuple.__new__(CodePoint, (value >> AFFIX_BITS, value & AFFIX_SPACE - 1, 0))
+    except TypeError:
+        raise RangeError(f"value must be an integer, not {type(value).__name__}") from None
 
 
 def _key_step(point: CodePoint, key: tuple[int, int, int], sign: int) -> CodePoint:

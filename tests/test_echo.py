@@ -67,6 +67,21 @@ def test_pack_round_trip_exhaustive():
             assert echo.pack_forced(sample).value == value
 
 
+def test_non_integer_digits_are_refused_in_both_pools():
+    # a float or Fraction equal to an octal digit passes the digit set; the sample refuses it
+    for digits in ((1.0, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6.0), (0, 0, Fraction(4), 0, 0, 0)):
+        with pytest.raises(RangeError, match="digit must be an integer, not"):
+            echo.NativeSample(1, digits)
+    for digits in ((1.0, 2, 3), (0, 0, np.float64(7))):
+        with pytest.raises(RangeError, match="digit must be an integer, not"):
+            echo.ForcedSample(3, digits)
+    # numpy integer digits are stored as ints, so the packers fold them without overflow
+    native = echo.NativeSample(1, (np.int8(7),) * 6)
+    assert native.digits == (7,) * 6 and {type(digit) for digit in native.digits} == {int}
+    assert echo.pack_native(native).value == echo.NATIVE_POOL - 1
+    assert echo.pack_forced(echo.ForcedSample(11, (np.uint8(7),) * 3)).value == echo.POOL_TOTAL - 1
+
+
 def test_sample_record_semantics():
     native = echo.NativeSample(1, (1, 2, 3, 4, 5, 6))
     forced = echo.ForcedSample(3)

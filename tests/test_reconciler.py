@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -213,6 +214,19 @@ def test_decoder_round_trips_or_raises(count, symbols, in_radix, out_radix, k):
     except WorkbenchError:
         return
     assert encode_stream(data, oracle, config) == encoded
+
+
+def test_decoder_refuses_non_integer_symbols():
+    # (5.5,) would otherwise decode to [5.0], which neither round-trips nor raises
+    oracle = constant_oracle(256, 259)
+    assert decode_stream(EncodedStream(1, (5,)), oracle) == [5]
+    for symbols in ((5.5,), (5.0,), ("5",), (None,)):
+        with pytest.raises(DecodeError, match="symbols must be integers"):
+            decode_stream(EncodedStream(1, symbols), oracle)
+    # a float header count is refused where the stream is built
+    with pytest.raises(RangeError, match="count must be an integer"):
+        EncodedStream(1.0, (5,))
+    assert decode_stream(EncodedStream(True, (np.int64(5),)), oracle) == [5]
 
 
 @pytest.mark.parametrize("symbols", [(), (1, 2, 3)])

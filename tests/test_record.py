@@ -6,6 +6,7 @@ import os
 import pickle
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -146,6 +147,13 @@ def test_non_integer_fields_are_refused():
         lambda: reconciler.MixedRadixQueue(0, 2, 1.5),
         lambda: scrambler.PartitionSolution(1, 2, 1, 1, 0, 2.0),
         lambda: scrambler.BinMap(1.0, 2, (1, 1), (0, 2, 0)),
+        lambda: echo.Pam3Image((1.0,) + (0,) * 11, 1, 1, 0, 0),  # 1.0 is in (-1, 0, 1)
+        lambda: echo.Pam3Image((1,) + (0,) * 11, 1.5, 1, 0, 0),
+        lambda: ternary.TernaryPage(1.5, ternary.reference_dictionary().page(1).entries),
+        lambda: reconciler.EncodedStream(1.0, ()),
+        lambda: reconciler.EncodedStream(None, ()),
+        lambda: dictionary.ImageFilter(min_transits=0.5),
+        lambda: dictionary.ImageFilter(max_droop=2.0),
     ):
         with pytest.raises(RangeError, match="must be an integer"):
             build()
@@ -156,6 +164,36 @@ def test_integer_like_fields_are_accepted():
     assert echo.NativeSample(np.int8(1), (0,) * 6) == echo.NativeSample(True, (0,) * 6)
     assert echo.ForcedSample(np.int32(11)).position == 11
     assert reconciler.MixedRadixQueue(np.int64(1), 2, True).m == 1
+
+
+def test_integer_rule_follows_the_annotations():
+    class Span(Record):  # annotations evaluated here, postponed (strings) in lamcode
+        start: int
+        stop: int | None = None
+        scale: float = 1.0
+
+    assert Span._fields == ("start", "stop", "scale") and Span._defaults == {"stop": None, "scale": 1.0}
+    assert Span(1) == Span(start=1, stop=None, scale=1.0) and Span(1, scale=0.5).scale == 0.5
+    assert Span(np.int64(2), True).stop is True  # integer-like values pass and are stored as given
+    for args in ((1.5,), (None,), ("1",), (1, 2.0), (1, Fraction(2))):
+        with pytest.raises(RangeError, match="must be an integer"):
+            Span(*args)
+    assert [cls for cls in RECORD_CLASSES if cls._integers] == [
+        cls for cls in RECORD_CLASSES if {"int", "int | None"} & set(cls.__annotations__.values())
+    ]
+
+
+def test_bad_record_classes_are_refused_when_defined():
+    with pytest.raises(TypeError, match="follows one with a default"):
+
+        class Late(Record):  # namedtuple would move the default onto b
+            a: int = 0
+            b: int
+
+    with pytest.raises(ValueError, match="underscore"):
+
+        class Hidden(Record):
+            _a: int
 
 
 def test_cli_import_leaves_dataclasses_and_inspect_out():

@@ -359,6 +359,14 @@ def test_pack_examples():
         unpack_point(530_432)
 
 
+def test_unpack_point_refuses_non_integers():
+    # 5.5 would otherwise unpack to CodePoint(0.0, 5.5, 0), a record its constructor refuses
+    for value in (5.5, 3.0, Fraction(3), "3", None):
+        with pytest.raises(RangeError, match="value must be an integer"):
+            unpack_point(value)
+    assert unpack_point(True) == unpack_point(1) == CodePoint(0, 1)
+
+
 @given(st.integers(min_value=0, max_value=POINT_SPACE - 1))
 def test_pack_unpack_round_trip(value):
     assert unpack_point(value).value == value
