@@ -2,9 +2,9 @@
 
 Two disjoint sample pools share one code-point range: native echoes carry
 an auxiliary bit plus six octal digits, forced echoes carry an event
-position plus three octal digits.  Around them sit the super-group
-placement rules, round-length planning, the single-word mocking round,
-and an exact census over the 3^12 serial-image space.
+position plus three octal digits.  Around them sit the event resolution,
+round-length planning, the single-word mocking round, and an exact census
+over the 3^12 serial-image space.
 """
 
 from __future__ import annotations
@@ -12,9 +12,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import lru_cache
-from itertools import groupby
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from . import scrambler
 from .errors import RangeError, SizeLimit, WorkbenchError
@@ -24,7 +23,6 @@ OCTAL = 8
 NATIVE_DIGITS = 6
 FORCED_DIGITS = 3
 GROUP_WORDS = 12
-HALF_WORDS = GROUP_WORDS // 2
 NATIVE_POOL = 2 * OCTAL**NATIVE_DIGITS
 FORCED_POOL = GROUP_WORDS * OCTAL**FORCED_DIGITS
 POOL_TOTAL = NATIVE_POOL + FORCED_POOL
@@ -32,7 +30,6 @@ IMAGE_SYMBOLS = 12
 IMAGE_SPACE = 3**IMAGE_SYMBOLS
 NIBBLE_NS = 40.0
 MII_POSITIONS = 9
-FRAMINGS = ("preamble_sfd", "ifg", "frame")
 ROUND_BIT_BUDGET = 1 << 20  # largest power, in bits, a round plan may build
 
 
@@ -40,19 +37,18 @@ class Infeasible(WorkbenchError, ArithmeticError):
     """The echo-capable radix cannot outrun the data radix."""
 
 
-class Conflict(WorkbenchError, ValueError):
-    """The odd half of the super group already carries a forced echo."""
-
-
 _OCTAL_DIGITS = frozenset(range(OCTAL))
 
 
 def _octal_digits(pool: str, digits: tuple[int, ...], count: int) -> tuple[int, ...]:
     """Digits that failed a sample's quick test, refused or returned as ints (numpy integers pass)."""
-    if len(digits) != count:
-        raise RangeError(f"{pool} sample carries {count} digits")
-    if not _OCTAL_DIGITS.issuperset(digits):
-        raise RangeError("digits must be octal")
+    try:
+        if len(digits) != count:
+            raise RangeError(f"{pool} sample carries {count} digits")
+        if not _OCTAL_DIGITS.issuperset(digits):
+            raise RangeError("digits must be octal")
+    except TypeError:  # no length (None, a bare number) or an unhashable digit
+        raise RangeError(f"{pool} sample carries {count} octal digits") from None
     return tuple(integer("digit", digit) for digit in digits)  # a float or Fraction equal to one is refused
 
 
@@ -154,41 +150,6 @@ def unpack_sample(point: scrambler.CodePoint | int) -> NativeSample | ForcedSamp
         raise RangeError(f"code point must be an integer, not {type(value).__name__}") from None
 
 
-class SuperGroup(Record):
-    """Twelve transport words: delimiters keep to the even half (slots 0-5),
-    a forced echo keeps to the odd half (slots 6-11) as one round."""
-
-    delimiters: frozenset[int] = frozenset()
-    echo: ForcedSample | None = None
-
-    def __new__(cls, delimiters: Iterable[int] = frozenset(), echo: ForcedSample | None = None) -> SuperGroup:
-        delimiters = frozenset(delimiters)
-        if any(not 0 <= integer("delimiter", slot) < HALF_WORDS for slot in delimiters):
-            raise RangeError("delimiters may occupy only the even half")
-        return tuple.__new__(cls, (delimiters, echo))
-
-    @property
-    def words(self) -> tuple:
-        even = tuple("delimiter" if s in self.delimiters else None for s in range(HALF_WORDS))
-        odd = tuple(self.echo for _ in range(HALF_WORDS)) if self.echo else (None,) * HALF_WORDS
-        return even + odd
-
-
-def place_event(
-    group: SuperGroup,
-    position: int,
-    digits: tuple[int, ...] = (0, 0, 0),
-    mii: bool = False,
-) -> SuperGroup:
-    """Schedule a forced echo carrying the event position into the odd half."""
-    limit = MII_POSITIONS if mii else GROUP_WORDS
-    if not 0 <= position < limit:
-        raise RangeError(f"position must lie in [0, {limit})")
-    if group.echo is not None:
-        raise Conflict("odd half already carries a forced echo")
-    return SuperGroup(group.delimiters, ForcedSample(position, digits))
-
-
 def event_resolution(mii: bool = False) -> tuple[float, float]:
     """Fixation resolution and uncertainty in nanoseconds."""
     period = NIBBLE_NS if mii else scrambler.WORD_NS
@@ -278,47 +239,6 @@ def mock_round(echo_modulus: int) -> MockRound:
     if echo_modulus < 1 or echo_modulus & (echo_modulus - 1):
         raise RangeError("echo modulus must be a power of two")
     return MockRound(echo_modulus, echo_modulus.bit_length() - 1)
-
-
-def echo_area(framing: str) -> tuple[int, int]:
-    """Gross and net bit-time budget an echo may borrow from the framing."""
-    areas = {
-        "preamble_sfd": (64, 48),
-        "ifg": (96, 80),
-    }
-    areas["frame"] = tuple(a + b for a, b in zip(areas["preamble_sfd"], areas["ifg"]))
-    if framing not in areas:
-        raise RangeError(f"framing must be one of {FRAMINGS}")
-    return areas[framing]
-
-
-class Pam3Image(Record):
-    """Twelve-symbol serial image with its filterable features."""
-
-    symbols: tuple[int, ...]
-    head_droop: int
-    tail_droop: int
-    dc_unbalance: int
-    transits: int
-
-    def _check(self) -> None:
-        if len(self.symbols) != IMAGE_SYMBOLS:
-            raise RangeError(f"an image spans {IMAGE_SYMBOLS} symbols")
-        if any(integer("level", level) not in (-1, 0, 1) for level in self.symbols):
-            raise RangeError("symbols take levels -1, 0, +1")
-
-    @property
-    def index(self) -> int:
-        return int("".join(str(level + 1) for level in self.symbols), 3)
-
-
-def image_profile(index: int) -> Pam3Image:
-    """Measure one image by its index, first symbol most significant."""
-    if not 0 <= index < IMAGE_SPACE:
-        raise RangeError(f"index must lie in [0, {IMAGE_SPACE})")
-    levels = tuple(index // 3**k % 3 - 1 for k in reversed(range(IMAGE_SYMBOLS)))
-    runs = [len(list(run)) for _, run in groupby(levels)]  # head run first, tail run last
-    return Pam3Image(levels, runs[0], runs[-1], sum(levels), len(runs) - 1)
 
 
 @lru_cache(maxsize=1)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from itertools import accumulate, chain
 from operator import ne, xor
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import RangeError, WorkbenchError
 from .record import Record
@@ -29,13 +29,10 @@ K = "K"
 LOW = "L"
 HIGH = "H"
 
-BIT_TIME_NS = 100
-NARROW_PULSE_NS = BIT_TIME_NS // 2
-WIDE_PULSE_NS = BIT_TIME_NS
-
 _NOT_JK = str.maketrans("", "", J + K)
 _CELL = {False: J + J, True: K + J}  # has the bit changed? -> the cell's two letters
 _BOUNDARY_FLAG = bytes.maketrans((J + K).encode(), b"\0\1")  # letter -> bit change flag
+_BLOCK = 1 << 16  # letters metrics splits at once
 
 
 class InvalidRun(WorkbenchError, ValueError):
@@ -49,11 +46,6 @@ class FramingError(WorkbenchError, ValueError):
 def _check_level(level: str) -> None:
     if level not in (LOW, HIGH):
         raise RangeError(f"level must be {LOW!r} or {HIGH!r}, got {level!r}")
-
-
-def other_level(level: str) -> str:
-    _check_level(level)
-    return HIGH if level == LOW else LOW
 
 
 def check_letters(letters: str) -> None:
@@ -148,28 +140,31 @@ def metrics(letters: str, initial_level: str = LOW) -> ImageMetrics:
     when the second (for the tail, the last) letter is K, else 1.
 
     Only the K letters are walked: the J run before each K flips the level
-    once per J.
+    once per J. The stream is split in blocks of _BLOCK letters, so the
+    run strings held at once stay bounded; the J run left open at a block's
+    end flips the level there, and the next block's first run continues it.
     """
     check_letters(letters)
     _check_level(initial_level)
-    runs = letters.split(K)
-    last_run = runs.pop()  # the J run after the last K
     high = initial_level == HIGH
-    bias = peak_pos = peak_neg = 0
-    for run in runs:
-        if len(run) % 2:
+    bias = peak_pos = peak_neg = k_count = 0
+    for start in range(0, len(letters), _BLOCK):
+        runs = letters[start : start + _BLOCK].split(K)
+        open_run = runs.pop()  # the J run after the block's last K
+        for run in runs:
+            if len(run) % 2:
+                high = not high
+            if high:
+                bias += 1
+                if bias > peak_pos:
+                    peak_pos = bias
+            else:
+                bias -= 1
+                if bias < peak_neg:
+                    peak_neg = bias
+        if len(open_run) % 2:
             high = not high
-        if high:
-            bias += 1
-            if bias > peak_pos:
-                peak_pos = bias
-        else:
-            bias -= 1
-            if bias < peak_neg:
-                peak_neg = bias
-    if len(last_run) % 2:
-        high = not high
-    k_count = len(runs)
+        k_count += len(runs)
     j_count = len(letters) - k_count
     head_run = min(len(letters), 2 if letters[1:2] == K else 1)
     tail_run = min(len(letters), 2 if letters[-1:] == K else 1)
@@ -184,49 +179,3 @@ def letter_contributions(letters: str, initial_level: str = LOW) -> list[int]:
     check_letters(letters)
     levels = level_trace(letters, initial_level)
     return [0 if ch == J else 1 if level == HIGH else -1 for ch, level in zip(letters, levels)]
-
-
-class Pulse(Record):
-    """One MDI pulse: polarity '+' or '-', narrow (half bit) or wide (full bit)."""
-
-    polarity: str
-    wide: bool
-
-    @property
-    def duration_ns(self) -> int:
-        return WIDE_PULSE_NS if self.wide else NARROW_PULSE_NS
-
-    def __str__(self) -> str:
-        return ("W" if self.wide else "N") + self.polarity
-
-
-def pulse_train(bits: Sequence[int], initial_level: str = LOW) -> list[Pulse]:
-    """Interior pulse run of a bit sequence.
-
-    The train spans the window between the first and the last mid-cell
-    transition, which every Manchester stream possesses, so the leading
-    and trailing half cells fall outside it. Runs never exceed a full
-    bit time: each pulse is narrow or wide.
-    """
-    window = level_trace(bits_to_letters(bits, initial_level), initial_level)[1:-1]
-    train: list[Pulse] = []
-    i = 0
-    while i < len(window):
-        run = 1
-        while i + run < len(window) and window[i + run] == window[i]:
-            run += 1
-        if run > 2:
-            raise FramingError("level run beyond one bit time")
-        train.append(Pulse("+" if window[i] == HIGH else "-", wide=run == 2))
-        i += run
-    return train
-
-
-def glue_pulses(train: Sequence[Pulse]) -> str:
-    """Letters of a pulse train, narrow = JJ and wide = JKJ, glued on shared Js."""
-    if not train:
-        return ""
-    parts = [J]
-    for pulse in train:
-        parts.append(K + J if pulse.wide else J)
-    return "".join(parts)

@@ -13,8 +13,7 @@ less (the rounding loss per output symbol is at most log2(1 + 1/K)
 bits) at the price of a larger resident value. When the encoder and
 decoder both run the same gate, the emitted stream plus the input
 symbol count is exactly decodable; the count rides in a fixed header.
-Both ends therefore walk the one generator `_schedule`; `enqueue`,
-`test` and `dequeue` on a `MixedRadixQueue` are the reference steps.
+Both ends therefore walk the one generator `_schedule`.
 """
 
 from __future__ import annotations
@@ -26,29 +25,12 @@ from .errors import RangeError, WorkbenchError
 from .record import Record
 
 
-class Underflow(WorkbenchError, ValueError):
-    """Dequeue from a queue holding no information (N_q <= 1)."""
-
-
 class FlushAmbiguity(WorkbenchError, ValueError):
     """Symbol count does not match the replayed schedule."""
 
 
 class DecodeError(WorkbenchError, ValueError):
     """Symbol values are inconsistent with any input stream."""
-
-
-class MixedRadixQueue(Record):
-    """Queued value and capacity plus input/output step counters."""
-
-    b_q: int = 0
-    n_q: int = 1
-    m: int = 0  # inputs consumed
-    n: int = 0  # outputs produced
-
-    def _check(self) -> None:
-        if self.n_q < 1 or not 0 <= self.b_q < self.n_q:
-            raise RangeError(f"queue invariant violated: B_q={self.b_q}, N_q={self.n_q}")
 
 
 class RadixOracle(Record):
@@ -68,37 +50,6 @@ class ReconcilerConfig(Record):
     def _check(self) -> None:
         if self.capacity_threshold < 1:
             raise RangeError("capacity threshold K must be at least 1")
-
-
-def enqueue(q: MixedRadixQueue, b_in: int, n_in: int) -> MixedRadixQueue:
-    """Push one radix-N_in symbol on top of the queued value."""
-    if n_in < 2:
-        raise RangeError("input radix must be at least 2")
-    if not 0 <= b_in < n_in:
-        raise RangeError(f"symbol {b_in} outside radix {n_in}")
-    return MixedRadixQueue(b_in * q.n_q + q.b_q, n_in * q.n_q, q.m + 1, q.n)
-
-
-def test(q: MixedRadixQueue, out_radix: int, k: int = 1) -> bool:
-    """Gate for a mid-stream dequeue."""
-    return q.n_q >= k * out_radix
-
-
-def dequeue(q: MixedRadixQueue, out_radix: int) -> tuple[MixedRadixQueue, int]:
-    """Peel the bottom radix-$N digit off the queued value.
-
-    Valid whenever the queue holds anything at all; mid-stream the
-    machine additionally gates on `test`, while the final flush drains
-    without it. The capacity rounds up so the invariant B_q < N_q can
-    never break on the way down.
-    """
-    if out_radix < 3:
-        raise RangeError("output radix must be at least 3")
-    if q.n_q <= 1:
-        raise Underflow("queue holds no information")
-    b_out = q.b_q % out_radix
-    n_q = -(-q.n_q // out_radix)
-    return MixedRadixQueue(q.b_q // out_radix, n_q, q.m, q.n + 1), b_out
 
 
 class EncodedStream(Record):
@@ -195,7 +146,11 @@ def decode_stream(
     """
     if encoded.count < 0:
         raise RangeError("negative input count")
-    carried = len(encoded.symbols)
+    try:
+        symbols = list(map(index, encoded.symbols))  # 5.5 would decode to 5.0
+    except TypeError:  # a non-integer symbol, or symbols that are no sequence
+        raise DecodeError("symbols must be integers") from None
+    carried = len(symbols)
     ops = []
     produced = 0
     for step in _schedule(encoded.count, oracle, config):
@@ -205,10 +160,6 @@ def decode_stream(
         ops.append(step)
     if produced != carried:
         raise FlushAmbiguity(f"schedule does not yield the {carried} symbols the stream carries")
-    try:
-        symbols = list(map(index, encoded.symbols))  # 5.5 would decode to 5.0
-    except TypeError:
-        raise DecodeError("symbols must be integers") from None
     value = 0
     inputs: list[int] = []
     for op, radix, n_q_before, _ in reversed(ops):

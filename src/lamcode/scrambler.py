@@ -58,26 +58,12 @@ def _check_state(state: int) -> None:
         raise RangeError(f"state needs at most {LFSR_WIDTH} bits")
 
 
-def lfsr_next(state: int) -> tuple[int, int]:
-    """Advance the register one half-bit tick; returns (state, output bit)."""
-    _check_state(state)
-    out = state & 1
-    feedback = (state ^ (state >> LFSR_TAP)) & 1
-    return (state >> 1) | (feedback << (LFSR_WIDTH - 1)), out
-
-
-def lfsr_advance_word(state: int) -> int:
-    """Advance 33 ticks at once.
+def _advance_word(state: int) -> int:
+    """Advance a checked state 33 ticks at once; the draw loop checks once, not per step.
 
     The next 33 output bits of a Fibonacci register are exactly the
     current state, LSB first, so whole-state draws need only this step.
     """
-    _check_state(state)
-    return _advance_word(state)
-
-
-def _advance_word(state: int) -> int:
-    """lfsr_advance_word for a checked state; the draw loop checks once, not per step."""
     folded = state ^ (state >> LFSR_TAP)
     return (folded & 0xFFFFF) | ((((folded >> 20) ^ folded) & 0x1FFF) << 20)
 

@@ -18,8 +18,8 @@ from functools import cached_property, lru_cache
 from importlib import resources
 
 from .errors import RangeError, WorkbenchError
-from .paging import PagedCodec, PageMiss, stationary_distribution  # benchmarks/tracer.py patches this binding
-from .paging import Reducible  # noqa: F401 - re-exported beside its solver
+from .paging import PagedCodec, stationary_distribution  # benchmarks/tracer.py patches this binding
+from .paging import PageMiss, Reducible  # noqa: F401 - re-exported beside the codec and its solver
 from .record import Record
 from .scrambler import KEY_BITS, bubble_map  # noqa: F401 - benchmarks/tracer.py patches ternary.bubble_map
 
@@ -34,11 +34,6 @@ VARIANTS = (REFERENCE, BROADENED)
 KEY_SPACE = 1 << KEY_BITS
 DELIMITER_KINDS = ("SSD", "ESD", "ESD_ERR")
 DELIMITER_PERIODS = (1, 2, 3, 4)
-EVENT_SLOTS = ("fade_in", "flag", "meta")
-
-# Reserved broadened-page codes per event slot, keyed by disparity.
-FADE_IN_PAIRS = {1: (1, 9), 2: (0, 11), 3: (0, 11), 4: (1, 9)}
-FLAG_PAIRS = {2: (0, 17), 3: (0, 17)}
 
 # Longest same-symbol run the bound search will tolerate before giving up.
 RUN_CAP = 16
@@ -46,10 +41,6 @@ RUN_CAP = 16
 
 class UndefinedCell(WorkbenchError, ValueError):
     """Delimiter slot with no word assigned."""
-
-
-class SlotUnavailable(WorkbenchError, ValueError):
-    """Event slot with no reserved words at the current disparity."""
 
 
 def _check_sigma(sigma: int) -> None:
@@ -63,14 +54,6 @@ def check_word(symbols: str) -> None:
     for ch in symbols:
         if ch not in SYMBOL_VALUES:
             raise RangeError(f"unknown symbol {ch!r}")
-
-
-_FLIP = {"L": "H", "z": "z", "H": "L"}
-
-
-def invert_word(symbols: str) -> str:
-    check_word(symbols)
-    return "".join(_FLIP[ch] for ch in symbols)
 
 
 class TernaryWord(Record):
@@ -122,7 +105,10 @@ class TernaryPage(Record):
     entries: tuple[PageEntry, ...]
 
     def _check(self) -> None:
-        codes = [entry.code for entry in self.entries]
+        try:
+            codes = [entry.code for entry in self.entries]
+        except (TypeError, AttributeError):  # not iterable, or holding something else
+            raise RangeError(f"page {self.sigma} entries must be page entries") from None
         if codes != list(range(len(codes))):
             raise RangeError(f"page {self.sigma} codes must run 0..{len(codes) - 1}")
 
@@ -204,21 +190,6 @@ def dictionary_for(variant: str) -> PagedTernaryDictionary:
     return _load(variant)
 
 
-def flag_rep_counts(sigma: int) -> dict[int, int]:
-    """Alternate representation counts reserved for event-flag periods.
-
-    Shipped as data only; the regular codec never consumes them.
-    """
-    _check_sigma(sigma)
-    counts = {}
-    for row in broadened_rows():
-        code = row[f"s{sigma}_id"]
-        rep = row[f"s{sigma}_rprev"]
-        if code and rep:
-            counts[int(code)] = int(rep)
-    return counts
-
-
 def encode_nibble(code: int, sigma: int, variant: str = REFERENCE) -> TernaryWord:
     """Word for a data value at the current disparity.
 
@@ -232,14 +203,6 @@ def encode_nibble(code: int, sigma: int, variant: str = REFERENCE) -> TernaryWor
 def paged_codec(variant: str = REFERENCE) -> PagedCodec:
     """The page tables of one shipped variant."""
     return dictionary_for(variant).codec
-
-
-def decode_word(symbols: str, sigma: int, variant: str = REFERENCE) -> tuple[int, int]:
-    """Inverse lookup: the code and the next disparity."""
-    codes, after = paged_codec(variant).decode(symbols, sigma)
-    if len(codes) != 1:
-        raise PageMiss(f"word {symbols!r} not in page {sigma}")
-    return codes[0], after
 
 
 def encode_stream(codes, variant: str = REFERENCE, start_sigma: int = START_SIGMA) -> str:
@@ -296,33 +259,6 @@ def delimiter_word(s4: int, sigma: int, period: int, kind: str = "any") -> str:
     if word is None:
         raise UndefinedCell(f"no word at s4={s4} sigma={sigma} period={period} kind={kind}")
     return word
-
-
-def delimiter(kind: str, sigma: int, s4: int) -> tuple[str, str, str, str]:
-    """Four-word delimiting run; only the closing word depends on the kind."""
-    if kind not in DELIMITER_KINDS:
-        raise RangeError(f"kind must be one of {DELIMITER_KINDS}, got {kind!r}")
-    return (
-        delimiter_word(s4, sigma, 1),
-        delimiter_word(s4, sigma, 2),
-        delimiter_word(s4, sigma, 3),
-        delimiter_word(s4, sigma, 4, kind),
-    )
-
-
-def event_pattern(sigma: int, slot: str) -> tuple[int, ...]:
-    """Reserved broadened-page codes for an event slot at this disparity."""
-    _check_sigma(sigma)
-    if slot == "fade_in":
-        return FADE_IN_PAIRS[sigma]
-    if slot == "flag":
-        pair = FLAG_PAIRS.get(sigma)
-        if pair is None:
-            raise SlotUnavailable(f"no flag pair at disparity {sigma}")
-        return pair
-    if slot == "meta":
-        return tuple(range(len(broadened_dictionary().page(sigma).entries)))
-    raise RangeError(f"slot must be one of {EVENT_SLOTS}, got {slot!r}")
 
 
 def _chain(dictionary: PagedTernaryDictionary):

@@ -1,5 +1,6 @@
-"""Echo pools, super-group placement, round planning, image census."""
+"""Echo pools, event resolution, round planning, image census."""
 
+import itertools
 import math
 import random
 import time
@@ -96,10 +97,11 @@ def test_sample_record_semantics():
     for sample, field in ((native, "aux"), (forced, "position"), (forced, "digits")):
         with pytest.raises(AttributeError):
             setattr(sample, field, 0)
-    for fields in ((-1, (0,) * 6), (0, (0,) * 7), (0, (0, 0, 0, 0, 0, -1)), (1.0, (0,) * 6)):
+    bad_native = ((-1, (0,) * 6), (0, (0,) * 7), (0, (0, 0, 0, 0, 0, -1)), (1.0, (0,) * 6), (1, None), (1, ([1],) * 6))
+    for fields in bad_native:
         with pytest.raises(RangeError):
             echo.NativeSample(*fields)
-    for fields in ((-1, (0, 0, 0)), (0, (0, 0)), (0, (0, 0, 8)), (0, (0, 0, 0, 0)), (0.5,)):
+    for fields in ((-1, (0, 0, 0)), (0, (0, 0)), (0, (0, 0, 8)), (0, (0, 0, 0, 0)), (0.5,), (1, 5)):
         with pytest.raises(RangeError):
             echo.ForcedSample(*fields)
     # a digit must equal one of 0..7: numbers between them are refused
@@ -198,41 +200,6 @@ def test_rounds_past_the_bit_budget_are_refused():
     assert time.perf_counter() - started < 1.0
 
 
-def test_place_event():
-    group = echo.SuperGroup(frozenset({0, 4}))
-    placed = echo.place_event(group, 0)
-    assert placed.echo.position == 0
-    assert placed.delimiters == frozenset({0, 4})
-    words = placed.words
-    assert words[0] == "delimiter" and words[4] == "delimiter"
-    assert all(w is None for i, w in enumerate(words[:6]) if i not in (0, 4))
-    assert all(w == placed.echo for w in words[6:])
-    with pytest.raises(echo.Conflict):
-        echo.place_event(placed, 3)
-    with pytest.raises(RangeError):
-        echo.place_event(group, 12)
-    with pytest.raises(RangeError):
-        echo.SuperGroup(frozenset({7}))
-
-
-def test_place_event_mii_mode():
-    group = echo.SuperGroup()
-    assert echo.place_event(group, 8, mii=True).echo.position == 8
-    with pytest.raises(RangeError):
-        echo.place_event(group, 9, mii=True)
-
-
-def test_halves_never_mix():
-    for delimiters in (frozenset(), frozenset({0}), frozenset(range(6))):
-        for position in range(12):
-            placed = echo.place_event(echo.SuperGroup(delimiters), position)
-            words = placed.words
-            assert all(w in (None, "delimiter") for w in words[:6])
-            assert all(isinstance(w, echo.ForcedSample) for w in words[6:])
-            with pytest.raises(echo.Conflict):
-                echo.place_event(placed, position)
-
-
 def test_event_resolution():
     assert echo.event_resolution() == (30.0, 15.0)
     assert echo.event_resolution(mii=True) == (40.0, 20.0)
@@ -246,17 +213,6 @@ def test_mock_round():
     for bad in (0, 3, 12, -2):
         with pytest.raises(RangeError):
             echo.mock_round(bad)
-
-
-def test_echo_area():
-    assert echo.echo_area("preamble_sfd") == (64, 48)
-    assert echo.echo_area("ifg") == (96, 80)
-    assert echo.echo_area("frame") == (160, 128)
-    gross = echo.echo_area("preamble_sfd")[0] + echo.echo_area("ifg")[0]
-    net = echo.echo_area("preamble_sfd")[1] + echo.echo_area("ifg")[1]
-    assert echo.echo_area("frame") == (gross, net)
-    with pytest.raises(RangeError):
-        echo.echo_area("idle")
 
 
 def test_census_open_and_impossible():
@@ -297,6 +253,13 @@ def feature_columns() -> dict[str, np.ndarray]:
     }
 
 
+def image_profile(index):
+    """Head run, tail run, dc sum and transits of one image, first symbol most significant."""
+    levels = [index // 3**k % 3 - 1 for k in reversed(range(echo.IMAGE_SYMBOLS))]
+    runs = [len(list(run)) for _, run in itertools.groupby(levels)]  # head run first, tail run last
+    return runs[0], runs[-1], sum(levels), len(runs) - 1
+
+
 def test_census_matches_scalar_profile():
     cols = feature_columns()
     radix = echo.IMAGE_SYMBOLS + 1  # every feature lies in [0, 12]
@@ -314,23 +277,12 @@ def test_census_matches_scalar_profile():
     rng = random.Random(0x1A6E)
     for _ in range(300):
         index = rng.randrange(echo.IMAGE_SPACE)
-        profile = echo.image_profile(index)
-        assert profile.index == index
-        assert profile.head_droop == int(cols["head"][index])
-        assert profile.tail_droop == int(cols["tail"][index])
-        assert profile.dc_unbalance == int(cols["dc"][index])
-        assert profile.transits == int(cols["transits"][index])
-        cell = (profile.head_droop, profile.tail_droop, abs(profile.dc_unbalance), profile.transits)
-        assert histogram[cell] >= 1
-
-
-def test_image_profile_validation():
-    with pytest.raises(RangeError):
-        echo.image_profile(531441)
-    with pytest.raises(RangeError):
-        echo.Pam3Image((0,) * 11, 1, 1, 0, 0)
-    with pytest.raises(RangeError):
-        echo.Pam3Image((2,) + (0,) * 11, 1, 1, 0, 0)
+        head, tail, dc, transits = image_profile(index)
+        assert head == int(cols["head"][index])
+        assert tail == int(cols["tail"][index])
+        assert dc == int(cols["dc"][index])
+        assert transits == int(cols["transits"][index])
+        assert histogram[head, tail, abs(dc), transits] >= 1
 
 
 def test_mean_transits_over_whole_space():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lamcode import ternary
+from lamcode import manchester, ternary
 from lamcode.errors import WorkbenchError
 from lamcode.errors import RangeError
 from lamcode.manchester import (
@@ -18,15 +18,11 @@ from lamcode.manchester import (
     FramingError,
     ImageMetrics,
     InvalidRun,
-    Pulse,
     bits_to_letters,
     check_letters,
-    glue_pulses,
     letters_to_bits,
     level_trace,
     metrics,
-    other_level,
-    pulse_train,
 )
 
 bit_lists = st.lists(st.integers(min_value=0, max_value=1), max_size=24)
@@ -39,13 +35,6 @@ def legal_letter_strings(max_size: int = 16):
         st.text(alphabet=[J, K], max_size=max_size)
         .filter(lambda s: K + K not in s)
     )
-
-
-def test_other_level():
-    assert other_level(LOW) == HIGH
-    assert other_level(HIGH) == LOW
-    with pytest.raises(ValueError):
-        other_level("X")
 
 
 def test_encode_examples():
@@ -153,7 +142,7 @@ def test_inversion_negates_bias(letters):
     assert hi.peak_neg == -lo.peak_pos
     assert hi.inverting == lo.inverting
     if letters:
-        assert hi.final_level == other_level(lo.final_level)
+        assert hi.final_level == (HIGH if lo.final_level == LOW else LOW)
 
 
 @given(legal_letter_strings(), legal_letter_strings(), levels)
@@ -177,23 +166,36 @@ def test_bias_of_encoded_bits_is_bounded(bits, level):
     assert m.peak_pos - m.peak_neg <= 2
 
 
+# --- pulse model -------------------------------------------------------------
+# The MDI pulse train, a pulse being (polarity, wide): an independent reading
+# of the waveform that the letter codec and level trace must agree with.
+
+
+def pulse_train(bits, level):
+    """Interior pulses between the first and last mid-cell transitions."""
+    window = level_trace(bits_to_letters(bits, level), level)[1:-1]
+    train = []
+    i = 0
+    while i < len(window):
+        run = 1
+        while i + run < len(window) and window[i + run] == window[i]:
+            run += 1
+        assert run <= 2, "level run beyond one bit time"
+        train.append(("+" if window[i] == HIGH else "-", run == 2))
+        i += run
+    return train
+
+
+def glue_pulses(train):
+    """Letters of a pulse train, narrow = JJ and wide = JKJ, glued on shared Js."""
+    return J + "".join(K + J if wide else J for _, wide in train) if train else ""
+
+
 def test_pulse_train_examples():
-    train = pulse_train([0, 1], LOW)  # levels H L | L H, window L L
-    assert train == [Pulse("-", wide=True)]
-    train = pulse_train([0, 0], LOW)  # window L H
-    assert train == [Pulse("-", wide=False), Pulse("+", wide=False)]
+    assert pulse_train([0, 1], LOW) == [("-", True)]  # levels H L | L H, window L L
+    assert pulse_train([0, 0], LOW) == [("-", False), ("+", False)]  # window L H
     assert pulse_train([0], LOW) == []
     assert pulse_train([], LOW) == []
-
-
-def test_pulse_durations():
-    assert Pulse("+", wide=False).duration_ns == 50
-    assert Pulse("-", wide=True).duration_ns == 100
-    assert str(Pulse("+", wide=False)) == "N+"
-    assert str(Pulse("-", wide=True)) == "W-"
-
-
-def test_glue_pulses_empty():
     assert glue_pulses([]) == ""
 
 
@@ -207,19 +209,17 @@ def test_glue_recovers_letters(bits, level):
 @given(st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=20), levels)
 def test_pulse_polarity_alternates(bits, level):
     train = pulse_train(bits, level)
-    for first, second in zip(train, train[1:]):
-        assert first.polarity != second.polarity
+    for (first, _), (second, _) in zip(train, train[1:]):
+        assert first != second
 
 
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: other_level("X"),
         lambda: check_letters("JX"),
         lambda: bits_to_letters([2]),
         lambda: bits_to_letters([0], "X"),
         lambda: level_trace("JX"),
-        lambda: pulse_train([0, 2]),
         lambda: ternary.check_word("LXH"),
     ],
 )
@@ -380,6 +380,21 @@ def test_round_trip_matches_serial_walk_on_long_streams():
         assert letters == _serial_bits_to_letters(bits, level)
         assert letters_to_bits(letters, level) == _serial_letters_to_bits(letters, level) == bits
         assert metrics(letters, level) == _serial_metrics(letters, level)
+
+
+@pytest.mark.parametrize(
+    "letters",
+    [
+        "J" * (manchester._BLOCK - 1) + "K" + "J" * 7,  # K at the last letter of the first block
+        "J" * manchester._BLOCK + "KJ" * 9,  # K at the first letter of the second block
+        "JK" * (manchester._BLOCK // 2 - 2) + "J" * 7 + "K",  # a J run across the boundary
+        "KJJ" * manchester._BLOCK,  # three blocks, the last one partial
+    ],
+    ids=["k-ends-block", "k-opens-block", "j-run-spans", "three-blocks"],
+)
+@pytest.mark.parametrize("level", [LOW, HIGH])
+def test_metrics_across_block_boundaries(letters, level):
+    assert metrics(letters, level) == _serial_metrics(letters, level)
 
 
 def test_encoder_takes_any_number_equal_to_a_bit():

@@ -4,65 +4,53 @@ import itertools
 import math
 import random
 
+from collections import namedtuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lamcode import reconciler
 from lamcode.errors import RangeError, WorkbenchError
 from lamcode.reconciler import (
     DecodeError,
     EncodedStream,
     FlushAmbiguity,
-    MixedRadixQueue,
     RadixOracle,
     ReconcilerConfig,
-    Underflow,
     constant_oracle,
     decode_stream,
-    dequeue,
     encode_stream,
-    enqueue,
 )
 
+# --- reference queue steps ----------------------------------------------------
+# One queue operation at a time on the state (B_q, N_q, inputs m, outputs n):
+# the oracle that the encoder's schedule walk is checked against.
 
-def test_queue_invariant_enforced():
-    MixedRadixQueue(b_q=0, n_q=1)
-    with pytest.raises(RangeError):
-        MixedRadixQueue(b_q=1, n_q=1)
-    with pytest.raises(RangeError):
-        MixedRadixQueue(b_q=-1, n_q=5)
-    with pytest.raises(RangeError):
-        MixedRadixQueue(b_q=0, n_q=0)
-    with pytest.raises(RangeError, match="b_q must be an integer"):
-        MixedRadixQueue(0.5, 2)
+MixedRadixQueue = namedtuple("MixedRadixQueue", "b_q n_q m n", defaults=(0, 1, 0, 0))
 
 
-def test_enqueue_examples():
-    q = enqueue(MixedRadixQueue(), 3, 10)
-    assert (q.b_q, q.n_q, q.m) == (3, 10, 1)
-    q = enqueue(q, 7, 10)
-    assert (q.b_q, q.n_q, q.m) == (73, 100, 2)
-    with pytest.raises(RangeError):
-        enqueue(q, 10, 10)
+def enqueue(q, b_in, n_in):
+    """Push one radix-N_in symbol on top of the queued value."""
+    assert 0 <= b_in < n_in
+    return MixedRadixQueue(b_in * q.n_q + q.b_q, n_in * q.n_q, q.m + 1, q.n)
 
 
-def test_dequeue_example():
-    q = MixedRadixQueue(b_q=73, n_q=100)
-    q, b_out = dequeue(q, 3)
-    assert b_out == 1
-    assert (q.b_q, q.n_q, q.n) == (24, 34, 1)
+def gate(q, out_radix, k):
+    """Whether a mid-stream dequeue may run."""
+    return q.n_q >= k * out_radix
 
 
-def test_dequeue_underflow():
-    with pytest.raises(Underflow):
-        dequeue(MixedRadixQueue(), 3)
+def dequeue(q, out_radix):
+    """Peel the bottom radix-$N digit off the queued value; the capacity rounds up."""
+    assert q.n_q > 1, "queue holds no information"
+    return MixedRadixQueue(q.b_q // out_radix, -(-q.n_q // out_radix), q.m, q.n + 1), q.b_q % out_radix
 
 
-def test_threshold_gate():
-    q = MixedRadixQueue(b_q=0, n_q=3)
-    assert reconciler.test(q, 3, k=1)
-    assert not reconciler.test(q, 3, k=2)
+def test_reference_steps():
+    q = enqueue(enqueue(MixedRadixQueue(), 3, 10), 7, 10)
+    assert q == (73, 100, 2, 0)
+    assert dequeue(q, 3) == ((24, 34, 2, 1), 1)
+    assert gate(MixedRadixQueue(0, 3), 3, k=1) and not gate(MixedRadixQueue(0, 3), 3, k=2)
 
 
 def test_full_drain_renumbers():
@@ -220,7 +208,7 @@ def test_decoder_refuses_non_integer_symbols():
     # (5.5,) would otherwise decode to [5.0], which neither round-trips nor raises
     oracle = constant_oracle(256, 259)
     assert decode_stream(EncodedStream(1, (5,)), oracle) == [5]
-    for symbols in ((5.5,), (5.0,), ("5",), (None,)):
+    for symbols in ((5.5,), (5.0,), ("5",), (None,), 5, None):
         with pytest.raises(DecodeError, match="symbols must be integers"):
             decode_stream(EncodedStream(1, symbols), oracle)
     # a float header count is refused where the stream is built
@@ -274,7 +262,7 @@ def _reference_fold(data, oracle, k):
     for b_in in data:
         q = enqueue(q, b_in, oracle.input_radix(q.m))
         trace.append(f"enqueue,{q.b_q},{q.n_q},{b_in}")
-        while reconciler.test(q, oracle.output_radix(q.n), k):
+        while gate(q, oracle.output_radix(q.n), k):
             drain("dequeue")
     while q.n_q > 1:
         drain("flush")

@@ -29,15 +29,11 @@ def _examples() -> dict[type, tuple]:
         scrambler.budget(33),
         echo.NativeSample(1, (1, 2, 3, 4, 5, 6)),
         echo.ForcedSample(3, (1, 2, 3)),
-        echo.SuperGroup(frozenset({0, 4}), echo.ForcedSample(3)),
         echo.plan_round(16, 20, 2),
         echo.mock_round(4),
-        echo.image_profile(1234),
         dictionary.enumerate_valid(4)[1],
         dictionary.ImageFilter(2, False, 1, 2),
         manchester.metrics("JKJJ"),
-        manchester.Pulse("+", True),
-        reconciler.MixedRadixQueue(73, 100, 2, 0),
         reconciler.RadixOracle(abs, abs),  # picklable callables
         reconciler.ReconcilerConfig(4),
         reconciler.EncodedStream(3, (1, 2)),
@@ -65,7 +61,7 @@ RECORD_CLASSES = sorted(set(_record_classes()), key=lambda cls: (cls.__module__,
 
 def test_every_record_class_has_an_example():
     assert set(EXAMPLES) == set(RECORD_CLASSES)
-    assert len(RECORD_CLASSES) == 23
+    assert len(RECORD_CLASSES) == 19
 
 
 @pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda cls: cls.__qualname__)
@@ -120,7 +116,7 @@ def test_copies_are_checked():
     # a record built unchecked with an out-of-range field cannot be copied
     for bad in (
         tuple.__new__(scrambler.CodePoint, (259, 0, 0)),
-        tuple.__new__(reconciler.MixedRadixQueue, (5, 5, 0, 0)),
+        tuple.__new__(echo.RoundPlan, (16, 20, 2, 2, 3)),
         tuple.__new__(ternary.TernaryPage, (1, (ternary.PageEntry(ternary.word_metrics("LzH"), 1, 2),))),
     ):
         with pytest.raises(RangeError):
@@ -142,13 +138,10 @@ def test_derived_values_are_rebuilt_not_copied():
 def test_non_integer_fields_are_refused():
     # beside the code point, sample and reconciler refusal tests: the other checked records
     for build in (
-        lambda: echo.SuperGroup({0.5}),
         lambda: echo.RoundPlan(16, 20, 2, 2, 3.0),
-        lambda: reconciler.MixedRadixQueue(0, 2, 1.5),
+        lambda: reconciler.ReconcilerConfig(1.5),
         lambda: scrambler.PartitionSolution(1, 2, 1, 1, 0, 2.0),
         lambda: scrambler.BinMap(1.0, 2, (1, 1), (0, 2, 0)),
-        lambda: echo.Pam3Image((1.0,) + (0,) * 11, 1, 1, 0, 0),  # 1.0 is in (-1, 0, 1)
-        lambda: echo.Pam3Image((1,) + (0,) * 11, 1.5, 1, 0, 0),
         lambda: ternary.TernaryPage(1.5, ternary.reference_dictionary().page(1).entries),
         lambda: reconciler.EncodedStream(1.0, ()),
         lambda: reconciler.EncodedStream(None, ()),
@@ -159,11 +152,19 @@ def test_non_integer_fields_are_refused():
             build()
 
 
+def test_non_sequence_fields_are_refused():
+    # a page's entries must be page entries, not None, a number or bare values
+    for entries in (None, 5, (1, 2)):
+        with pytest.raises(RangeError, match="entries must be page entries"):
+            ternary.TernaryPage(1, entries)
+
+
 def test_integer_like_fields_are_accepted():
     assert scrambler.CodePoint(np.int64(3), np.uint16(4), True) == scrambler.CodePoint(3, 4, 1)
     assert echo.NativeSample(np.int8(1), (0,) * 6) == echo.NativeSample(True, (0,) * 6)
     assert echo.ForcedSample(np.int32(11)).position == 11
-    assert reconciler.MixedRadixQueue(np.int64(1), 2, True).m == 1
+    assert reconciler.EncodedStream(np.int64(1), ()).count == 1
+    assert reconciler.ReconcilerConfig(np.int64(2)).capacity_threshold == 2
 
 
 def test_integer_rule_follows_the_annotations():

@@ -14,6 +14,11 @@ from lamcode.errors import RangeError, WorkbenchError
 from lamcode.paging import PagedCodec, PageMiss
 
 
+def invert_word(symbols):
+    """The word mirrored through level 0, H and L swapped."""
+    return symbols.translate(str.maketrans("LH", "HL"))
+
+
 def test_word_metrics_examples():
     m = ternary.word_metrics("LLL")
     assert (m.delta_dc, m.peaks, m.transits) == (-3, (0, -3), 0)
@@ -36,7 +41,7 @@ def test_word_metrics_examples():
 @given(st.text(alphabet="LzH", min_size=3, max_size=3))
 def test_metrics_inversion(symbols):
     m = ternary.word_metrics(symbols)
-    flipped = ternary.word_metrics(ternary.invert_word(symbols))
+    flipped = ternary.word_metrics(invert_word(symbols))
     assert flipped.delta_dc == -m.delta_dc
     assert flipped.peaks == (-m.peak_neg, -m.peak_pos)
     assert flipped.transits == m.transits
@@ -46,12 +51,12 @@ def test_metrics_inversion(symbols):
 
 
 def test_invert_word_involution():
-    assert ternary.invert_word("LzH") == "HzL"
+    assert invert_word("LzH") == "HzL"
     for a in "LzH":
         for b in "LzH":
             for c in "LzH":
                 word = a + b + c
-                assert ternary.invert_word(ternary.invert_word(word)) == word
+                assert invert_word(invert_word(word)) == word
 
 
 def test_stored_cells_match_measurement():
@@ -99,7 +104,7 @@ def test_page_inversion_symmetry():
         for sigma in ternary.SIGMA_LEVELS:
             low = d.page(sigma).entries
             high = d.page(5 - sigma).entries
-            flipped = {ternary.invert_word(e.word.symbols): e.rep_count for e in low}
+            flipped = {invert_word(e.word.symbols): e.rep_count for e in low}
             assert flipped == {e.word.symbols: e.rep_count for e in high}
 
 
@@ -108,15 +113,15 @@ def test_encode_examples():
     for sigma in ternary.SIGMA_LEVELS:
         assert ternary.encode_nibble(0b0111, sigma).symbols == "LzH"
     assert ternary.encode_nibble(0b1100, 1).symbols == "HHH"
-    assert ternary.decode_word("LLL", 4) == (0b1001, 1)
-    assert ternary.decode_word("HHH", 1) == (0b1100, 4)
+    assert ternary.paged_codec().decode("LLL", 4) == ([0b1001], 1)
+    assert ternary.paged_codec().decode("HHH", 1) == ([0b1100], 4)
 
 
 def test_decode_errors():
     with pytest.raises(ternary.PageMiss):
-        ternary.decode_word("HHH", 4)
+        ternary.paged_codec().decode("HHH", 4)
     with pytest.raises(ternary.PageMiss):
-        ternary.decode_word("zzz", 2)
+        ternary.paged_codec().decode("zzz", 2)
     with pytest.raises(RangeError):
         ternary.encode_nibble(16, 1)
     with pytest.raises(RangeError):
@@ -180,13 +185,20 @@ def test_scrambled_selection_matches_weights():
         assert hist == {e.word.symbols: e.rep_count for e in page.entries}
 
 
+def delimiter(kind, sigma, s4):
+    """The four-word delimiting run; only the closing word depends on the kind."""
+    return tuple(ternary.delimiter_word(s4, sigma, period) for period in (1, 2, 3)) + (
+        ternary.delimiter_word(s4, sigma, 4, kind),
+    )
+
+
 def test_delimiter_sequences():
-    assert ternary.delimiter("SSD", 1, 0) == ("zzz", "zzz", "LzH", "HHL")
-    assert ternary.delimiter("ESD", 1, 0) == ("zzz", "zzz", "LzH", "HLH")
-    assert ternary.delimiter("ESD_ERR", 1, 0) == ("zzz", "zzz", "LzH", "LHH")
-    assert ternary.delimiter("SSD", 4, 1) == ("zzz", "zzz", "HzL", "LLH")
-    assert ternary.delimiter("ESD", 4, 1) == ("zzz", "zzz", "HzL", "LHL")
-    assert ternary.delimiter("ESD_ERR", 4, 1) == ("zzz", "zzz", "HzL", "HLL")
+    assert delimiter("SSD", 1, 0) == ("zzz", "zzz", "LzH", "HHL")
+    assert delimiter("ESD", 1, 0) == ("zzz", "zzz", "LzH", "HLH")
+    assert delimiter("ESD_ERR", 1, 0) == ("zzz", "zzz", "LzH", "LHH")
+    assert delimiter("SSD", 4, 1) == ("zzz", "zzz", "HzL", "LLH")
+    assert delimiter("ESD", 4, 1) == ("zzz", "zzz", "HzL", "LHL")
+    assert delimiter("ESD_ERR", 4, 1) == ("zzz", "zzz", "HzL", "HLL")
 
 
 def test_delimiter_grid():
@@ -207,14 +219,14 @@ def test_delimiter_grid():
 def test_delimiter_blanks_and_ranges():
     for sigma in (2, 3, 4):
         with pytest.raises(ternary.UndefinedCell):
-            ternary.delimiter("SSD", sigma, 0)
+            delimiter("SSD", sigma, 0)
     for sigma in (1, 2, 3):
         with pytest.raises(ternary.UndefinedCell):
-            ternary.delimiter("ESD", sigma, 1)
+            delimiter("ESD", sigma, 1)
     with pytest.raises(ternary.UndefinedCell):
         ternary.delimiter_word(0, 2, 4, "SSD")
     with pytest.raises(RangeError):
-        ternary.delimiter("SFD", 1, 0)
+        delimiter("SFD", 1, 0)
     with pytest.raises(RangeError):
         ternary.delimiter_word(2, 1, 3)
     with pytest.raises(RangeError):
@@ -223,48 +235,42 @@ def test_delimiter_blanks_and_ranges():
         ternary.delimiter_word(0, 1, 5)
 
 
-def test_event_patterns():
-    assert ternary.event_pattern(1, "fade_in") == (1, 9)
-    assert ternary.event_pattern(2, "fade_in") == (0, 11)
-    assert ternary.event_pattern(3, "fade_in") == (0, 11)
-    assert ternary.event_pattern(4, "fade_in") == (1, 9)
-    assert ternary.event_pattern(2, "flag") == (0, 17)
-    assert ternary.event_pattern(3, "flag") == (0, 17)
-    for sigma in (1, 4):
-        with pytest.raises(ternary.SlotUnavailable):
-            ternary.event_pattern(sigma, "flag")
-    assert ternary.event_pattern(1, "meta") == tuple(range(16))
-    assert ternary.event_pattern(2, "meta") == tuple(range(18))
-    with pytest.raises(RangeError):
-        ternary.event_pattern(0, "meta")
-    with pytest.raises(RangeError):
-        ternary.event_pattern(1, "sync")
+# Reserved broadened-page codes per event slot, keyed by disparity; the flag
+# slot has no pair at the edge pages.
+FADE_IN_PAIRS = {1: (1, 9), 2: (0, 11), 3: (0, 11), 4: (1, 9)}
+FLAG_PAIRS = {2: (0, 17), 3: (0, 17)}
 
 
 def test_event_pattern_words():
     d = ternary.broadened_dictionary()
-    fade = [d.page(1).entry_for(c).word for c in ternary.event_pattern(1, "fade_in")]
+    fade = [d.page(1).entry_for(c).word for c in FADE_IN_PAIRS[1]]
     assert [w.symbols for w in fade] == ["HHz", "LHH"]
     assert sorted(w.delta_dc for w in fade) == [1, 2]
-    flag2 = [d.page(2).entry_for(c).word for c in ternary.event_pattern(2, "flag")]
+    flag2 = [d.page(2).entry_for(c).word for c in FLAG_PAIRS[2]]
     assert [w.symbols for w in flag2] == ["HHL", "LLH"]
     assert [w.delta_dc for w in flag2] == [1, -1]
-    flag3 = [d.page(3).entry_for(c).word for c in ternary.event_pattern(3, "flag")]
+    flag3 = [d.page(3).entry_for(c).word for c in FLAG_PAIRS[3]]
     assert [w.symbols for w in flag3] == ["LLH", "HHL"]
-    fade4 = [d.page(4).entry_for(c).word for c in ternary.event_pattern(4, "fade_in")]
+    fade4 = [d.page(4).entry_for(c).word for c in FADE_IN_PAIRS[4]]
     assert [w.symbols for w in fade4] == ["LLz", "HLL"]
     assert sorted(w.delta_dc for w in fade4) == [-2, -1]
 
 
 def test_flag_rep_counts_stored():
+    # alternate representation counts shipped for event-flag periods, beside each page code
     edge = {1: 5, 2: 4, 3: 5, 4: 3, 5: 3, 6: 3, 7: 3, 8: 3, 9: 3}
     mid = {0: 2, 1: 2, 2: 3, 3: 3, 4: 2, 5: 2, 6: 3, 7: 3, 8: 3, 9: 3, 10: 3, 11: 3}
-    assert ternary.flag_rep_counts(1) == edge
-    assert ternary.flag_rep_counts(2) == mid
-    assert ternary.flag_rep_counts(3) == mid
-    assert ternary.flag_rep_counts(4) == edge
+    counts = {
+        sigma: {
+            int(row[f"s{sigma}_id"]): int(row[f"s{sigma}_rprev"])
+            for row in ternary.broadened_rows()
+            if row[f"s{sigma}_id"] and row[f"s{sigma}_rprev"]
+        }
+        for sigma in ternary.SIGMA_LEVELS
+    }
+    assert counts == {1: edge, 2: mid, 3: mid, 4: edge}
     for sigma in ternary.SIGMA_LEVELS:
-        assert sum(ternary.flag_rep_counts(sigma).values()) == 32
+        assert sum(counts[sigma].values()) == 32
 
 
 def test_transition_matrix_exact():
@@ -556,7 +562,7 @@ def test_boundary_transit_profile_sweep():
     assert sorted(w for _, _, w in shipped[2]) == [1] * 4 + [2] * 14
     cells = []
     for light in itertools.combinations([word for word, _, _ in shipped[2]], 4):
-        mirrored = {ternary.invert_word(word) for word in light}
+        mirrored = {invert_word(word) for word in light}
         pages = dict(shipped)
         pages[2] = [(word, delta, 1 if word in light else 2) for word, delta, _ in shipped[2]]
         pages[3] = [(word, delta, 1 if word in mirrored else 2) for word, delta, _ in shipped[3]]
