@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from operator import is_
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -280,17 +281,28 @@ def _jump_census(pages: tuple[tuple[str, ...], ...]) -> dict[str | None, tuple[i
     return census
 
 
+_last_jump = [((), _jump_census(()))]  # the page tuples of the last all-tuple call and their census
+
+
 def position_jump_probability(
     pages: Sequence[Iterable[str]], i: int, mask: str | None = None
 ) -> Fraction:
     """Probability that letter i is J over the deduplicated page union.
 
     Every call on one page set reads one shared census of the union, so a
-    table of positions and masks counts the letters once. Pages are keyed
-    by content: a list page mutated between calls is censused afresh.
+    table of positions and masks counts the letters once. When every page
+    is the same tuple object as in the last call, that call's census is
+    read without hashing the words again; other pages are keyed by
+    content, so a list page mutated between calls is censused afresh.
     Words of mixed widths are refused with RangeError.
     """
-    census = _jump_census(tuple(map(tuple, pages)))
+    pages = tuple(pages)
+    last_pages, census = _last_jump[0]
+    if len(pages) != len(last_pages) or not all(map(is_, pages, last_pages)):
+        key = tuple(map(tuple, pages))
+        census = _jump_census(key)
+        if all(map(is_, key, pages)):  # every page a tuple: immutable, and held here so no id is reused
+            _last_jump[0] = key, census
     size, columns = census[None]
     if mask is not None:
         if size and not columns:  # the union is the empty word alone

@@ -71,6 +71,8 @@ class NativeSample(Record):
             bits = None
         if bits.__class__ is not int or not 0 <= bits < OCTAL:
             digits = _octal_digits("native", digits, NATIVE_DIGITS)
+        elif digits.__class__ is not tuple:  # a list of octal ints: stored as a tuple, so the sample hashes
+            digits = (d0, d1, d2, d3, d4, d5)
         return tuple.__new__(cls, (aux, digits))
 
 
@@ -93,6 +95,8 @@ class ForcedSample(Record):
             bits = None
         if bits.__class__ is not int or not 0 <= bits < OCTAL:
             digits = _octal_digits("forced", digits, FORCED_DIGITS)
+        elif digits.__class__ is not tuple:
+            digits = (d0, d1, d2)
         return tuple.__new__(cls, (position, digits))
 
 

@@ -109,6 +109,7 @@ class PartitionSolution(Record):
     x_odd: int
 
     def _check(self) -> None:
+        _check_width(self.r)
         if min(self.m_even, self.m_odd, self.x_even, self.x_odd) < 0:
             raise RangeError("all partition quantities must be nonnegative")
         if self.x_even % 2 or self.x_odd % 2 == 0:
@@ -135,9 +136,14 @@ class PartitionSolution(Record):
         return _nests(self.m_even, self.m_odd - 1)
 
 
-def _check_rn(r: int, n: int) -> None:
+def _check_width(r: int) -> None:
+    """Refuse a width outside [1, MAX_WIDTH] before anything shifts by it."""
     if not 1 <= r <= MAX_WIDTH:
         raise RangeError(f"r must lie in [1, {MAX_WIDTH}]")
+
+
+def _check_rn(r: int, n: int) -> None:
+    _check_width(r)
     if n < 1:
         raise RangeError("base must be at least 1")
     if n > 1 << r:
@@ -258,7 +264,12 @@ class BinMap(Record):
     layout: tuple[int, int, int]  # leaf, core, leaf bin counts
 
     def _check(self) -> None:
-        if sum(self.sizes) != 1 << self.r or len(self.sizes) != self.n:
+        _check_width(self.r)
+        try:
+            tiles = sum(self.sizes) == 1 << self.r and len(self.sizes) == self.n
+        except TypeError:  # not a sequence of numbers
+            raise RangeError("bin sizes must be a sequence of integers") from None
+        if not tiles:
             raise RangeError("bin sizes must tile the outcome space")
 
     @cached_property
@@ -375,15 +386,35 @@ def descramble_point(point: CodePoint, key: tuple[int, int, int]) -> CodePoint:
 
 
 def scramble_values(values, key: tuple[int, int, int]):
-    """Vectorized scramble of packed numeric values (inversion excluded)."""
+    """Vectorized scramble of packed numeric values (inversion excluded), as a new int64 array.
+
+    The affix key only touches the bits below AFFIX_BITS, and a root plus
+    a root key stays below 2 * ROOT_BASE, so the scramble is one XOR, one
+    add of the shifted root key and one subtract of POINT_SPACE where the
+    sum wrapped. That holds for in-range values only: the root key, a
+    value outside the point space and a value that is not an integer
+    (a float, or an int too wide for int64) are refused with RangeError,
+    as the scalar path refuses them.
+    """
     import numpy as np  # bulk audit path only
 
     s259, s11, _ = key
-    values = np.asarray(values, dtype=np.int64)
-    root = (values >> AFFIX_BITS) + s259
-    root %= ROOT_BASE
-    affix = (values & (AFFIX_SPACE - 1)) ^ (s11 & (AFFIX_SPACE - 1))
-    return (root << AFFIX_BITS) | affix
+    if not 0 <= s259 < ROOT_BASE:
+        raise RangeError(f"root key must lie in [0, {ROOT_BASE})")
+    try:
+        values = np.asarray(values)
+    except ValueError:  # a ragged nest of sequences
+        raise RangeError("values must be an array of integers") from None
+    if not values.size:
+        return np.empty(values.shape, np.int64)
+    if values.dtype.kind not in "iu":
+        raise RangeError(f"values must be integers, not {values.dtype}")
+    if values.min() < 0 or values.max() >= POINT_SPACE:
+        raise RangeError(f"values must lie in [0, {POINT_SPACE})")
+    out = np.bitwise_xor(values, s11 & (AFFIX_SPACE - 1), dtype=np.int64)  # a new array: the caller's stays
+    out += s259 << AFFIX_BITS
+    np.subtract(out, POINT_SPACE, out=out, where=out >= POINT_SPACE)
+    return out
 
 
 def repetition_period(t: int) -> float:

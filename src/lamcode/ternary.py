@@ -16,6 +16,7 @@ import csv
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from importlib import resources
+from math import lcm
 
 from .errors import RangeError, WorkbenchError
 from .paging import PagedCodec, stationary_distribution  # benchmarks/tracer.py patches this binding
@@ -347,33 +348,47 @@ class PortraitStats(Record):
 def portrait(dictionary: PagedTernaryDictionary) -> PortraitStats:
     """Exact occupancy statistics under uniform code flow, in one pass.
 
-    The boundary transit is one minus the chance that the next word opens
-    with the symbol this one ends on: `ends` meets `opens` per (page, symbol).
+    Every cell sums weights boundary[sigma] * share. They are summed as
+    integers over one scale, the boundary denominators' lcm times the
+    share denominators' lcm (a weight's denominator divides that product,
+    not always the lcm of all of them), and each cell becomes a Fraction
+    once. The boundary transit is one minus the chance that the next word
+    opens with the symbol this one ends on: `ends` meets `opens` per
+    (page, symbol), over scale times the share lcm.
     """
     boundary = stationary_distribution(transition_matrix(dictionary))
+    chain = list(_chain(dictionary))
+    boundary_lcm = lcm(*(p.denominator for p in boundary))
+    share_lcm = lcm(*(share.denominator for _, share, _, _ in chain))
+    scale = boundary_lcm * share_lcm
+    page_weights = [p.numerator * (boundary_lcm // p.denominator) for p in boundary]
     levels = [{} for _ in range(WORD_LENGTH)]
-    letters = [dict.fromkeys(SYMBOLS, Fraction(0)) for _ in range(WORD_LENGTH)]
-    transits = [Fraction(0)] * WORD_LENGTH
-    opens = {}  # (disparity, symbol): share of the page's words that open with it
-    ends = {}  # (next disparity, symbol): weight of words that end with it there
-    for sigma, share, word, after in _chain(dictionary):
-        weight = boundary[sigma - 1] * share
+    letters = [dict.fromkeys(SYMBOLS, 0) for _ in range(WORD_LENGTH)]
+    transits = [0] * (WORD_LENGTH - 1)  # within words; the boundary transit is appended last
+    opens = {}  # (disparity, symbol): share of the page's words that open with it, times share_lcm
+    ends = {}  # (next disparity, symbol): weight of words that end with it there, times scale
+    for sigma, share, word, after in chain:
+        share = share.numerator * (share_lcm // share.denominator)
+        weight = page_weights[sigma - 1] * share
+        symbols = word.symbols
         level = sigma
-        for k, ch in enumerate(word.symbols):
+        for k, ch in enumerate(symbols):
             level += SYMBOL_VALUES[ch]
             levels[k][level] = levels[k].get(level, 0) + weight
             letters[k][ch] += weight
-            if k + 1 < WORD_LENGTH and ch != word.symbols[k + 1]:
+            if k + 1 < WORD_LENGTH and ch != symbols[k + 1]:
                 transits[k] += weight
-        opens[sigma, word.symbols[0]] = opens.get((sigma, word.symbols[0]), 0) + share
-        ends[after, word.symbols[-1]] = ends.get((after, word.symbols[-1]), 0) + weight
-    transits[-1] = 1 - sum(weight * opens.get(key, 0) for key, weight in ends.items())
+        opens[sigma, symbols[0]] = opens.get((sigma, symbols[0]), 0) + share
+        ends[after, symbols[-1]] = ends.get((after, symbols[-1]), 0) + weight
+    repeats = sum(weight * opens.get(key, 0) for key, weight in ends.items())
+    p_transit = [Fraction(n, scale) for n in transits]
+    p_transit.append(Fraction(scale * share_lcm - repeats, scale * share_lcm))
 
     return PortraitStats(
         variant=dictionary.variant,
         boundary=boundary,
-        p_sigma_phase=tuple({level: phase[level] for level in sorted(phase)} for phase in levels),
-        p_letter_phase=tuple(letters),
-        p_transit=tuple(transits),
+        p_sigma_phase=tuple({level: Fraction(phase[level], scale) for level in sorted(phase)} for phase in levels),
+        p_letter_phase=tuple({ch: Fraction(n, scale) for ch, n in phase.items()} for phase in letters),
+        p_transit=tuple(p_transit),
         run_bounds=run_bounds(dictionary),
     )

@@ -453,6 +453,20 @@ def test_jump_census_once_per_page_set(monkeypatch):
     assert len(built) == 3
 
 
+def test_jump_reuses_the_census_of_the_same_page_tuples(monkeypatch):
+    # the same tuple objects skip the content key; equal new tuples and lists take it
+    keyed = []
+    count_letters = dictionary._jump_census.__wrapped__
+    monkeypatch.setattr(dictionary, "_jump_census", lambda pages: keyed.append(pages) or count_letters(pages))
+    pages = build_pages(12, filter_for_data_bits(6))
+    assert [position_jump_probability(pages, i) for i in range(12)] == [jump_oracle(pages, i) for i in range(12)]
+    assert len(keyed) == 1
+    position_jump_probability(tuple(tuple(page) for page in build_pages(12, filter_for_data_bits(6))), 0)
+    position_jump_probability([list(page) for page in pages], 0)
+    position_jump_probability([list(page) for page in pages], 0)
+    assert len(keyed) == 4
+
+
 def test_decode_stream_bad_length_is_size_limit():
     with pytest.raises(SizeLimit):
         decode_stream("", 0, UNIT_BIAS)

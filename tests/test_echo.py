@@ -94,6 +94,10 @@ def test_sample_record_semantics():
     assert native != (1, (1, 2, 3, 4, 5, 6)) and forced != (3, (0, 0, 0))
     assert (3, (0, 0, 0)) != forced
     assert len({native, forced, echo.ForcedSample(3), echo.unpack_sample(echo.pack_native(native))}) == 2
+    # digits given as a list are stored as a tuple: the sample hashes and equals the tuple-built one
+    from_lists = (echo.NativeSample(1, [1, 2, 3, 4, 5, 6]), echo.ForcedSample(3, [0, 0, 0]))
+    assert from_lists == (native, forced) and hash(from_lists) == hash((native, forced))
+    assert all(type(sample.digits) is tuple for sample in from_lists)
     for sample, field in ((native, "aux"), (forced, "position"), (forced, "digits")):
         with pytest.raises(AttributeError):
             setattr(sample, field, 0)

@@ -150,6 +150,12 @@ def test_non_integer_fields_are_refused():
     ):
         with pytest.raises(RangeError, match="must be an integer"):
             build()
+    # a width outside [1, MAX_WIDTH] is refused before anything shifts by it
+    for r in (10**400, -1, 0):
+        with pytest.raises(RangeError, match=r"r must lie in \[1, 4096\]"):
+            scrambler.PartitionSolution(r, 2, 1, 1, 0, 2)
+        with pytest.raises(RangeError, match=r"r must lie in \[1, 4096\]"):
+            scrambler.BinMap(r, 2, (1, 1), (0, 2, 0))
 
 
 def test_non_sequence_fields_are_refused():
@@ -157,6 +163,9 @@ def test_non_sequence_fields_are_refused():
     for entries in (None, 5, (1, 2)):
         with pytest.raises(RangeError, match="entries must be page entries"):
             ternary.TernaryPage(1, entries)
+    for sizes in (None, 5, "3"):
+        with pytest.raises(RangeError, match="bin sizes must be a sequence of integers"):
+            scrambler.BinMap(1, 2, sizes, (0, 2, 0))
 
 
 def test_integer_like_fields_are_accepted():

@@ -3,14 +3,17 @@
 import copy
 import operator
 import pickle
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lamcode import scrambler
 from lamcode.errors import RangeError
 from lamcode.scrambler import (
+    AFFIX_BITS,
     AFFIX_SPACE,
     LFSR_PERIOD,
     LFSR_TAP,
@@ -449,8 +452,6 @@ def test_scramble_examples():
 
 
 def test_scramble_values_is_permutation():
-    import numpy as np
-
     values = np.arange(POINT_SPACE)
     for key in ((37, 0x155, 1), (258, 2047, 0)):
         image = scramble_values(values, key)
@@ -458,6 +459,49 @@ def test_scramble_values_is_permutation():
         assert np.unique(image).size == POINT_SPACE
         point = scramble_point(CodePoint(123, 456), key)
         assert image[123 * AFFIX_SPACE + 456] == point.value
+
+
+def modulo_scramble_values(values, key):
+    """The root and the affix apart, the root sum reduced by an int64 modulo: the oracle of the packed scramble."""
+    s259, s11, _ = key
+    values = np.asarray(values, dtype=np.int64)
+    root = (values >> AFFIX_BITS) + s259
+    root %= ROOT_BASE
+    affix = (values & (AFFIX_SPACE - 1)) ^ (s11 & (AFFIX_SPACE - 1))
+    return (root << AFFIX_BITS) | affix
+
+
+def test_scramble_values_matches_modulo_oracle():
+    rng = random.Random(17)
+    keys = [(0, 0, 0), (1, 0x7FF, 1), (258, 0x2AA, 0), (0, 0xFFFF, 1)]
+    keys += [(rng.randrange(ROOT_BASE), rng.getrandbits(16), rng.getrandbits(1)) for _ in range(4)]
+    values = np.arange(POINT_SPACE)
+    for key in keys:
+        image = scramble_values(values, key)
+        assert image.dtype == np.int64
+        assert np.array_equal(image, modulo_scramble_values(values, key))
+        assert np.array_equal(values, np.arange(POINT_SPACE))  # the caller's array is read, never written
+    narrow = scramble_values(values.astype(np.int32), keys[-1])
+    assert narrow.dtype == np.int64 and np.array_equal(narrow, modulo_scramble_values(values, keys[-1]))
+    assert scramble_values([POINT_SPACE - 1, 0], (1, 0, 0)).tolist() == [AFFIX_SPACE - 1, AFFIX_SPACE]
+
+
+def test_scramble_values_refuses_what_the_scalar_path_refuses():
+    for s259 in (ROOT_BASE, 300, -1):
+        message = f"root key must lie in \\[0, {ROOT_BASE}\\)"
+        with pytest.raises(RangeError, match=message):
+            scramble_point(CodePoint(0, 0), (s259, 0, 0))
+        with pytest.raises(RangeError, match=message):
+            scramble_values(np.arange(4), (s259, 0, 0))
+    for values in ([-1], [POINT_SPACE], np.array([0, POINT_SPACE + 5]), np.array([2**63], dtype=np.uint64)):
+        with pytest.raises(RangeError, match="values must lie in"):
+            scramble_values(values, (1, 2, 0))
+    for values in ([1.5], np.array([1.0, 2.0]), [10**400], [0, 10**400], "12", None, [[1], [1, 2]]):
+        with pytest.raises(RangeError, match="values must be"):
+            scramble_values(values, (1, 2, 0))
+    for empty in ([], np.array([], dtype=np.float64)):
+        out = scramble_values(empty, (1, 2, 0))
+        assert out.dtype == np.int64 and out.shape == (0,)
 
 
 # --- budgets ------------------------------------------------------------

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lamcode import scrambler, ternary
@@ -456,6 +456,57 @@ def test_broadened_portrait_cells():
     assert stats.p_transit[1] == Fraction(642, 832)
     assert stats.p_transit[2] == Fraction(2267, 3328)
     assert round(float(stats.p_transit[0]), 2) == 0.77
+
+
+def fraction_portrait(dictionary):
+    """The portrait summed Fraction by Fraction, one weight at a time: the oracle of the integer sums."""
+    boundary = ternary.stationary_distribution(ternary.transition_matrix(dictionary))
+    levels = [{} for _ in range(ternary.WORD_LENGTH)]
+    letters = [dict.fromkeys(ternary.SYMBOLS, Fraction(0)) for _ in range(ternary.WORD_LENGTH)]
+    transits = [Fraction(0)] * ternary.WORD_LENGTH
+    opens, ends = {}, {}
+    for sigma, share, word, after in ternary._chain(dictionary):
+        weight = boundary[sigma - 1] * share
+        level = sigma
+        for k, ch in enumerate(word.symbols):
+            level += ternary.SYMBOL_VALUES[ch]
+            levels[k][level] = levels[k].get(level, 0) + weight
+            letters[k][ch] += weight
+            if k + 1 < ternary.WORD_LENGTH and ch != word.symbols[k + 1]:
+                transits[k] += weight
+        opens[sigma, word.symbols[0]] = opens.get((sigma, word.symbols[0]), 0) + share
+        ends[after, word.symbols[-1]] = ends.get((after, word.symbols[-1]), 0) + weight
+    transits[-1] = 1 - sum(weight * opens.get(key, 0) for key, weight in ends.items())
+    return ternary.PortraitStats(
+        variant=dictionary.variant,
+        boundary=boundary,
+        p_sigma_phase=tuple({level: phase[level] for level in sorted(phase)} for phase in levels),
+        p_letter_phase=tuple(letters),
+        p_transit=tuple(transits),
+        run_bounds=ternary.run_bounds(dictionary),
+    )
+
+
+def test_portrait_matches_fraction_oracle():
+    for variant in ternary.VARIANTS:
+        book = ternary.dictionary_for(variant)
+        stats, oracle = ternary.portrait(book), fraction_portrait(book)
+        assert stats == oracle and repr(stats) == repr(oracle)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ternary.VARIANTS), st.data())
+def test_portrait_matches_fraction_oracle_on_redrawn_rep_counts(variant, data):
+    # the same pages and words, each page with its own positive weights, so
+    # the share denominators differ from page to page
+    shipped = ternary.dictionary_for(variant)
+    pages = []
+    for page in shipped.pages:
+        reps = data.draw(st.lists(st.integers(1, 97), min_size=len(page.entries), max_size=len(page.entries)))
+        entries = tuple(ternary.PageEntry(e.word, e.code, rep) for e, rep in zip(page.entries, reps))
+        pages.append(ternary.TernaryPage(page.sigma, entries))
+    book = ternary.PagedTernaryDictionary(variant, tuple(pages))
+    assert ternary.portrait(book) == fraction_portrait(book)
 
 
 # Page occupancy at a word boundary: the stationary vector that
