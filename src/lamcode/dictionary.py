@@ -16,7 +16,7 @@ codec maps ordinal values onto words.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from operator import is_
@@ -50,12 +50,6 @@ def fibonacci(n: int) -> int:
     for _ in range(n):
         a, b = b, a + b
     return a
-
-
-def mask_of(letters: str) -> str:
-    if not letters:
-        raise RangeError("empty image has no mask")
-    return letters[0] + letters[-1]
 
 
 def pattern_of(bias: int) -> str:
@@ -261,24 +255,30 @@ def multiplex_feasible(m_bits: int) -> bool:
     return size_a >= (1 << m_bits) + 1
 
 
+def _marks(letters: str, letter: str) -> int:
+    """The letters read as binary, most significant first: 1 where `letter` stands, 0 for any other letter."""
+    return int(letters.translate(defaultdict(lambda: "0", {ord(letter): "1"})), 2)
+
+
 @lru_cache(maxsize=4)
-def _jump_census(pages: tuple[tuple[str, ...], ...]) -> dict[str | None, tuple[int, tuple[int, ...]]]:
-    """Per mask (None for every word) of the deduplicated page union: the
-    word count and the J count at each letter position."""
+def _jump_census(pages: tuple[tuple[str, ...], ...]) -> tuple[int, tuple[int, ...], dict[str, int], dict[str, int]]:
+    """The deduplicated page union, bit-sliced: word k of the joined union
+    is bit k from the top of every int here. Gives the bits of every word,
+    per letter position the bits of the words with J there, and per first
+    and per last letter the bits of the words that open or close with it;
+    a mask's word and J counts are popcounts of their ANDs."""
     union = {word for page in pages for word in page}
     widths = sorted(set(map(len, union)))
     if len(widths) > 1:
         raise RangeError(f"page words have mixed widths {widths}")
     width = widths[0] if widths else 0
-    groups = {None: union}
-    if width:  # the empty word has no mask
-        for word in union:
-            groups.setdefault(mask_of(word), []).append(word)
-    census = {}
-    for key, words in groups.items():
-        letters = "".join(words)  # letter i of every word sits at i, i + width, ...
-        census[key] = len(words), tuple(letters[i::width].count(J) for i in range(width))
-    return census
+    letters = "".join(union)  # letter i of every word sits at i, i + width, ...
+    columns, firsts, lasts = (), {}, {}
+    if width:  # the empty word has no letters and no mask
+        columns = tuple(_marks(letters[i::width], J) for i in range(width))
+        for ends, column in ((firsts, letters[::width]), (lasts, letters[width - 1 :: width])):
+            ends.update((letter, _marks(column, letter)) for letter in set(column))
+    return (1 << len(union)) - 1, columns, firsts, lasts
 
 
 _last_jump = [((), _jump_census(()))]  # the page tuples of the last all-tuple call and their census
@@ -303,13 +303,15 @@ def position_jump_probability(
         census = _jump_census(key)
         if all(map(is_, key, pages)):  # every page a tuple: immutable, and held here so no id is reused
             _last_jump[0] = key, census
-    size, columns = census[None]
+    words, columns, firsts, lasts = census
     if mask is not None:
-        if size and not columns:  # the union is the empty word alone
+        if words and not columns:  # the union is the empty word alone
             raise RangeError("empty image has no mask")
-        size, columns = census.get(mask, (0, ())) if isinstance(mask, str) else (0, ())
+        # a mask is a first and a last letter; anything else matches no word
+        words = firsts.get(mask[0], 0) & lasts.get(mask[1], 0) if isinstance(mask, str) and len(mask) == 2 else 0
+    size = words.bit_count()
     if not size:
         raise EmptyPage("no words to sample")
     if not 0 <= i < len(columns):
         raise RangeError(f"position must lie in [0, {len(columns)})")
-    return Fraction(columns[i], size)
+    return Fraction((columns[i] & words).bit_count(), size)

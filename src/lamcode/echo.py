@@ -10,8 +10,11 @@ over the 3^12 serial-image space.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter
 from functools import lru_cache
+from itertools import accumulate
+from operator import add
 from types import MappingProxyType
 from typing import Mapping
 
@@ -270,20 +273,49 @@ def image_features() -> Mapping[tuple[int, int, int, int], int]:
     return MappingProxyType(cells)
 
 
+@lru_cache(maxsize=1)
+def _image_dominance() -> array:
+    """image_filter_census at every threshold tuple in 0..IMAGE_SYMBOLS, one cell each.
+
+    With n = IMAGE_SYMBOLS + 1, cell ((head * n + tail) * n + dc) * n + transits
+    counts the images whose head droop, tail droop and |dc| are at most
+    those values and whose transits are at least that one: the
+    image_features cells summed as suffixes over transits, row by row, then
+    as prefixes over |dc|, tail and head, a run of rows at a time. Blocks
+    still all zero are skipped; few (head, tail, dc) rows hold images.
+    """
+    n = IMAGE_SYMBOLS + 1
+    rows = {}
+    for (head, tail, dc, transits), count in image_features().items():
+        rows.setdefault((head * n + tail) * n + dc, [0] * n)[transits] = count
+    table = [0] * n**4
+    for row, counts in rows.items():
+        table[row * n : row * n + n] = reversed(list(accumulate(reversed(counts))))
+    for stride in (n, n**2, n**3):
+        for block in range(0, n**4, stride * n):
+            if any(table[block : block + stride * n]):
+                for low in range(block + stride, block + stride * n, stride):
+                    table[low : low + stride] = map(add, table[low : low + stride], table[low - stride : low])
+    return array("q", table)
+
+
 def image_filter_census(
     max_head_droop: int = IMAGE_SYMBOLS,
     max_tail_droop: int = IMAGE_SYMBOLS,
     dc_bound: int = IMAGE_SYMBOLS,
     min_transits: int = 0,
 ) -> int:
-    """Count images passing every threshold, exactly over 3^12."""
-    if min(max_head_droop, max_tail_droop, dc_bound, min_transits) < 0:
+    """Count images passing every threshold, exactly over 3^12.
+
+    One read of the dominance table. No image has a droop, |dc| or transit
+    count above IMAGE_SYMBOLS, so each threshold is clamped there, and a
+    fractional one is rounded to the integers it admits.
+    """
+    if not (0 <= max_head_droop and 0 <= max_tail_droop and 0 <= dc_bound and 0 <= min_transits):  # NaN too
         raise RangeError("image filter thresholds must be nonnegative")
-    return sum(
-        count
-        for (head, tail, dc, transits), count in image_features().items()
-        if head <= max_head_droop and tail <= max_tail_droop and dc <= dc_bound and transits >= min_transits
-    )
+    n, top, floor = IMAGE_SYMBOLS + 1, IMAGE_SYMBOLS, math.floor
+    row = (floor(min(max_head_droop, top)) * n + floor(min(max_tail_droop, top))) * n + floor(min(dc_bound, top))
+    return _image_dominance()[row * n + math.ceil(min(min_transits, top))]
 
 
 SELECTION_GRID = (

@@ -49,10 +49,11 @@ def _check_level(level: str) -> None:
 
 
 def check_letters(letters: str) -> None:
-    """Validate a JK string; KK adjacency raises InvalidRun."""
-    stray = letters.translate(_NOT_JK)
-    if stray:
-        raise RangeError(f"letter must be {J!r} or {K!r}, got {stray[0]!r}")
+    """Validate a JK string; KK adjacency raises InvalidRun. A valid string is counted, not copied."""
+    if letters.__class__ is not str or letters.count(J) + letters.count(K) != len(letters):
+        stray = letters.translate(_NOT_JK)  # names the stray letter; a non-str fails here
+        if stray:
+            raise RangeError(f"letter must be {J!r} or {K!r}, got {stray[0]!r}")
     if K + K in letters:
         raise InvalidRun(f"KK run in {letters!r}")
 

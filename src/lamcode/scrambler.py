@@ -21,6 +21,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
+from operator import index
 
 from .errors import RangeError, WorkbenchError
 from .record import Record, integer
@@ -265,12 +266,14 @@ class BinMap(Record):
 
     def _check(self) -> None:
         _check_width(self.r)
-        try:
-            tiles = sum(self.sizes) == 1 << self.r and len(self.sizes) == self.n
-        except TypeError:  # not a sequence of numbers
-            raise RangeError("bin sizes must be a sequence of integers") from None
-        if not tiles:
+        total = _integer_sum(self.sizes)
+        if total is None:
+            raise RangeError("bin sizes must be a sequence of integers, in a tuple")
+        if total != 1 << self.r or len(self.sizes) != self.n:
             raise RangeError("bin sizes must tile the outcome space")
+        layout = self.layout
+        if _integer_sum(layout) != self.n or len(layout) != 3 or min(layout) < 0:
+            raise RangeError("layout must be three nonnegative bin counts summing to n")
 
     @cached_property
     def _table(self) -> tuple[int, tuple[int, ...]]:
@@ -279,6 +282,16 @@ class BinMap(Record):
 
     def digit_of(self, value: int) -> int:
         return convert(value, self)
+
+
+def _integer_sum(value) -> int | None:
+    """The sum of a tuple of integers; None for anything else: a list, or a float, Fraction or non-number item."""
+    if value.__class__ is tuple:
+        try:
+            return index(sum(value))
+        except TypeError:
+            pass
+    return None
 
 
 def build_bin_map(sol: PartitionSolution) -> BinMap:
@@ -409,9 +422,11 @@ def scramble_values(values, key: tuple[int, int, int]):
         return np.empty(values.shape, np.int64)
     if values.dtype.kind not in "iu":
         raise RangeError(f"values must be integers, not {values.dtype}")
-    if values.min() < 0 or values.max() >= POINT_SPACE:
-        raise RangeError(f"values must lie in [0, {POINT_SPACE})")
     out = np.bitwise_xor(values, s11 & (AFFIX_SPACE - 1), dtype=np.int64)  # a new array: the caller's stays
+    # The XOR keeps every value on its side of 0 and of POINT_SPACE, and a
+    # negative one read unsigned is huge: one pass checks the range.
+    if out.view(np.uint64).max() >= POINT_SPACE:
+        raise RangeError(f"values must lie in [0, {POINT_SPACE})")
     out += s259 << AFFIX_BITS
     np.subtract(out, POINT_SPACE, out=out, where=out >= POINT_SPACE)
     return out

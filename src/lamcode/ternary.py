@@ -265,10 +265,10 @@ def delimiter_word(s4: int, sigma: int, period: int, kind: str = "any") -> str:
 def _chain(dictionary: PagedTernaryDictionary):
     """The word-choice chain, one page entry at a time.
 
-    Yields (disparity, share, word, the codec's next disparity); the share
-    is the entry's rep_count over its page total, the chance a uniform key
-    picks it.  A page without weight raises RangeError, a word that leaves
-    the band PageMiss.
+    Yields (disparity, rep_count, page total, word, the codec's next
+    disparity): a uniform key picks the entry with chance rep_count over
+    its page's total. A page without weight raises RangeError, a word that
+    leaves the band PageMiss.
     """
     forward = dictionary.codec.forward
     for sigma in SIGMA_LEVELS:
@@ -277,22 +277,23 @@ def _chain(dictionary: PagedTernaryDictionary):
         if total <= 0:
             raise RangeError(f"page {sigma} has no representation weight to share")
         for entry in entries:
-            yield sigma, Fraction(entry.rep_count, total), entry.word, forward[sigma, entry.code][1]
+            yield sigma, entry.rep_count, total, entry.word, forward[sigma, entry.code][1]
 
 
 def transition_matrix(dictionary: PagedTernaryDictionary) -> tuple[tuple[Fraction, ...], ...]:
-    """Page-to-page chain under uniform codes weighted by rep_count."""
-    rows = {sigma: [Fraction(0)] * len(SIGMA_LEVELS) for sigma in SIGMA_LEVELS}
-    for sigma, share, _, after in _chain(dictionary):
-        rows[sigma][after - 1] += share
-    return tuple(tuple(row) for row in rows.values())
+    """Page-to-page chain under uniform codes weighted by rep_count; each cell is one Fraction over the page total."""
+    counts = {sigma: [0] * len(SIGMA_LEVELS) for sigma in SIGMA_LEVELS}
+    for sigma, rep, _, _, after in _chain(dictionary):
+        counts[sigma][after - 1] += rep
+    # every entry lands in one cell of its page's row, so a row sums to its page total
+    return tuple(tuple(Fraction(count, sum(row)) for count in row) for row in counts.values())
 
 
 def run_bounds(dictionary: PagedTernaryDictionary) -> dict[str, int]:
     """Longest same-symbol run over every reachable word path, per symbol."""
     moves = {sigma: [] for sigma in SIGMA_LEVELS}
-    for sigma, share, word, after in _chain(dictionary):
-        if share:
+    for sigma, rep, _, word, after in _chain(dictionary):
+        if rep > 0:
             moves[sigma].append((word.symbols, after))
     best = {ch: 0 for ch in SYMBOLS}
     seen = set()
@@ -348,18 +349,17 @@ class PortraitStats(Record):
 def portrait(dictionary: PagedTernaryDictionary) -> PortraitStats:
     """Exact occupancy statistics under uniform code flow, in one pass.
 
-    Every cell sums weights boundary[sigma] * share. They are summed as
-    integers over one scale, the boundary denominators' lcm times the
-    share denominators' lcm (a weight's denominator divides that product,
-    not always the lcm of all of them), and each cell becomes a Fraction
-    once. The boundary transit is one minus the chance that the next word
-    opens with the symbol this one ends on: `ends` meets `opens` per
-    (page, symbol), over scale times the share lcm.
+    Every cell sums weights boundary[sigma] * rep_count / page total. They
+    are summed as integers over one scale, the boundary denominators' lcm
+    times the page totals' lcm, and each cell becomes a Fraction once. The
+    boundary transit is one minus the chance that the next word opens with
+    the symbol this one ends on: `ends` meets `opens` per (page, symbol),
+    over scale times the totals' lcm.
     """
     boundary = stationary_distribution(transition_matrix(dictionary))
     chain = list(_chain(dictionary))
     boundary_lcm = lcm(*(p.denominator for p in boundary))
-    share_lcm = lcm(*(share.denominator for _, share, _, _ in chain))
+    share_lcm = lcm(*(total for _, _, total, _, _ in chain))
     scale = boundary_lcm * share_lcm
     page_weights = [p.numerator * (boundary_lcm // p.denominator) for p in boundary]
     levels = [{} for _ in range(WORD_LENGTH)]
@@ -367,8 +367,8 @@ def portrait(dictionary: PagedTernaryDictionary) -> PortraitStats:
     transits = [0] * (WORD_LENGTH - 1)  # within words; the boundary transit is appended last
     opens = {}  # (disparity, symbol): share of the page's words that open with it, times share_lcm
     ends = {}  # (next disparity, symbol): weight of words that end with it there, times scale
-    for sigma, share, word, after in chain:
-        share = share.numerator * (share_lcm // share.denominator)
+    for sigma, rep, total, word, after in chain:
+        share = rep * (share_lcm // total)
         weight = page_weights[sigma - 1] * share
         symbols = word.symbols
         level = sigma

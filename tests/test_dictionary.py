@@ -27,7 +27,6 @@ from lamcode.dictionary import (
     enumerate_valid,
     fibonacci,
     filter_for_data_bits,
-    mask_of,
     multiplex_feasible,
     next_page,
     page_sizes,
@@ -38,6 +37,13 @@ from lamcode.dictionary import (
 from lamcode.errors import RangeError, WorkbenchError
 from lamcode.manchester import J, K, check_letters, metrics
 from lamcode.paging import Reducible, stationary_distribution
+
+
+def mask_of(letters: str) -> str:
+    """An image's first and last letter: the oracle of the census masks."""
+    if not letters:
+        raise RangeError("empty image has no mask")
+    return letters[0] + letters[-1]
 
 
 def brute_force_census(m: int) -> Counter:
@@ -391,9 +397,9 @@ def _outcome(call):
 
 
 @st.composite
-def equal_width_pages(draw):
+def equal_width_pages(draw, alphabet="JK"):
     width = draw(st.integers(0, 6))
-    pool = draw(st.lists(st.text(alphabet="JK", min_size=width, max_size=width), min_size=1, max_size=6))
+    pool = draw(st.lists(st.text(alphabet=alphabet, min_size=width, max_size=width), min_size=1, max_size=6))
     # pages drawn from a small pool repeat words within and across pages
     return draw(st.lists(st.lists(st.sampled_from(pool), max_size=8), max_size=3))
 
@@ -417,6 +423,20 @@ def test_jump_probability_matches_oracle(pages, shape, i, mask):
     assert _outcome(lambda: position_jump_probability(shaped(), i, mask)) == expected
     # a second call reads the cached census and answers the same
     assert _outcome(lambda: position_jump_probability(shaped(), i, mask)) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pages=equal_width_pages("JKX"),
+    i=st.integers(-1, 7),
+    mask=st.sampled_from([None, "JJ", "KJ", "XJ", "JX", "XX", "KX", "X", "XJX"]),
+)
+def test_jump_census_groups_every_letter_by_mask(pages, i, mask):
+    # letters other than J and K count as not-J and still open or close a mask of their own
+    shaped = tuple(map(tuple, pages))
+    expected = _outcome(lambda: jump_oracle(pages, i, mask))
+    assert _outcome(lambda: position_jump_probability(shaped, i, mask)) == expected
+    assert _outcome(lambda: position_jump_probability([list(page) for page in pages], i, mask)) == expected
 
 
 def test_jump_probability_refuses_mixed_widths():

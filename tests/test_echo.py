@@ -313,3 +313,24 @@ def test_selection_sweep():
 def test_census_sharding_agrees():
     assert echo.image_filter_census(8, 8, 8, 2) == 530432
     assert echo.image_filter_census(7, 7, 7, 3) == 527378
+
+
+def filter_census_oracle(max_head_droop, max_tail_droop, dc_bound, min_transits):
+    """The generator sum over the feature cells: the reference for the dominance table."""
+    return sum(
+        count
+        for (head, tail, dc, transits), count in echo.image_features().items()
+        if head <= max_head_droop and tail <= max_tail_droop and dc <= dc_bound and transits >= min_transits
+    )
+
+
+def test_census_table_matches_the_feature_sum():
+    # 0 admits nothing on a droop axis, 11..13 meet the clamp at IMAGE_SYMBOLS, 40 lies far past it
+    for thresholds in itertools.product((0, 1, 2, 6, 11, 12, 13, 40), repeat=4):
+        assert echo.image_filter_census(*thresholds) == filter_census_oracle(*thresholds)
+    # a fractional threshold admits what the oracle's comparisons admit
+    for thresholds in ((7.5, 8, 8.9, 2.5), (0.5, 12.5, Fraction(13, 2), Fraction(1, 3))):
+        assert echo.image_filter_census(*thresholds) == filter_census_oracle(*thresholds)
+    for at in range(4):  # a NaN bound is no threshold: refused as a negative one is
+        with pytest.raises(RangeError, match="nonnegative"):
+            echo.image_filter_census(*[math.nan if k == at else 6 for k in range(4)])

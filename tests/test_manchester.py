@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -92,6 +93,22 @@ def test_check_letters():
         check_letters("JKKJ")
     with pytest.raises(ValueError):
         check_letters("JX")
+
+
+def test_check_letters_copies_no_valid_stream():
+    letters = (J + K + J) * (1 << 18)
+    tracemalloc.start()
+    try:
+        check_letters(letters)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(letters) // 16
+    with pytest.raises(RangeError, match="got 'x'"):
+        check_letters(letters + "x")
+    for not_text in ([J, K], b"JK"):  # a list or bytes is no letter string, though it counts J and K
+        with pytest.raises((TypeError, AttributeError)):
+            check_letters(not_text)
 
 
 def test_metrics_example():

@@ -163,9 +163,15 @@ def test_non_sequence_fields_are_refused():
     for entries in (None, 5, (1, 2)):
         with pytest.raises(RangeError, match="entries must be page entries"):
             ternary.TernaryPage(1, entries)
-    for sizes in (None, 5, "3"):
+    for sizes in (None, 5, "3", [1, 1], (0.5, 1.5), (Fraction(1, 2), Fraction(3, 2))):
         with pytest.raises(RangeError, match="bin sizes must be a sequence of integers"):
             scrambler.BinMap(1, 2, sizes, (0, 2, 0))
+    # the layout is three nonnegative integer bin counts over all n bins, in a tuple
+    for layout in (None, 2, [0, 2, 0], (0, 2), (0, 2, 0, 0), (0, 3, -1), (1, 0, 0), (0, 2.0, 0), ("0", "2", "0")):
+        with pytest.raises(RangeError, match="layout must be three nonnegative bin counts summing to n"):
+            scrambler.BinMap(1, 2, (1, 1), layout)
+    # integer-like counts pass, as they do in int fields
+    assert scrambler.convert(1, scrambler.BinMap(1, 2, (True, np.int64(1)), (0, np.int64(2), 0))) == 1
 
 
 def test_integer_like_fields_are_accepted():

@@ -504,6 +504,14 @@ def test_scramble_values_refuses_what_the_scalar_path_refuses():
         assert out.dtype == np.int64 and out.shape == (0,)
 
 
+def test_scramble_values_refuses_negatives_of_every_width():
+    # a negative value read unsigned at its own width may stay below POINT_SPACE (int8 -1 is 255)
+    for dtype in (np.int8, np.int16, np.int32, np.int64):
+        with pytest.raises(RangeError, match="values must lie in"):
+            scramble_values(np.array([3, -1], dtype=dtype), (1, 2, 0))
+        assert scramble_values(np.array([3, 100], dtype=dtype), (1, 2, 0)).tolist() == [2049, 2150]
+
+
 # --- budgets ------------------------------------------------------------
 
 

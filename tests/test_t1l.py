@@ -465,7 +465,8 @@ def fraction_portrait(dictionary):
     letters = [dict.fromkeys(ternary.SYMBOLS, Fraction(0)) for _ in range(ternary.WORD_LENGTH)]
     transits = [Fraction(0)] * ternary.WORD_LENGTH
     opens, ends = {}, {}
-    for sigma, share, word, after in ternary._chain(dictionary):
+    for sigma, rep, total, word, after in ternary._chain(dictionary):
+        share = Fraction(rep, total)
         weight = boundary[sigma - 1] * share
         level = sigma
         for k, ch in enumerate(word.symbols):
@@ -507,6 +508,20 @@ def test_portrait_matches_fraction_oracle_on_redrawn_rep_counts(variant, data):
         pages.append(ternary.TernaryPage(page.sigma, entries))
     book = ternary.PagedTernaryDictionary(variant, tuple(pages))
     assert ternary.portrait(book) == fraction_portrait(book)
+
+
+def test_run_bounds_skip_words_no_key_picks():
+    # a word at rep count 0 is never sent: with every zz word muted, no z run passes two letters
+    shipped = ternary.reference_dictionary()
+    pages = tuple(
+        ternary.TernaryPage(page.sigma, tuple(
+            ternary.PageEntry(e.word, e.code, 0 if "zz" in e.word.symbols else e.rep_count) for e in page.entries
+        ))
+        for page in shipped.pages
+    )
+    muted = ternary.PagedTernaryDictionary(shipped.variant, pages)
+    assert ternary.run_bounds(shipped) == {"L": 5, "z": 4, "H": 5}
+    assert ternary.run_bounds(muted) == {"L": 5, "z": 2, "H": 5}
 
 
 # Page occupancy at a word boundary: the stationary vector that
