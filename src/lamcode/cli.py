@@ -126,18 +126,7 @@ def _records_report(rows) -> tuple[list[str], list[list]]:
 
 def _delimiter_report(args) -> tuple[list[str], list[list]]:
     header = ["s4", "sigma", "period", "kind", "word"]
-    rows = []
-    for s4 in (0, 1):
-        for sigma in ternary.SIGMA_LEVELS:
-            for period in ternary.DELIMITER_PERIODS:
-                kinds = ("any",) if period < 4 else ternary.DELIMITER_KINDS
-                for kind in kinds:
-                    try:
-                        word = ternary.delimiter_word(s4, sigma, period, kind)
-                    except ternary.UndefinedCell:
-                        continue
-                    rows.append([s4, sigma, period, kind, word])
-    return header, rows
+    return header, [[*cell, word] for cell, word in ternary.delimiter_cells().items()]
 
 
 def _portrait_report(args, variant: str) -> tuple[list[str], list[list]]:

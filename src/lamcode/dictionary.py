@@ -70,9 +70,6 @@ class ValidImage(Record):
     transits: int
     droop: int  # the longer of the head and the tail run
 
-    def __str__(self) -> str:
-        return self.letters
-
 
 def check_length(m: int) -> None:
     if not 2 <= m <= MAX_IMAGE_LENGTH:

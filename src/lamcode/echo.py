@@ -311,11 +311,15 @@ def image_filter_census(
     count above IMAGE_SYMBOLS, so each threshold is clamped there, and a
     fractional one is rounded to the integers it admits.
     """
-    if not (0 <= max_head_droop and 0 <= max_tail_droop and 0 <= dc_bound and 0 <= min_transits):  # NaN too
-        raise RangeError("image filter thresholds must be nonnegative")
     n, top, floor = IMAGE_SYMBOLS + 1, IMAGE_SYMBOLS, math.floor
-    row = (floor(min(max_head_droop, top)) * n + floor(min(max_tail_droop, top))) * n + floor(min(dc_bound, top))
-    return _image_dominance()[row * n + math.ceil(min(min_transits, top))]
+    try:
+        if not (0 <= max_head_droop and 0 <= max_tail_droop and 0 <= dc_bound and 0 <= min_transits):  # NaN too
+            raise RangeError("image filter thresholds must be nonnegative")
+        row = (floor(min(max_head_droop, top)) * n + floor(min(max_tail_droop, top))) * n + floor(min(dc_bound, top))
+        cell = row * n + math.ceil(min(min_transits, top))
+    except TypeError:  # None, a string, a sequence: no order against a number
+        raise RangeError("image filter thresholds must be numbers") from None
+    return _image_dominance()[cell]
 
 
 SELECTION_GRID = (

@@ -185,28 +185,16 @@ def solve_dm1(r: int, n: int) -> list[PartitionSolution]:
     if x0 % 2 == 0:
         x0 += m_even  # m_even is odd, so this flips parity
     step = 2 * m_even
-    x_max = total // m_odd
-    if x0 > x_max:
-        return []
-    # |x_even - x_odd| is |total - n*x_odd| / m_even, minimized near total/n
-    candidates = set()
-    for anchor in (total // n, total // n + 1):
-        k = (anchor - x0) // step
-        for shift in (-1, 0, 1):
-            x = x0 + (k + shift) * step
-            if x0 <= x <= x_max:
-                candidates.add(x)
-    best: list[PartitionSolution] = []
-    best_gap: int | None = None
-    for x_odd in sorted(candidates):
-        x_even = (total - m_odd * x_odd) // m_even
-        gap = abs(x_even - x_odd)
-        if best_gap is None or gap < best_gap:
-            best_gap = gap
-            best = []
-        if gap == best_gap:
-            best.append(PartitionSolution(r, n, m_even, m_odd, x_even, x_odd))
-    return best
+    # |x_even - x_odd| is |total - n*x_odd| / m_even, convex along x0, x0 + step, ...:
+    # its minimum lies on the two terms around total/n. An empty odd class (N = 1) bounds no size.
+    k = max(0, (total - n * x0) // (n * step))
+    found = [
+        PartitionSolution(r, n, m_even, m_odd, (total - m_odd * x_odd) // m_even, x_odd)
+        for x_odd in (x0 + k * step, x0 + (k + 1) * step)
+        if m_odd * x_odd <= total
+    ]
+    least = min((sol.delta_x for sol in found), default=None)
+    return [sol for sol in found if sol.delta_x == least]
 
 
 def solve_partitions(r: int, n: int) -> list[PartitionSolution]:
@@ -279,9 +267,6 @@ class BinMap(Record):
     def _table(self) -> tuple[int, tuple[int, ...]]:
         """The outcome count and the bin starts: after the first read, one plain attribute per draw."""
         return 1 << self.r, tuple(accumulate((0,) + self.sizes[:-1]))
-
-    def digit_of(self, value: int) -> int:
-        return convert(value, self)
 
 
 def _integer_sum(value) -> int | None:
@@ -422,7 +407,8 @@ def scramble_values(values, key: tuple[int, int, int]):
         return np.empty(values.shape, np.int64)
     if values.dtype.kind not in "iu":
         raise RangeError(f"values must be integers, not {values.dtype}")
-    out = np.bitwise_xor(values, s11 & (AFFIX_SPACE - 1), dtype=np.int64)  # a new array: the caller's stays
+    # a new array, the caller's stays; asarray keeps a 0-d input's result an array, not a numpy scalar
+    out = np.asarray(np.bitwise_xor(values, s11 & (AFFIX_SPACE - 1), dtype=np.int64))
     # The XOR keeps every value on its side of 0 and of POINT_SPACE, and a
     # negative one read unsigned is huge: one pass checks the range.
     if out.view(np.uint64).max() >= POINT_SPACE:

@@ -17,6 +17,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from importlib import resources
 from math import lcm
+from types import MappingProxyType
+from typing import Mapping
 
 from .errors import RangeError, WorkbenchError
 from .paging import PagedCodec, stationary_distribution  # benchmarks/tracer.py patches this binding
@@ -69,13 +71,6 @@ class TernaryWord(Record):
     peak_pos: int
     peak_neg: int
     transits: int
-
-    @property
-    def peaks(self) -> tuple[int, int]:
-        return (self.peak_pos, self.peak_neg)
-
-    def __str__(self) -> str:
-        return self.symbols
 
 
 def word_metrics(symbols: str) -> TernaryWord:
@@ -239,12 +234,10 @@ def scrambled_word(key: int, sigma: int, variant: str = BROADENED) -> TernaryWor
 
 
 @lru_cache(maxsize=None)
-def _delimiter_cells() -> dict[tuple[int, int, int, str], str]:
-    cells = {}
-    for row in _data_rows("t1l_delimiters.csv"):
-        key = (int(row["s4"]), int(row["sigma"]), int(row["period"]), row["kind"])
-        cells[key] = row["word"]
-    return cells
+def delimiter_cells() -> Mapping[tuple[int, int, int, str], str]:
+    """The shipped delimiting grid in table order, read-only: (s4, sigma, period, kind) -> word, no blank cell."""
+    rows = _data_rows("t1l_delimiters.csv")
+    return MappingProxyType({(int(r["s4"]), int(r["sigma"]), int(r["period"]), r["kind"]): r["word"] for r in rows})
 
 
 def delimiter_word(s4: int, sigma: int, period: int, kind: str = "any") -> str:
@@ -256,7 +249,7 @@ def delimiter_word(s4: int, sigma: int, period: int, kind: str = "any") -> str:
         raise RangeError(f"period {period} outside {DELIMITER_PERIODS}")
     if kind != "any" and kind not in DELIMITER_KINDS:
         raise RangeError(f"kind must be 'any' or one of {DELIMITER_KINDS}, got {kind!r}")
-    word = _delimiter_cells().get((s4, sigma, period, kind))
+    word = delimiter_cells().get((s4, sigma, period, kind))
     if word is None:
         raise UndefinedCell(f"no word at s4={s4} sigma={sigma} period={period} kind={kind}")
     return word

@@ -189,6 +189,10 @@ def test_round_plan_invariant():
         echo.RoundPlan(16, 20, 2, 1, 4)
     with pytest.raises(RangeError):
         echo.RoundPlan(16, 20, 2, 3, 4)
+    with pytest.raises(RangeError, match="radices must be at least 2"):
+        echo.RoundPlan(1, 20, 2, 2, 4)
+    with pytest.raises(RangeError, match="a round spans at least one word"):
+        echo.RoundPlan(16, 20, 2, 2, 0)
 
 
 def test_rounds_past_the_bit_budget_are_refused():
@@ -227,6 +231,9 @@ def test_census_open_and_impossible():
     for threshold in ("max_head_droop", "max_tail_droop", "dc_bound", "min_transits"):
         with pytest.raises(RangeError):
             echo.image_filter_census(**{threshold: -4})
+        for value in (None, "3", [1]):  # no order against a number
+            with pytest.raises(RangeError, match="thresholds must be numbers"):
+                echo.image_filter_census(**{threshold: value})
 
 
 def test_census_monotone_in_every_threshold():

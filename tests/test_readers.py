@@ -1,10 +1,11 @@
-"""Every public function and class in lamcode has a reader outside the unit tests.
+"""Every public function, class, method and property in lamcode has a reader outside the unit tests.
 
 A reader is code that stays when the unit tests go: another lamcode module,
-the benchmark scripts, the acceptance gate, or another statement of the
-defining module itself. A name counts as read where it appears as a loaded
-name, an attribute or an imported alias. Private names and plain
-assignments are out of scope.
+the benchmark scripts, the acceptance gate, or any other code of the
+defining module itself; a definition's own body does not count. A name
+counts as read where it appears as a loaded name, an attribute or an
+imported alias. Private and dunder names and plain assignments are out of
+scope.
 """
 
 import ast
@@ -23,22 +24,32 @@ def _tree(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-def _reads(node: ast.AST) -> set[str]:
-    names = set()
-    for child in ast.walk(node):
-        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
-            names.add(child.id)
-        elif isinstance(child, ast.Attribute):
-            names.add(child.attr)
-        elif isinstance(child, ast.alias):
-            names.add(child.name.rpartition(".")[2])
-    return names
+def _read(node: ast.AST) -> str | None:
+    """The name one node reads, if any."""
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name.rpartition(".")[2]
+    return None
+
+
+def _reads(node: ast.AST, skip: frozenset[int] = frozenset()) -> set[str]:
+    """The names read under a node, apart from the nodes whose ids are in skip."""
+    return {_read(child) for child in ast.walk(node) if id(child) not in skip} - {None}
 
 
 def _public_definitions(tree: ast.Module):
+    """Top-level functions and classes, then the methods and properties of every class body."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            yield node
+            yield node.name, node
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)) and not member.name.startswith("_"):
+                    yield f"{node.name}.{member.name}", member
 
 
 def test_readers_are_found():
@@ -46,6 +57,9 @@ def test_readers_are_found():
     assert len(MODULES) >= 10 and all(path.exists() for path in READERS)
     assert "encode_stream" in _reads(_tree(ROOT / "benchmarks" / "workload_stream.py"))
     assert "delimiter_word" in _reads(_tree(ROOT / "tests" / "test_acceptance.py"))
+    # the scan lists the public methods and properties of class bodies, not the private or dunder ones
+    labels = {label for label, _ in _public_definitions(_tree(ROOT / "src" / "lamcode" / "scrambler.py"))}
+    assert {"CodePoint.value", "PartitionSolution.delta_x"} <= labels and not any("._" in label for label in labels)
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda path: path.stem)
@@ -53,9 +67,9 @@ def test_every_public_definition_is_read(module):
     tree = _tree(module)
     outside = set().union(*(_reads(_tree(path)) for path in MODULES + READERS if path != module))
     unread = []
-    for definition in _public_definitions(tree):
-        # the module's other statements count; the definition's own body does not
-        inside = set().union(*(_reads(node) for node in tree.body if node is not definition))
+    for label, definition in _public_definitions(tree):
+        # the rest of the module counts; the definition's own body does not
+        inside = _reads(tree, frozenset(map(id, ast.walk(definition))))
         if definition.name not in outside | inside:
-            unread.append(definition.name)
+            unread.append(label)
     assert not unread, f"{module.name}: {', '.join(unread)} read only by unit tests, if at all"

@@ -131,6 +131,8 @@ def test_symbol_count_mismatch():
     padded = EncodedStream(encoded.count, encoded.symbols + (0,))
     with pytest.raises(FlushAmbiguity):
         decode_stream(padded, oracle)
+    with pytest.raises(RangeError, match="negative input count"):
+        decode_stream(EncodedStream(-1, encoded.symbols), oracle)
 
 
 def test_corrupt_symbol_detected():

@@ -4,6 +4,7 @@ import copy
 import operator
 import os
 import pickle
+import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -14,7 +15,7 @@ import pytest
 
 import lamcode.cli  # noqa: F401 - imports every module that declares a record
 from lamcode import dictionary, echo, manchester, reconciler, scrambler, ternary
-from lamcode.errors import RangeError
+from lamcode.errors import RangeError, WorkbenchError
 from lamcode.record import Record
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -127,9 +128,9 @@ def test_copies_are_checked():
 
 def test_derived_values_are_rebuilt_not_copied():
     bin_map = scrambler.build_bin_map(scrambler.solve_dx1(5, 7))
-    assert bin_map.digit_of(31) == 6
+    assert scrambler.convert(31, bin_map) == 6
     clone = pickle.loads(pickle.dumps(bin_map))
-    assert "_table" not in vars(clone) and clone.digit_of(31) == 6
+    assert "_table" not in vars(clone) and scrambler.convert(31, clone) == 6
     keep = dictionary.ImageFilter(max_abs_bias=1)
     assert keep.admits(1, 0, 2) and not keep.admits(2, 0, 1)
     assert copy.copy(keep) == keep and hash(copy.copy(keep)) == hash(keep)
@@ -166,12 +167,63 @@ def test_non_sequence_fields_are_refused():
     for sizes in (None, 5, "3", [1, 1], (0.5, 1.5), (Fraction(1, 2), Fraction(3, 2))):
         with pytest.raises(RangeError, match="bin sizes must be a sequence of integers"):
             scrambler.BinMap(1, 2, sizes, (0, 2, 0))
+    for sizes in ((1, 2), (1, 1, 0)):  # 3 outcomes, or 2 outcomes over three bins
+        with pytest.raises(RangeError, match="bin sizes must tile the outcome space"):
+            scrambler.BinMap(1, 2, sizes, (0, 2, 0))
     # the layout is three nonnegative integer bin counts over all n bins, in a tuple
     for layout in (None, 2, [0, 2, 0], (0, 2), (0, 2, 0, 0), (0, 3, -1), (1, 0, 0), (0, 2.0, 0), ("0", "2", "0")):
         with pytest.raises(RangeError, match="layout must be three nonnegative bin counts summing to n"):
             scrambler.BinMap(1, 2, (1, 1), layout)
     # integer-like counts pass, as they do in int fields
     assert scrambler.convert(1, scrambler.BinMap(1, 2, (True, np.int64(1)), (0, np.int64(2), 0))) == 1
+
+
+HOSTILE = (None, 1.5, "3", (), 5, -1, Fraction(1, 2), object(), [1, 2], 10**400)
+CALL_BOUND_S = 2.0
+
+
+class _Overrun(Exception):
+    pass
+
+
+def _stop(signum, frame):
+    raise _Overrun
+
+
+def _misbehaviour(call) -> str | None:
+    """None when the call returns or raises a WorkbenchError within CALL_BOUND_S; else what it did."""
+    previous = signal.signal(signal.SIGALRM, _stop)
+    signal.setitimer(signal.ITIMER_REAL, CALL_BOUND_S)
+    try:
+        call()
+    except WorkbenchError:
+        pass
+    except _Overrun:
+        return f"ran past {CALL_BOUND_S} s"
+    except Exception as exc:  # noqa: BLE001 - any other exception is the finding
+        return f"{type(exc).__name__}: {exc}"
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    return None
+
+
+def test_hostile_values_are_taken_or_refused():
+    # one hostile value at a time: into each field of each record class, each census threshold, the bulk scramble
+    calls = []
+    for cls, values in EXAMPLES.items():
+        for at, name in enumerate(cls._fields):
+            for value in HOSTILE:
+                fields = values[:at] + (value,) + values[at + 1 :]
+                calls.append((f"{cls.__qualname__}.{name}", value, lambda cls=cls, fields=fields: cls(*fields)))
+    for at in range(4):
+        for value in HOSTILE:
+            thresholds = [value if k == at else 6 for k in range(4)]
+            calls.append((f"image_filter_census[{at}]", value, lambda t=thresholds: echo.image_filter_census(*t)))
+    for value in HOSTILE:
+        calls.append(("scramble_values", value, lambda v=value: scrambler.scramble_values(v, (1, 2, 0))))
+    found = [(label, f"{value!r:.24}", problem) for label, value, call in calls if (problem := _misbehaviour(call))]
+    assert not found
 
 
 def test_integer_like_fields_are_accepted():

@@ -248,6 +248,51 @@ def test_count_split_matches_exhaustive_search():
         assert got == found
 
 
+def six_candidate_dm1(r, n):
+    """The wider count-split search: both anchors floor(2^r/N) and one more,
+    each shifted by -1, 0 and +1 steps, scored with a running best. The
+    oracle of the two terms solve_dm1 keeps. Base 1 divides by zero here."""
+    total = 1 << r
+    halves = (n // 2, n // 2 + 1)
+    m_odd = halves[0] if halves[0] % 2 == 0 else halves[1]
+    m_even = n - m_odd
+    x0 = total * pow(m_odd, -1, m_even) % m_even
+    if x0 % 2 == 0:
+        x0 += m_even
+    step = 2 * m_even
+    x_max = total // m_odd
+    if x0 > x_max:
+        return []
+    candidates = set()
+    for anchor in (total // n, total // n + 1):
+        k = (anchor - x0) // step
+        for shift in (-1, 0, 1):
+            x = x0 + (k + shift) * step
+            if x0 <= x <= x_max:
+                candidates.add(x)
+    best, best_gap = [], None
+    for x_odd in sorted(candidates):
+        x_even = (total - m_odd * x_odd) // m_even
+        gap = abs(x_even - x_odd)
+        if best_gap is None or gap < best_gap:
+            best, best_gap = [], gap
+        if gap == best_gap:
+            best.append(scrambler.PartitionSolution(r, n, m_even, m_odd, x_even, x_odd))
+    return best
+
+
+def test_count_split_keeps_the_two_terms_around_the_anchor():
+    # every odd base from 3 to 1199 that fits 2^r, at every r up to 47: ties and empty results included
+    for r in range(1, 48):
+        for n in range(3, min(1199, 1 << r) + 1, 2):
+            assert solve_dm1(r, n) == six_candidate_dm1(r, n), (r, n)
+    # base 1: the odd class is empty, so no count bounds its size, and 2^r - 1 and 2^r + 1 tie
+    for r in (1, 5, 40):
+        total = 1 << r
+        assert [tuple(s) for s in solve_dm1(r, 1)] == [(r, 1, 1, 0, total, total - 1), (r, 1, 1, 0, total, total + 1)]
+    assert solve_partitions(5, 1) == [solve_dx1(5, 1), solve_dm1(5, 1)[0]]
+
+
 def test_unbalance_uniform_case():
     sol = solve_dx1(5, 16)
     assert unbalance(sol) == (0, 0)
@@ -284,6 +329,16 @@ def test_solver_range_errors():
         solve_dx1(3, 9)
     with pytest.raises(NoSolution):
         solve_dm1(5, 16)  # even base
+    # a solution built by hand is checked: 2^3 = 1*2 + 2*3 over N = 3 holds, each of these breaks one rule
+    assert scrambler.PartitionSolution(3, 3, 1, 2, 2, 3).delta_x == 1
+    for fields, message in (
+        ((3, 3, 1, 2, -2, 5), "must be nonnegative"),
+        ((3, 3, 1, 2, 3, 3), "x_even must be even and x_odd odd"),
+        ((3, 3, 1, 1, 2, 3), "must sum to the base"),
+        ((3, 3, 1, 2, 4, 3), "must partition the whole outcome space"),
+    ):
+        with pytest.raises(RangeError, match=message):
+            scrambler.PartitionSolution(*fields)
 
 
 # --- bin maps -----------------------------------------------------------
@@ -330,7 +385,7 @@ def test_count_split_histogram():
     m = build_bin_map(solve_dm1(15, 259)[0])
     counts = {}
     for v in range(1 << 15):
-        d = m.digit_of(v)
+        d = convert(v, m)
         counts[d] = counts.get(d, 0) + 1
     sizes = sorted(counts.values())
     assert sizes.count(122) == 129
@@ -344,7 +399,7 @@ def test_prng_drive_is_quasi_uniform():
     _, draws = lfsr_values(0x1ACCE55, 15, n)
     counts = [0] * 259
     for v in draws:
-        counts[m.digit_of(v)] += 1
+        counts[convert(v, m)] += 1
     for digit, size in enumerate(m.sizes):
         p = size / 32768
         sigma = (n * p * (1 - p)) ** 0.5
@@ -484,6 +539,11 @@ def test_scramble_values_matches_modulo_oracle():
     narrow = scramble_values(values.astype(np.int32), keys[-1])
     assert narrow.dtype == np.int64 and np.array_equal(narrow, modulo_scramble_values(values, keys[-1]))
     assert scramble_values([POINT_SPACE - 1, 0], (1, 0, 0)).tolist() == [AFFIX_SPACE - 1, AFFIX_SPACE]
+    # a 0-d input, a Python or numpy scalar included, scrambles to a 0-d int64 array
+    for scalar in (5, np.int64(5), np.asarray(5, dtype=np.int8), np.uint64(POINT_SPACE - 1), np.asarray(7, np.uint64)):
+        image = scramble_values(scalar, keys[-1])
+        assert type(image) is np.ndarray and image.dtype == np.int64 and image.shape == ()
+        assert image == modulo_scramble_values(scalar, keys[-1]) == scramble_point(unpack_point(int(scalar)), keys[-1]).value
 
 
 def test_scramble_values_refuses_what_the_scalar_path_refuses():

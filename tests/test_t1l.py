@@ -21,17 +21,17 @@ def invert_word(symbols):
 
 def test_word_metrics_examples():
     m = ternary.word_metrics("LLL")
-    assert (m.delta_dc, m.peaks, m.transits) == (-3, (0, -3), 0)
+    assert (m.delta_dc, (m.peak_pos, m.peak_neg), m.transits) == (-3, (0, -3), 0)
     m = ternary.word_metrics("zzz")
-    assert (m.delta_dc, m.peaks, m.transits) == (0, (0, 0), 0)
+    assert (m.delta_dc, (m.peak_pos, m.peak_neg), m.transits) == (0, (0, 0), 0)
     m = ternary.word_metrics("LzL")
-    assert (m.delta_dc, m.peaks, m.transits) == (-2, (0, -2), 2)
+    assert (m.delta_dc, (m.peak_pos, m.peak_neg), m.transits) == (-2, (0, -2), 2)
     m = ternary.word_metrics("HLL")
-    assert (m.delta_dc, m.peaks, m.transits) == (-1, (1, -1), 1)
+    assert (m.delta_dc, (m.peak_pos, m.peak_neg), m.transits) == (-1, (1, -1), 1)
     m = ternary.word_metrics("LzH")
-    assert (m.delta_dc, m.peaks, m.transits) == (0, (0, -1), 2)
+    assert (m.delta_dc, (m.peak_pos, m.peak_neg), m.transits) == (0, (0, -1), 2)
     m = ternary.word_metrics("HHH")
-    assert (m.delta_dc, m.peaks, m.transits) == (3, (3, 0), 0)
+    assert (m.delta_dc, (m.peak_pos, m.peak_neg), m.transits) == (3, (3, 0), 0)
     with pytest.raises(RangeError):
         ternary.word_metrics("LL")
     with pytest.raises(ValueError):
@@ -43,7 +43,7 @@ def test_metrics_inversion(symbols):
     m = ternary.word_metrics(symbols)
     flipped = ternary.word_metrics(invert_word(symbols))
     assert flipped.delta_dc == -m.delta_dc
-    assert flipped.peaks == (-m.peak_neg, -m.peak_pos)
+    assert (flipped.peak_pos, flipped.peak_neg) == (-m.peak_neg, -m.peak_pos)
     assert flipped.transits == m.transits
     assert -3 <= m.delta_dc <= 3
     assert 0 <= m.transits <= 2
