@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 from .errors import RangeError, SizeLimit, WorkbenchError
 from .manchester import J, K
 from .manchester import metrics  # noqa: F401 - benchmarks/tracer.py patches dictionary.metrics
-from .paging import CodeOutOfRange, PagedCodec, PageMiss
+from .paging import PagedCodec
 from .record import Record
 
 MAX_IMAGE_LENGTH = 24
@@ -36,10 +36,6 @@ PATTERNS = ("balanced", "unit", "other")
 
 class EmptyPage(WorkbenchError, ValueError):
     """A filter admitted no words for one of the pages."""
-
-
-ValueOutOfRange = CodeOutOfRange  # a data value exceeds the current page size
-DecodeError = PageMiss  # a received word is not listed in the expected page
 
 
 def fibonacci(n: int) -> int:

@@ -30,8 +30,10 @@ class Reducible(WorkbenchError, ArithmeticError):
 class PagedCodec:
     """Closed pages of equal-width words, given as {state: [(word, next_state), ...]}
     in code order; a next state that names no page raises PageMiss, a word of
-    another width than the first RangeError. `forward` maps
-    (state, code) to (word, next_state), `inverse` (state, word) to (code, next_state)."""
+    another width than the first RangeError. `forward` maps (state, code) to
+    (word, next_state). Each state's encode table maps a code to (word,
+    next_state, the next state's encode table), and its decode table a word
+    to (code, next_state, the next decode table): one lookup per symbol."""
 
     def __init__(self, pages: dict) -> None:
         self.sizes = {state: len(page) for state, page in pages.items()}
@@ -44,34 +46,51 @@ class PagedCodec:
                 raise PageMiss(f"word {word!r} leaves the band from {state}")
             if len(word) != self.width:
                 raise RangeError(f"word {word!r} has width {len(word)}, not {self.width}")
-        self.inverse = {(s, word): (code, nxt) for (s, code), (word, nxt) in self.forward.items()}
+        self._encoders = {state: {} for state in self.sizes}
+        self._decoders = {state: {} for state in self.sizes}
+        for (state, code), (word, nxt) in self.forward.items():
+            self._encoders[state][code] = word, nxt, self._encoders[nxt]
+            self._decoders[state][word] = code, nxt, self._decoders[nxt]
 
     def _check_state(self, state) -> None:
         if state not in self.sizes:
             raise RangeError(f"state {state!r} outside pages {tuple(self.sizes)}")
 
     def encode(self, codes, state) -> tuple[str, object]:
-        """The words for `codes` sent from `state`, and the state after them."""
+        """The words for `codes` sent from `state`, and the state after them.
+
+        `codes` that is not iterable is a RangeError; a code that is not in
+        the current page, unhashable ones included, is a CodeOutOfRange.
+        """
         self._check_state(state)
+        try:
+            codes = iter(codes)
+        except TypeError:
+            raise RangeError(f"codes must be an iterable of integers, not {type(codes).__name__}") from None
+        table = self._encoders[state]
         words = []
         for code in codes:
             try:
-                word, state = self.forward[state, code]
-            except KeyError:
+                word, state, table = table[code]
+            except (KeyError, TypeError):
                 raise CodeOutOfRange(f"code {code} outside page {state} of {self.sizes[state]} words") from None
             words.append(word)
         return "".join(words), state
 
     def decode(self, text: str, state) -> tuple[list[int], object]:
-        """The codes of `text` received from `state`, and the state after them."""
+        """The codes of `text` received from `state`, and the state after them; `text` that is not a str is a RangeError."""
         self._check_state(state)
-        if len(text) % self.width:
+        if not isinstance(text, str):
+            raise RangeError(f"text must be a str, not {type(text).__name__}")
+        width = self.width
+        if len(text) % width:
             raise PageMiss("stream length is not a whole number of words")
+        table = self._decoders[state]
         codes = []
-        for start in range(0, len(text), self.width):
-            word = text[start : start + self.width]
+        for start in range(0, len(text), width):
+            word = text[start : start + width]  # sliced here, not listed first: a listing holds every word at once
             try:
-                code, state = self.inverse[state, word]
+                code, state, table = table[word]
             except KeyError:
                 raise PageMiss(f"word {word!r} not in page {state}") from None
             codes.append(code)

@@ -264,9 +264,15 @@ class BinMap(Record):
             raise RangeError("layout must be three nonnegative bin counts summing to n")
 
     @cached_property
-    def _table(self) -> tuple[int, tuple[int, ...]]:
-        """The outcome count and the bin starts: after the first read, one plain attribute per draw."""
-        return 1 << self.r, tuple(accumulate((0,) + self.sizes[:-1]))
+    def _table(self) -> tuple[int, tuple[int, ...], int, tuple[int, ...]]:
+        """The outcome count, the bin starts, a guide shift and the guide table
+        (Chen & Asau, 1974): guide[b] is the bin of b << shift, so a value's
+        bin lies between the guide entries of its top bits. The shift leaves
+        at most 4n + 1 entries. After the first read, one plain attribute per draw."""
+        starts = tuple(accumulate((0,) + self.sizes[:-1]))
+        shift = max(0, self.r - self.n.bit_length() - 1)
+        guide = tuple(bisect_right(starts, b << shift) - 1 for b in range(((1 << self.r) >> shift) + 1))
+        return 1 << self.r, starts, shift, guide
 
 
 def _integer_sum(value) -> int | None:
@@ -299,11 +305,17 @@ def build_bin_map(sol: PartitionSolution) -> BinMap:
 
 
 def convert(value: int, bin_map: BinMap) -> int:
-    """Fold one equiprobable r-bit draw onto a base-N digit."""
-    space, starts = bin_map._table
-    if not 0 <= value < space:
-        raise RangeError(f"value must lie in [0, 2^{bin_map.r})")
-    return bisect_right(starts, value) - 1
+    """Fold one equiprobable r-bit draw onto a base-N digit: a bisect between
+    the guide entries of its top bits. A value that is not an integer fails
+    the comparison or the shift, raised as RangeError."""
+    space, starts, shift, guide = bin_map._table
+    try:
+        if not 0 <= value < space:
+            raise RangeError(f"value must lie in [0, 2^{bin_map.r})")
+        top = value >> shift
+    except TypeError:
+        raise RangeError(f"value must be an integer, not {type(value).__name__}") from None
+    return bisect_right(starts, value, guide[top], guide[top + 1] + 1) - 1
 
 
 def bubble_map(n: int) -> BinMap:
@@ -341,8 +353,7 @@ class CodePoint(Record):
         return self[0] * AFFIX_SPACE + self[1]
 
 
-def pack_point(root: int, affix: int, inversion: int = 0) -> CodePoint:
-    return CodePoint(root, affix, inversion)
+pack_point = CodePoint
 
 
 def unpack_point(value: int) -> CodePoint:

@@ -14,11 +14,9 @@ from lamcode.dictionary import (
     MASKS,
     PATTERNS,
     UNIT_BIAS,
-    DecodeError,
     EmptyPage,
     ImageFilter,
     SizeLimit,
-    ValueOutOfRange,
     build_pages,
     census,
     count_valid,
@@ -36,7 +34,7 @@ from lamcode.dictionary import (
 )
 from lamcode.errors import RangeError, WorkbenchError
 from lamcode.manchester import J, K, check_letters, metrics
-from lamcode.paging import Reducible, stationary_distribution
+from lamcode.paging import CodeOutOfRange, PageMiss, Reducible, stationary_distribution
 
 
 def mask_of(letters: str) -> str:
@@ -259,7 +257,7 @@ def test_codec_empty():
 
 
 def test_codec_value_out_of_range():
-    with pytest.raises(ValueOutOfRange):
+    with pytest.raises(CodeOutOfRange):
         encode_stream([27], 8)
     encode_stream([26], 8)  # page A has exactly 27 words
 
@@ -269,9 +267,9 @@ def test_codec_detects_corruption():
     # the opening word comes from the J-starting page; forging a K start
     # guarantees a page miss at the affected word
     corrupted = K + stream[1:]
-    with pytest.raises(DecodeError):
+    with pytest.raises(PageMiss):
         decode_stream(corrupted, 8)
-    with pytest.raises(DecodeError):
+    with pytest.raises(PageMiss):
         decode_stream(stream[:-1], 8)  # torn word
 
 

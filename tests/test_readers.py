@@ -4,8 +4,9 @@ A reader is code that stays when the unit tests go: another lamcode module,
 the benchmark scripts, the acceptance gate, or any other code of the
 defining module itself; a definition's own body does not count. A name
 counts as read where it appears as a loaded name, an attribute or an
-imported alias. Private and dunder names and plain assignments are out of
-scope.
+imported alias. A public top-level alias, `Name = <name or attribute>`,
+needs a reader too. Private and dunder names and other assignments are out
+of scope.
 """
 
 import ast
@@ -41,10 +42,14 @@ def _reads(node: ast.AST, skip: frozenset[int] = frozenset()) -> set[str]:
 
 
 def _public_definitions(tree: ast.Module):
-    """Top-level functions and classes, then the methods and properties of every class body."""
+    """Top-level functions, classes and aliases, then the methods and properties of every class body."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
             yield node.name, node
+        elif isinstance(node, ast.Assign) and isinstance(node.value, (ast.Name, ast.Attribute)):
+            for target in node.targets:
+                if isinstance(target, ast.Name) and not target.id.startswith("_"):
+                    yield target.id, node
     for node in tree.body:
         if isinstance(node, ast.ClassDef):
             for member in node.body:
@@ -60,6 +65,8 @@ def test_readers_are_found():
     # the scan lists the public methods and properties of class bodies, not the private or dunder ones
     labels = {label for label, _ in _public_definitions(_tree(ROOT / "src" / "lamcode" / "scrambler.py"))}
     assert {"CodePoint.value", "PartitionSolution.delta_x"} <= labels and not any("._" in label for label in labels)
+    # and top-level aliases of a name or an attribute, not constants
+    assert "pack_point" in labels and "LFSR_WIDTH" not in labels
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda path: path.stem)
@@ -70,6 +77,6 @@ def test_every_public_definition_is_read(module):
     for label, definition in _public_definitions(tree):
         # the rest of the module counts; the definition's own body does not
         inside = _reads(tree, frozenset(map(id, ast.walk(definition))))
-        if definition.name not in outside | inside:
+        if label.rpartition(".")[2] not in outside | inside:
             unread.append(label)
     assert not unread, f"{module.name}: {', '.join(unread)} read only by unit tests, if at all"

@@ -209,7 +209,8 @@ def _misbehaviour(call) -> str | None:
 
 
 def test_hostile_values_are_taken_or_refused():
-    # one hostile value at a time: into each field of each record class, each census threshold, the bulk scramble
+    # one hostile value at a time: into each field of each record class, each census threshold, the bulk
+    # scramble, a draw's value, and the codes, the text and a lone code of each paged stream codec
     calls = []
     for cls, values in EXAMPLES.items():
         for at, name in enumerate(cls._fields):
@@ -220,8 +221,15 @@ def test_hostile_values_are_taken_or_refused():
         for value in HOSTILE:
             thresholds = [value if k == at else 6 for k in range(4)]
             calls.append((f"image_filter_census[{at}]", value, lambda t=thresholds: echo.image_filter_census(*t)))
+    bin_map = scrambler.build_bin_map(scrambler.solve_dx1(15, 259))
+    streams = {"ternary": (ternary, ()), "dictionary": (dictionary, (8,))}
     for value in HOSTILE:
         calls.append(("scramble_values", value, lambda v=value: scrambler.scramble_values(v, (1, 2, 0))))
+        calls.append(("convert", value, lambda v=value: scrambler.convert(v, bin_map)))
+        for name, (module, args) in streams.items():
+            calls.append((f"{name}.encode_stream", value, lambda m=module, a=args, v=value: m.encode_stream(v, *a)))
+            calls.append((f"{name}.encode_stream[0]", value, lambda m=module, a=args, v=value: m.encode_stream([v], *a)))
+            calls.append((f"{name}.decode_stream", value, lambda m=module, a=args, v=value: m.decode_stream(v, *a)))
     found = [(label, f"{value!r:.24}", problem) for label, value, call in calls if (problem := _misbehaviour(call))]
     assert not found
 

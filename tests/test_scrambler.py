@@ -4,7 +4,9 @@ import copy
 import operator
 import pickle
 import random
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -18,8 +20,10 @@ from lamcode.scrambler import (
     LFSR_PERIOD,
     LFSR_TAP,
     LFSR_WIDTH,
+    MAX_WIDTH,
     POINT_SPACE,
     ROOT_BASE,
+    BinMap,
     BudgetReport,
     CodePoint,
     NoSolution,
@@ -378,6 +382,59 @@ def test_convert_endpoints_and_monotone():
         convert(32, m)
     with pytest.raises(RangeError):
         convert(-1, m)
+
+
+def full_bisect(bin_map, value):
+    """The digit of a value by one bisect over every bin start: the oracle of the guided bisect."""
+    return bisect_right(list(accumulate((0,) + bin_map.sizes[:-1])), value) - 1
+
+
+def test_guided_convert_matches_the_full_bisect_exhaustively():
+    # every value of every solved map with r <= 9 and 1 <= n <= 2^r
+    checks = 0
+    for r in range(1, 10):
+        for n in range(1, (1 << r) + 1):
+            for sol in solve_partitions(r, n):
+                m = build_bin_map(sol)
+                starts = list(accumulate((0,) + m.sizes[:-1]))
+                assert [convert(v, m) for v in range(1 << r)] == [bisect_right(starts, v) - 1 for v in range(1 << r)]
+                checks += 1 << r
+    assert checks == 365_618
+
+
+def test_guided_convert_on_zero_size_and_skewed_bins():
+    gapped = BinMap(3, 4, (0, 4, 0, 4), (1, 2, 1))
+    assert [convert(v, gapped) for v in range(8)] == [full_bisect(gapped, v) for v in range(8)] == [1] * 4 + [3] * 4
+    rng = random.Random(20)
+    for _ in range(300):
+        r = rng.randrange(1, 13)
+        cuts = sorted(rng.choices(range((1 << r) + 1), k=rng.randrange(1, 40)))
+        sizes = tuple(b - a for a, b in zip([0] + cuts, cuts + [1 << r]))
+        m = BinMap(r, len(sizes), sizes, (0, len(sizes), 0))
+        values = {0, (1 << r) - 1} | {rng.randrange(1 << r) for _ in range(64)}
+        values |= {start + d for start in accumulate((0,) + sizes) for d in (-1, 0, 1) if 0 <= start + d < 1 << r}
+        assert all(convert(v, m) == full_bisect(m, v) for v in values)
+    for r in (64, MAX_WIDTH):
+        space = 1 << r
+        m = BinMap(r, 2, (1, space - 1), (1, 1, 0))
+        assert [convert(v, m) for v in (0, 1, 2, space - 2, space - 1)] == [0, 1, 1, 1, 1]
+        for value in (-1, space):
+            with pytest.raises(RangeError, match=rf"value must lie in \[0, 2\^{r}\)"):
+                convert(value, m)
+    assert len(m._table[3]) <= 4 * m.n + 1
+    # a wide map keeps its guide within 4n + 1 entries as well
+    wide = build_bin_map(solve_dx1(MAX_WIDTH, 1000))
+    assert len(wide._table[3]) <= 4 * 1000 + 1
+    assert convert((1 << MAX_WIDTH) - 1, wide) == 999 and convert(0, wide) == 0
+
+
+def test_convert_refuses_non_integer_draws():
+    m = bubble_map(9)
+    for value, name in ((1.5, "float"), (Fraction(7, 2), "Fraction"), ("3", "str"), (None, "NoneType"), (np.float64(2), "float64")):
+        with pytest.raises(RangeError, match=f"value must be an integer, not {name}$"):
+            convert(value, m)
+    assert convert(True, m) == convert(1, m) == 0
+    assert convert(np.int64(31), m) == convert(np.uint8(31), m) == 8
 
 
 def test_count_split_histogram():
