@@ -11,6 +11,7 @@ as the J/K chain, whose page B absorbs.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import RangeError, WorkbenchError
 
@@ -29,11 +30,12 @@ class Reducible(WorkbenchError, ArithmeticError):
 
 class PagedCodec:
     """Closed pages of equal-width words, given as {state: [(word, next_state), ...]}
-    in code order; a next state that names no page raises PageMiss, a word of
-    another width than the first RangeError. `forward` maps (state, code) to
-    (word, next_state). Each state's encode table maps a code to (word,
-    next_state, the next state's encode table), and its decode table a word
-    to (code, next_state, the next decode table): one lookup per symbol."""
+    in code order; a next state that names no page raises PageMiss, an empty
+    first word or a word of another width than the first RangeError.
+    `forward` maps (state, code) to (word, next_state). Each state's encode
+    table maps a code to (word, next_state, the next state's encode table),
+    and its decode table a word to (code, next_state, the next decode
+    table): one lookup per symbol."""
 
     def __init__(self, pages: dict) -> None:
         self.sizes = {state: len(page) for state, page in pages.items()}
@@ -41,6 +43,8 @@ class PagedCodec:
         if not self.forward:
             raise RangeError("pages hold no words")
         self.width = len(next(iter(self.forward.values()))[0])
+        if not self.width:
+            raise RangeError("words must hold at least one symbol")
         for (state, _), (word, nxt) in self.forward.items():
             if nxt not in self.sizes:
                 raise PageMiss(f"word {word!r} leaves the band from {state}")
@@ -53,7 +57,11 @@ class PagedCodec:
             self._decoders[state][word] = code, nxt, self._decoders[nxt]
 
     def _check_state(self, state) -> None:
-        if state not in self.sizes:
+        try:
+            known = state in self.sizes
+        except TypeError:  # an unhashable state names no page either
+            known = False
+        if not known:
             raise RangeError(f"state {state!r} outside pages {tuple(self.sizes)}")
 
     def encode(self, codes, state) -> tuple[str, object]:
@@ -100,34 +108,51 @@ class PagedCodec:
 def stationary_distribution(matrix) -> tuple:
     """Exact stationary row vector of a page chain given as transition rows.
 
-    Every row must be a probability vector. The balance equations with the
+    Every row must be a probability vector. Each entry is read as its exact
+    ratio (`as_integer_ratio`), so a chain of floats is answered exactly,
+    in `Fraction`s of the floats given. The balance equations with the
     normalisation have one solution exactly when the chain has one closed
     class (Kemeny & Snell, ch. 5; periodic chains included), and that
     solution is positive exactly when no state is transient. Several closed
     classes raise Reducible, and so do transient states.
+
+    Row i is scaled to integer weights over its denominators' lcm d_i, and
+    the system in pi_i / d_i is solved by fraction-free elimination
+    (Bareiss, Math. Comp. 22, 1968): every division is exact, and each
+    share is one Fraction over the determinant.
     """
     for i, row in enumerate(matrix):
         if any(p < 0 for p in row) or sum(row) != 1:
             raise RangeError(f"row {i} of the chain is not a probability vector")
     n = len(matrix)
-    rows = []
-    for j in range(n - 1):
-        row = [matrix[i][j] - (Fraction(1) if i == j else Fraction(0)) for i in range(n)]
-        rows.append(row + [Fraction(0)])
-    rows.append([Fraction(1)] * n + [Fraction(1)])
+    scales, weights = [], []
+    for row in matrix:
+        ratios = [p.as_integer_ratio() for p in row]
+        scale = lcm(*(q for _, q in ratios))
+        scales.append(scale)
+        weights.append([p * (scale // q) for p, q in ratios])
+    rows = [[weights[i][j] - (scales[i] if i == j else 0) for i in range(n)] + [0] for j in range(n - 1)]
+    rows.append(scales + [1])
+    previous = 1
     for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        pivot = next((r for r in range(col, n) if rows[r][col]), None)
         if pivot is None:
             raise Reducible("chain splits into several closed components")
         rows[col], rows[pivot] = rows[pivot], rows[col]
-        head = rows[col][col]
-        rows[col] = [v / head for v in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [v - factor * w for v, w in zip(rows[r], rows[col])]
-    pi = tuple(rows[i][n] for i in range(n))
-    transient = [i for i, share in enumerate(pi) if share == 0]
+        head = rows[col]
+        lead = head[col]
+        for r in range(col + 1, n):
+            row = rows[r]
+            factor = row[col]
+            rows[r] = [(v * lead - factor * w) // previous for v, w in zip(row, head)]
+        previous = lead
+    # previous is now the determinant up to sign; det * (pi_i / d_i) is an integer
+    solved = [0] * n
+    for i in reversed(range(n)):
+        row = rows[i]
+        rest = sum(row[j] * solved[j] for j in range(i + 1, n))
+        solved[i] = (previous * row[n] - rest) // row[i]
+    transient = [i for i, y in enumerate(solved) if y == 0]
     if transient:
         raise Reducible(f"chain has transient states {transient}")
-    return pi
+    return tuple(Fraction(y * d, previous) for y, d in zip(solved, scales))

@@ -6,7 +6,8 @@ binds arguments (TypeError for a missing, unknown or duplicate one) and
 reads fields. The constructor refuses a non-integer in an ``int`` or
 ``int | None`` field through ``integer``, then runs ``_check``. Records in
 range by construction are built unchecked by ``tuple.__new__(cls, fields)``
-(``enumerate_valid``, code-point and echo packing and unpacking); three
+(``enumerate_valid``, code-point and echo packing and unpacking, the bin
+maps of checked partitions); three
 classes store coerced values from their own ``__new__``. Attributes cannot be set or
 deleted, so derived values are ``cached_property``s. A record equals only
 records of its own class and does not order. Copies and pickles call the

@@ -221,9 +221,7 @@ def unbalance(sol: PartitionSolution) -> tuple[Fraction, Fraction]:
     """
     total = 1 << sol.r
     sizes = [x for m, x in ((sol.m_even, sol.x_even), (sol.m_odd, sol.x_odd)) if m > 0]
-    hi = Fraction(sol.n * max(sizes), total) - 1
-    lo = Fraction(sol.n * min(sizes), total) - 1
-    return hi, lo
+    return Fraction(sol.n * max(sizes) - total, total), Fraction(sol.n * min(sizes) - total, total)
 
 
 def format_unbalance(value: Fraction) -> str:
@@ -257,7 +255,7 @@ class BinMap(Record):
         total = _integer_sum(self.sizes)
         if total is None:
             raise RangeError("bin sizes must be a sequence of integers, in a tuple")
-        if total != 1 << self.r or len(self.sizes) != self.n:
+        if total != 1 << self.r or len(self.sizes) != self.n or min(self.sizes) < 0:
             raise RangeError("bin sizes must tile the outcome space")
         layout = self.layout
         if _integer_sum(layout) != self.n or len(layout) != 3 or min(layout) < 0:
@@ -290,18 +288,19 @@ def build_bin_map(sol: PartitionSolution) -> BinMap:
 
     The class with fewer bins is split into a left and a right leaf
     group (odd remainder to the left); the other class forms the core.
+    The sizes of a checked partition tile 2^r, so the map is built unchecked.
     """
     classes = [
         (m, x) for m, x in ((sol.m_even, sol.x_even), (sol.m_odd, sol.x_odd)) if m > 0
     ]
     if len(classes) == 1:
         (m, x), = classes
-        return BinMap(sol.r, sol.n, (x,) * m, (0, m, 0))
+        return tuple.__new__(BinMap, (sol.r, sol.n, (x,) * m, (0, m, 0)))
     (m_minor, x_minor), (m_major, x_major) = sorted(classes)
     left = (m_minor + 1) // 2
     right = m_minor - left
     sizes = (x_minor,) * left + (x_major,) * m_major + (x_minor,) * right
-    return BinMap(sol.r, sol.n, sizes, (left, m_major, right))
+    return tuple.__new__(BinMap, (sol.r, sol.n, sizes, (left, m_major, right)))
 
 
 def convert(value: int, bin_map: BinMap) -> int:

@@ -16,6 +16,7 @@ import csv
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from importlib import resources
+from itertools import groupby
 from math import lcm
 from types import MappingProxyType
 from typing import Mapping
@@ -282,13 +283,37 @@ def transition_matrix(dictionary: PagedTernaryDictionary) -> tuple[tuple[Fractio
     return tuple(tuple(Fraction(count, sum(row)) for count in row) for row in counts.values())
 
 
+@lru_cache(maxsize=None)
+def _runs(symbols: str) -> tuple[tuple[str, int], ...]:
+    """A word's same-symbol runs in order, as (symbol, length)."""
+    return tuple((ch, len(list(group))) for ch, group in groupby(symbols))
+
+
 def run_bounds(dictionary: PagedTernaryDictionary) -> dict[str, int]:
-    """Longest same-symbol run over every reachable word path, per symbol."""
+    """Longest same-symbol run over every reachable word path, per symbol.
+
+    A state is (page, the symbol the line ends on, its run). Only a word
+    that opens with that symbol lengthens the run; its other runs, and the
+    state after any word that is not one run, are the same from every
+    state. So each page scores its words' runs and pushes their fresh
+    states once, when the walk first enters it, and a state visits only the
+    words that open with its symbol. A fresh run scored or pushed for a
+    word that every entry lengthens is shorter than the lengthened one, so
+    it changes no bound and no refusal.
+    """
     moves = {sigma: [] for sigma in SIGMA_LEVELS}
     for sigma, rep, _, word, after in _chain(dictionary):
         if rep > 0:
-            moves[sigma].append((word.symbols, after))
+            moves[sigma].append((_runs(word.symbols), after))
     best = {ch: 0 for ch in SYMBOLS}
+
+    def reach(ch: str, length: int) -> None:
+        if length > best[ch]:
+            if length > RUN_CAP:
+                raise RangeError(f"run of {ch!r} exceeds the cap of {RUN_CAP}")
+            best[ch] = length
+
+    openers = {}  # per entered page: symbol -> [(leading run, whether the word is one run, next page)]
     seen = set()
     frontier = [(START_SIGMA, "", 0)]
     while frontier:
@@ -297,16 +322,18 @@ def run_bounds(dictionary: PagedTernaryDictionary) -> dict[str, int]:
             continue
         seen.add(state)
         sigma, tail, run = state
-        for symbols, after in moves[sigma]:
-            current, length = tail, run
-            for ch in symbols:
-                length = length + 1 if ch == current else 1
-                current = ch
-                if length > best[ch]:
-                    if length > RUN_CAP:
-                        raise RangeError(f"run of {ch!r} exceeds the cap of {RUN_CAP}")
-                    best[ch] = length
-            frontier.append((after, current, length))
+        if sigma not in openers:
+            openers[sigma] = {}
+            for runs, after in moves[sigma]:
+                for ch, length in runs:
+                    reach(ch, length)
+                (first, lead), (last, trail) = runs[0], runs[-1]
+                openers[sigma].setdefault(first, []).append((lead, len(runs) == 1, after))
+                frontier.append((after, last, trail))
+        for lead, whole, after in openers[sigma].get(tail, ()):
+            reach(tail, run + lead)
+            if whole:
+                frontier.append((after, tail, run + lead))
     return best
 
 

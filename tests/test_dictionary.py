@@ -304,6 +304,9 @@ def test_stationary_examples():
         two_page(1, 0)
     # the period-two alternation has one fixed point
     assert two_page(0, 1) == (Fraction(1, 2), Fraction(1, 2))
+    # entries are read as exact ratios: a float chain is answered in Fractions of the floats given
+    assert two_page(0.5, 0.25) == (Fraction(1, 3), Fraction(2, 3))
+    assert all(type(share) is Fraction for share in two_page(0.3, 0.6))
     with pytest.raises(RangeError):
         two_page(Fraction(3, 2), Fraction(1, 2))
 

@@ -1,13 +1,16 @@
-"""The paged codec's chained tables against the tuple-keyed walk they replace."""
+"""The paged codec's chained tables against the tuple-keyed walk they replace,
+and the integer stationary solve against the Fraction Gauss-Jordan it replaces."""
 
 import random
 import re
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from lamcode import dictionary, ternary
 from lamcode.errors import RangeError
-from lamcode.paging import CodeOutOfRange, PageMiss
+from lamcode.paging import CodeOutOfRange, PageMiss, Reducible, stationary_distribution
 
 STREAM_WORDS = 200
 
@@ -125,3 +128,70 @@ def test_wrong_type_arguments_are_refused():
             codec.decode(text, ternary.START_SIGMA)
     # integer-like codes still find their word, and an iterator is read once
     assert codec.encode(iter([True, 0]), ternary.START_SIGMA) == codec.encode([1, 0], ternary.START_SIGMA)
+
+
+def test_unhashable_state_is_an_unknown_state():
+    # the refusal of any state that names no page, not a bare TypeError from the lookup
+    codec = ternary.paged_codec()
+    for call in (
+        lambda: codec.encode([0], [1, 2]),
+        lambda: codec.decode("", [1, 2]),
+        lambda: ternary.decode_stream("", "reference", [1, 2]),
+    ):
+        assert _outcome(call) == (RangeError, "state [1, 2] outside pages (1, 2, 3, 4)")
+
+
+# --- the oracle of the stationary solve: Gauss-Jordan, one Fraction at a time ----
+
+
+def gauss_jordan_stationary(matrix):
+    for i, row in enumerate(matrix):
+        if any(p < 0 for p in row) or sum(row) != 1:
+            raise RangeError(f"row {i} of the chain is not a probability vector")
+    n = len(matrix)
+    rows = []
+    for j in range(n - 1):
+        row = [matrix[i][j] - (Fraction(1) if i == j else Fraction(0)) for i in range(n)]
+        rows.append(row + [Fraction(0)])
+    rows.append([Fraction(1)] * n + [Fraction(1)])
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if pivot is None:
+            raise Reducible("chain splits into several closed components")
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        head = rows[col][col]
+        rows[col] = [v / head for v in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [v - factor * w for v, w in zip(rows[r], rows[col])]
+    pi = tuple(rows[i][n] for i in range(n))
+    transient = [i for i, share in enumerate(pi) if share == 0]
+    if transient:
+        raise Reducible(f"chain has transient states {transient}")
+    return pi
+
+
+@st.composite
+def chains(draw):
+    """Rows of n = 1..6 states, about half of their entries zero; a row's shares are its integer weights over their sum."""
+    n = draw(st.integers(1, 6))
+    weight = st.one_of(st.just(0), st.integers(1, 9))
+    rows = draw(st.lists(st.lists(weight, min_size=n, max_size=n).filter(any), min_size=n, max_size=n))
+    return tuple(tuple(Fraction(w, sum(row)) for w in row) for row in rows)
+
+
+HALF, ONE, ZERO = Fraction(1, 2), Fraction(1), Fraction(0)
+
+
+@given(chains())
+@example(((ZERO, ONE), (ONE, ZERO)))  # periodic
+@example(((ZERO, ONE, ZERO), (ZERO, ZERO, ONE), (ONE, ZERO, ZERO)))  # periodic, period three
+@example(((HALF, HALF), (ZERO, ONE)))  # state 0 transient
+@example(((ONE, ZERO, ZERO), (HALF, ZERO, HALF), (ZERO, ZERO, ONE)))  # two closed classes
+@example(((1, 0), (0, 1)))  # plain integers, two closed classes
+@example(((0, 1), (Fraction(1, 3), Fraction(2, 3))))
+def test_integer_solve_matches_gauss_jordan(matrix):
+    # the reprs match too, so every share is a Fraction, as the oracle's are
+    expected = _outcome(lambda: gauss_jordan_stationary(matrix))
+    assert repr(_outcome(lambda: stationary_distribution(matrix))) == repr(expected)

@@ -232,6 +232,11 @@ def test_hostile_values_are_taken_or_refused():
             calls.append((f"{name}.decode_stream", value, lambda m=module, a=args, v=value: m.decode_stream(v, *a)))
     found = [(label, f"{value!r:.24}", problem) for label, value, call in calls if (problem := _misbehaviour(call))]
     assert not found
+    # taken would be wrong here: a negative bin size tiles the sum but folds draws onto the wrong digit
+    with pytest.raises(RangeError, match="bin sizes must tile the outcome space"):
+        scrambler.BinMap(2, 3, (3, -1, 2), (0, 3, 0))
+    zero_bins = scrambler.BinMap(3, 4, (0, 4, 0, 4), (1, 2, 1))  # empty bins stay legal
+    assert [scrambler.convert(v, zero_bins) for v in range(8)] == [1] * 4 + [3] * 4
 
 
 def test_integer_like_fields_are_accepted():

@@ -337,6 +337,12 @@ def test_mixed_word_widths_are_refused_when_built():
         PagedCodec({1: [("LzH", 2)], 2: [("zzz", 1), ("L", 2)]})
 
 
+def test_empty_words_are_refused_when_built():
+    # a codec of width 0 would divide by zero on decode and send every stream as ""
+    with pytest.raises(RangeError, match="words must hold at least one symbol"):
+        PagedCodec({1: [("", 1)]})
+
+
 def test_portrait_builds_one_codec(monkeypatch):
     # every chain pass of a portrait reads the dictionary's one codec
     built = []
@@ -522,6 +528,75 @@ def test_run_bounds_skip_words_no_key_picks():
     muted = ternary.PagedTernaryDictionary(shipped.variant, pages)
     assert ternary.run_bounds(shipped) == {"L": 5, "z": 4, "H": 5}
     assert ternary.run_bounds(muted) == {"L": 5, "z": 2, "H": 5}
+
+
+def symbol_walk_run_bounds(dictionary):
+    """The run bounds stepped one symbol at a time over every word of every state: the oracle of the run walk."""
+    moves = {sigma: [] for sigma in ternary.SIGMA_LEVELS}
+    for sigma, rep, _, word, after in ternary._chain(dictionary):
+        if rep > 0:
+            moves[sigma].append((word.symbols, after))
+    best = {ch: 0 for ch in ternary.SYMBOLS}
+    seen = set()
+    frontier = [(ternary.START_SIGMA, "", 0)]
+    while frontier:
+        state = frontier.pop()
+        if state in seen:
+            continue
+        seen.add(state)
+        sigma, tail, run = state
+        for symbols, after in moves[sigma]:
+            current, length = tail, run
+            for ch in symbols:
+                length = length + 1 if ch == current else 1
+                current = ch
+                if length > best[ch]:
+                    if length > ternary.RUN_CAP:
+                        raise RangeError(f"run of {ch!r} exceeds the cap of {ternary.RUN_CAP}")
+                    best[ch] = length
+            frontier.append((after, current, length))
+    return best
+
+
+def _run_outcome(reader, dictionary):
+    try:
+        return reader(dictionary)
+    except WorkbenchError as exc:
+        return type(exc), str(exc)
+
+
+def test_run_walk_matches_symbol_walk_on_shipped_variants():
+    for variant in ternary.VARIANTS:
+        book = ternary.dictionary_for(variant)
+        assert ternary.run_bounds(book) == symbol_walk_run_bounds(book) == {"L": 5, "z": 4, "H": 5}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(ternary.VARIANTS), st.data())
+def test_run_walk_matches_symbol_walk_on_muted_rep_counts(variant, data):
+    # about half the words muted (rep count 0): a muted word is never sent, a page may become
+    # unreachable, and now and then one has no weight left, which both walks refuse
+    shipped = ternary.dictionary_for(variant)
+    pages = []
+    for page in shipped.pages:
+        reps = data.draw(st.lists(st.sampled_from((0, 0, 1, 2)), min_size=len(page.entries), max_size=len(page.entries)))
+        entries = tuple(ternary.PageEntry(e.word, e.code, rep) for e, rep in zip(page.entries, reps))
+        pages.append(ternary.TernaryPage(page.sigma, entries))
+    book = ternary.PagedTernaryDictionary(variant, tuple(pages))
+    assert _run_outcome(ternary.run_bounds, book) == _run_outcome(symbol_walk_run_bounds, book)
+
+
+def test_run_past_the_cap_is_refused():
+    # zzz keeps the disparity, so on page 2 it loops on its own page and the z run grows without end
+    page = ternary.reference_dictionary().page(2)
+    looping = (ternary.PageEntry(ternary.word_metrics("zzz"), 0, page.entries[0].rep_count),) + page.entries[1:]
+    book = _reference_with_page_two(looping)
+    message = "run of 'z' exceeds the cap of 16"
+    assert _run_outcome(symbol_walk_run_bounds, book) == (RangeError, message)
+    with pytest.raises(RangeError, match=message):
+        ternary.run_bounds(book)
+    with pytest.raises(RangeError, match=message):
+        ternary.portrait(book)
 
 
 # Page occupancy at a word boundary: the stationary vector that
