@@ -72,42 +72,32 @@ def check_length(m: int) -> None:
         raise SizeLimit(f"image length must lie in [2, {MAX_IMAGE_LENGTH}]")
 
 
-def _walk(m: int, head: int):
-    """The valid images of length m, as end states of the no-KK automaton.
+# Every no-KK word is J or KJ before a shorter one. Read from the low level,
+# J negates the rest's bias and counts a transit; a leading K adds -1 first.
+_OPENINGS = ((J, 0), (K + J, -1))  # (opening, the bias it adds to the negated rest)
 
-    A transfer-matrix count (Marcus, Roth & Siegel): the state is the first
-    `head` letters, the last letter, the line level (-1 for L, +1 for H),
-    the bias and the transits so far. J toggles the level and counts a
-    transit, K holds it and adds it to the bias, and no K follows a K. With
-    head = m each state is one word, reached in lexicographic order (J
-    before K). Yields (prefix, mask, bias, transits, droop, count); words
-    anchored by K at both ends are dropped, and the droop is 2 when the
-    second or the last letter is K, else 1.
-    """
-    check_length(m)
-    states = Counter({("", "", -1, 0, 0): 1})
-    for _ in range(m):
-        grown = Counter()
-        for (prefix, last, level, bias, transits), count in states.items():
-            grown[(prefix + J)[:head], J, -level, bias, transits + 1] += count
-            if last != K:
-                grown[(prefix + K)[:head], K, level, bias + level, transits] += count
-        states = grown
-    for (prefix, last, _, bias, transits), count in states.items():
-        if prefix[0] == K == last:
-            continue
-        droop = 2 if K in (prefix[1], last) else 1
-        yield prefix, prefix[0] + last, bias, transits, droop, count
+
+def _ends(head: str, last: str) -> tuple[tuple[str, int], ...]:
+    """The (mask, droop) of a word from its first two letters and its last, none for a K..K word;
+    the droop is 2 when the second or the last letter is K, else 1."""
+    return () if head[0] == K == last else ((head[0] + last, 2 if K in (head[1], last) else 1),)
 
 
 @lru_cache(maxsize=8)
 def _listing(m: int) -> tuple[tuple[tuple[str, int, str, int, int], ...], tuple[tuple[str, int], ...]]:
     """The valid images of length m as (cells, rows), no record built: each distinct
-    (mask, bias, pattern, transits, droop) once, then (letters, cell index) per image."""
+    (mask, bias, pattern, transits, droop) once, then (letters, cell index) per image.
+    Words grow from their openings, J first, so each length is in lexicographic order."""
+    check_length(m)
+    shorter, words = [("", 0, 0)], [(J, 0, 1), (K, -1, 0)]  # (letters, bias, transits)
+    for _ in range(m - 1):
+        rests = zip(_OPENINGS, (words, shorter))
+        shorter, words = words, [(o + rest, add - bias, t + 1) for (o, add), tails in rests for rest, bias, t in tails]
     cells = {}
     rows = tuple(
         (letters, cells.setdefault((mask, bias, pattern_of(bias), transits, droop), len(cells)))
-        for letters, mask, bias, transits, droop, _ in _walk(m, m)
+        for letters, bias, transits in words
+        for mask, droop in _ends(letters[:2], letters[-1])
     )
     return tuple(cells), rows
 
@@ -157,14 +147,21 @@ def filter_for_data_bits(m_bits: int) -> ImageFilter:
 
 @lru_cache(maxsize=32)
 def image_histogram(m: int) -> Mapping[tuple[str, int, int, int], int]:
-    """(mask, bias, transits, droop) -> count over the valid images of length m.
-
-    The walk keeps only the first two letters of each prefix, so it counts
-    the words instead of listing them.
-    """
+    """(mask, bias, transits, droop) -> count over the valid images of length m: a transfer-matrix count
+    (Marcus, Roth & Siegel) over the listing's openings, whose state is (first two letters, last letter,
+    bias, transits), so it counts the words instead of listing them."""
+    check_length(m)
+    shorter, words = Counter({("", "", 0, 0): 1}), Counter({(J, J, 0, 1): 1, (K, K, -1, 0): 1})
+    for _ in range(m - 1):
+        grown = Counter()
+        for (opening, add), tails in zip(_OPENINGS, (words, shorter)):
+            for (head, last, bias, transits), count in tails.items():
+                grown[(opening + head)[:2], last or opening[-1], add - bias, transits + 1] += count
+        shorter, words = words, grown
     cells = Counter()
-    for _, mask, bias, transits, droop, count in _walk(m, 2):
-        cells[mask, bias, transits, droop] += count
+    for (head, last, bias, transits), count in words.items():
+        for mask, droop in _ends(head, last):
+            cells[mask, bias, transits, droop] += count
     return MappingProxyType(cells)
 
 
@@ -237,6 +234,8 @@ def encode_stream(
 def decode_stream(
     letters: str, m: int, image_filter: ImageFilter | None = None
 ) -> list[int]:
+    """The ordinal values of `letters`. `m` is configuration, not wire data, and is not
+    type-checked: a word length that is not an int may raise TypeError."""
     return paged_codec(m, image_filter).decode(letters, START_PAGE)[0]
 
 

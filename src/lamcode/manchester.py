@@ -49,9 +49,12 @@ def _check_level(level: str) -> None:
 
 
 def check_letters(letters: str) -> None:
-    """Validate a JK string; KK adjacency raises InvalidRun. A valid string is counted, not copied."""
+    """Validate a JK string; a non-str or a stray letter raises RangeError, KK adjacency
+    InvalidRun. A valid string is counted, not copied."""
     if letters.__class__ is not str or letters.count(J) + letters.count(K) != len(letters):
-        stray = letters.translate(_NOT_JK)  # names the stray letter; a non-str fails here
+        if not isinstance(letters, str):
+            raise RangeError(f"letters must be a str, not {type(letters).__name__}")
+        stray = letters.translate(_NOT_JK)  # names the stray letter
         if stray:
             raise RangeError(f"letter must be {J!r} or {K!r}, got {stray[0]!r}")
     if K + K in letters:

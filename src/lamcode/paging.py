@@ -45,14 +45,13 @@ class PagedCodec:
         self.width = len(next(iter(self.forward.values()))[0])
         if not self.width:
             raise RangeError("words must hold at least one symbol")
-        for (state, _), (word, nxt) in self.forward.items():
+        self._encoders = {state: {} for state in self.sizes}
+        self._decoders = {state: {} for state in self.sizes}
+        for (state, code), (word, nxt) in self.forward.items():
             if nxt not in self.sizes:
                 raise PageMiss(f"word {word!r} leaves the band from {state}")
             if len(word) != self.width:
                 raise RangeError(f"word {word!r} has width {len(word)}, not {self.width}")
-        self._encoders = {state: {} for state in self.sizes}
-        self._decoders = {state: {} for state in self.sizes}
-        for (state, code), (word, nxt) in self.forward.items():
             self._encoders[state][code] = word, nxt, self._encoders[nxt]
             self._decoders[state][word] = code, nxt, self._decoders[nxt]
 
@@ -110,27 +109,34 @@ def stationary_distribution(matrix) -> tuple:
 
     Every row must be a probability vector. Each entry is read as its exact
     ratio (`as_integer_ratio`), so a chain of floats is answered exactly,
-    in `Fraction`s of the floats given. The balance equations with the
-    normalisation have one solution exactly when the chain has one closed
-    class (Kemeny & Snell, ch. 5; periodic chains included), and that
-    solution is positive exactly when no state is transient. Several closed
-    classes raise Reducible, and so do transient states.
+    in `Fraction`s of the floats given, and a float row must sum to 1 in
+    those ratios: (0.3, 0.7) sums to 1 as floats, not exactly, and is a
+    RangeError. The balance equations with the normalisation have one
+    solution exactly when the chain has one closed class (Kemeny & Snell,
+    ch. 5; periodic chains included), and that solution is positive
+    exactly when no state is transient. Several closed classes raise
+    Reducible, and so do transient states.
 
-    Row i is scaled to integer weights over its denominators' lcm d_i, and
-    the system in pi_i / d_i is solved by fraction-free elimination
-    (Bareiss, Math. Comp. 22, 1968): every division is exact, and each
-    share is one Fraction over the determinant.
+    Row i is scaled to integer weights over its denominators' lcm d_i,
+    and is refused unless they are nonnegative and sum to d_i. The system
+    in pi_i / d_i is solved by fraction-free elimination (Bareiss, Math.
+    Comp. 22, 1968): every division is exact, and each share is one
+    Fraction over the determinant.
     """
-    for i, row in enumerate(matrix):
-        if any(p < 0 for p in row) or sum(row) != 1:
-            raise RangeError(f"row {i} of the chain is not a probability vector")
-    n = len(matrix)
     scales, weights = [], []
-    for row in matrix:
-        ratios = [p.as_integer_ratio() for p in row]
+    for i, row in enumerate(matrix):
+        refusal = f"row {i} of the chain is not a probability vector"
+        try:
+            ratios = [p.as_integer_ratio() for p in row]
+        except (AttributeError, ValueError, OverflowError):  # no exact ratio: a non-number, nan or an infinity
+            raise RangeError(refusal) from None
         scale = lcm(*(q for _, q in ratios))
+        weight = [p * (scale // q) for p, q in ratios]
+        if any(w < 0 for w in weight) or sum(weight) != scale:
+            raise RangeError(refusal)
         scales.append(scale)
-        weights.append([p * (scale // q) for p, q in ratios])
+        weights.append(weight)
+    n = len(matrix)
     rows = [[weights[i][j] - (scales[i] if i == j else 0) for i in range(n)] + [0] for j in range(n - 1)]
     rows.append(scales + [1])
     previous = 1

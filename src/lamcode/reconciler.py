@@ -142,8 +142,13 @@ def decode_stream(
 
     Walking the op list in reverse turns every dequeue into a positional
     push and every enqueue into a division by the capacity the queue had
-    at that moment, recovering inputs last-to-first.
+    at that moment, recovering inputs last-to-first. `encoded` that is not
+    an EncodedStream is a RangeError. `oracle` is configuration, not wire
+    data, and is not type-checked: one that is not a RadixOracle of int
+    radices raises TypeError or AttributeError.
     """
+    if not isinstance(encoded, EncodedStream):
+        raise RangeError(f"encoded must be an EncodedStream, not {type(encoded).__name__}")
     if encoded.count < 0:
         raise RangeError("negative input count")
     try:

@@ -102,9 +102,10 @@ class TernaryPage(Record):
     entries: tuple[PageEntry, ...]
 
     def _check(self) -> None:
+        entries = self.entries if isinstance(self.entries, tuple) else None  # a list would leave the record unhashable
         try:
-            codes = [entry.code for entry in self.entries]
-        except (TypeError, AttributeError):  # not iterable, or holding something else
+            codes = [entry.code for entry in entries]
+        except (TypeError, AttributeError):  # not a tuple, or holding something else
             raise RangeError(f"page {self.sigma} entries must be page entries") from None
         if codes != list(range(len(codes))):
             raise RangeError(f"page {self.sigma} codes must run 0..{len(codes) - 1}")
@@ -121,6 +122,11 @@ class PagedTernaryDictionary(Record):
     variant: str
     pages: tuple[TernaryPage, ...]
 
+    def _check(self) -> None:
+        pages = self.pages if isinstance(self.pages, tuple) else ()
+        if tuple(p.sigma if isinstance(p, TernaryPage) else None for p in pages) != SIGMA_LEVELS:
+            raise RangeError(f"pages must be a tuple of the pages at disparities {SIGMA_LEVELS}, in order")
+
     def page(self, sigma: int) -> TernaryPage:
         _check_sigma(sigma)
         return self.pages[sigma - 1]
@@ -130,6 +136,20 @@ class PagedTernaryDictionary(Record):
         """The page tables, built on first read; the state is the running disparity."""
         moves = {p.sigma: [(e.word.symbols, p.sigma + e.word.delta_dc) for e in p.entries] for p in self.pages}
         return PagedCodec(moves)
+
+    @cached_property
+    def chain(self) -> tuple[tuple[int, int, int, TernaryWord, int], ...]:
+        """The word-choice chain, built on first read: per page entry (disparity, rep_count,
+        page total, word, the codec's next disparity); a uniform key picks the entry with
+        chance rep_count over its page's total. A page without weight raises RangeError,
+        a word that leaves the band PageMiss."""
+        forward, chain = self.codec.forward, []
+        for page in self.pages:
+            total = sum(entry.rep_count for entry in page.entries)
+            if total <= 0:
+                raise RangeError(f"page {page.sigma} has no representation weight to share")
+            chain.extend((page.sigma, e.rep_count, total, e.word, forward[page.sigma, e.code][1]) for e in page.entries)
+        return tuple(chain)
 
 
 def _data_rows(name: str) -> tuple[dict[str, str], ...]:
@@ -256,28 +276,10 @@ def delimiter_word(s4: int, sigma: int, period: int, kind: str = "any") -> str:
     return word
 
 
-def _chain(dictionary: PagedTernaryDictionary):
-    """The word-choice chain, one page entry at a time.
-
-    Yields (disparity, rep_count, page total, word, the codec's next
-    disparity): a uniform key picks the entry with chance rep_count over
-    its page's total. A page without weight raises RangeError, a word that
-    leaves the band PageMiss.
-    """
-    forward = dictionary.codec.forward
-    for sigma in SIGMA_LEVELS:
-        entries = dictionary.page(sigma).entries
-        total = sum(entry.rep_count for entry in entries)
-        if total <= 0:
-            raise RangeError(f"page {sigma} has no representation weight to share")
-        for entry in entries:
-            yield sigma, entry.rep_count, total, entry.word, forward[sigma, entry.code][1]
-
-
 def transition_matrix(dictionary: PagedTernaryDictionary) -> tuple[tuple[Fraction, ...], ...]:
     """Page-to-page chain under uniform codes weighted by rep_count; each cell is one Fraction over the page total."""
     counts = {sigma: [0] * len(SIGMA_LEVELS) for sigma in SIGMA_LEVELS}
-    for sigma, rep, _, _, after in _chain(dictionary):
+    for sigma, rep, _, _, after in dictionary.chain:
         counts[sigma][after - 1] += rep
     # every entry lands in one cell of its page's row, so a row sums to its page total
     return tuple(tuple(Fraction(count, sum(row)) for count in row) for row in counts.values())
@@ -302,7 +304,7 @@ def run_bounds(dictionary: PagedTernaryDictionary) -> dict[str, int]:
     it changes no bound and no refusal.
     """
     moves = {sigma: [] for sigma in SIGMA_LEVELS}
-    for sigma, rep, _, word, after in _chain(dictionary):
+    for sigma, rep, _, word, after in dictionary.chain:
         if rep > 0:
             moves[sigma].append((_runs(word.symbols), after))
     best = {ch: 0 for ch in SYMBOLS}
@@ -377,9 +379,8 @@ def portrait(dictionary: PagedTernaryDictionary) -> PortraitStats:
     over scale times the totals' lcm.
     """
     boundary = stationary_distribution(transition_matrix(dictionary))
-    chain = list(_chain(dictionary))
     boundary_lcm = lcm(*(p.denominator for p in boundary))
-    share_lcm = lcm(*(total for _, _, total, _, _ in chain))
+    share_lcm = lcm(*(total for _, _, total, _, _ in dictionary.chain))
     scale = boundary_lcm * share_lcm
     page_weights = [p.numerator * (boundary_lcm // p.denominator) for p in boundary]
     levels = [{} for _ in range(WORD_LENGTH)]
@@ -387,7 +388,7 @@ def portrait(dictionary: PagedTernaryDictionary) -> PortraitStats:
     transits = [0] * (WORD_LENGTH - 1)  # within words; the boundary transit is appended last
     opens = {}  # (disparity, symbol): share of the page's words that open with it, times share_lcm
     ends = {}  # (next disparity, symbol): weight of words that end with it there, times scale
-    for sigma, rep, total, word, after in chain:
+    for sigma, rep, total, word, after in dictionary.chain:
         share = rep * (share_lcm // total)
         weight = page_weights[sigma - 1] * share
         symbols = word.symbols

@@ -102,6 +102,47 @@ def test_images_are_valid_and_sorted():
             assert image.pattern == pattern_of(image.bias)
 
 
+def automaton_walk(m: int, head: int):
+    """The valid images of length m, as end states of the no-KK automaton: the oracle of the opening split.
+
+    A transfer-matrix count: the state is the first `head` letters, the last
+    letter, the line level (-1 for L, +1 for H), the bias and the transits so
+    far. J toggles the level and counts a transit, K holds it and adds it to
+    the bias, and no K follows a K. With head = m each state is one word,
+    reached in lexicographic order (J before K). Yields (prefix, mask, bias,
+    transits, droop, count); words anchored by K at both ends are dropped,
+    and the droop is 2 when the second or the last letter is K, else 1.
+    """
+    states = Counter({("", "", -1, 0, 0): 1})
+    for _ in range(m):
+        grown = Counter()
+        for (prefix, last, level, bias, transits), count in states.items():
+            grown[(prefix + J)[:head], J, -level, bias, transits + 1] += count
+            if last != K:
+                grown[(prefix + K)[:head], K, level, bias + level, transits] += count
+        states = grown
+    for (prefix, last, _, bias, transits), count in states.items():
+        if prefix[0] == K == last:
+            continue
+        droop = 2 if K in (prefix[1], last) else 1
+        yield prefix, prefix[0] + last, bias, transits, droop, count
+
+
+def test_openings_match_the_automaton_walk():
+    # the listing (cells, rows and their order) and the census histogram, at every accepted length
+    for m in range(2, dictionary.MAX_IMAGE_LENGTH + 1):
+        cells = {}
+        rows = tuple(
+            (letters, cells.setdefault((mask, bias, pattern_of(bias), transits, droop), len(cells)))
+            for letters, mask, bias, transits, droop, _ in automaton_walk(m, m)
+        )
+        assert dictionary._listing(m) == (tuple(cells), rows)
+        histogram = Counter()
+        for _, mask, bias, transits, droop, count in automaton_walk(m, 2):
+            histogram[mask, bias, transits, droop] += count
+        assert dict(dictionary.image_histogram(m)) == dict(histogram)
+
+
 def test_census_pinned_cells():
     c8 = census(8, UNIT_BIAS)
     assert c8["JJ"]["balanced"] == 7
@@ -306,9 +347,13 @@ def test_stationary_examples():
     assert two_page(0, 1) == (Fraction(1, 2), Fraction(1, 2))
     # entries are read as exact ratios: a float chain is answered in Fractions of the floats given
     assert two_page(0.5, 0.25) == (Fraction(1, 3), Fraction(2, 3))
-    assert all(type(share) is Fraction for share in two_page(0.3, 0.6))
+    assert all(type(share) is Fraction for share in two_page(0.375, 0.625))
     with pytest.raises(RangeError):
         two_page(Fraction(3, 2), Fraction(1, 2))
+    # a float row is read exactly: 0.3 + 0.7 and 0.1 + 0.9 are 1 as floats but not as the ratios solved
+    for p_a in (0.3, 0.1):
+        with pytest.raises(RangeError, match="row 0 of the chain is not a probability vector"):
+            two_page(p_a, 0.5)
 
 
 PROBABILITIES = st.one_of(st.sampled_from((Fraction(0), Fraction(1))), st.fractions(0, 1, max_denominator=1000))
@@ -326,10 +371,10 @@ def test_stationary_matches_closed_form(p_a, p_b):
     assert two_page(p_a, p_b) == (share_a, 1 - share_a)
 
 
-@given(
-    st.floats(min_value=0.1, max_value=0.9),
-    st.floats(min_value=0.1, max_value=0.9),
-)
+DYADIC = st.integers(103, 921).map(lambda k: k / 1024)  # in [0.1, 0.9], and 1 - p is exact
+
+
+@given(DYADIC, DYADIC)
 def test_stationary_matches_power_iteration(p_a, p_b):
     got_a, got_b = two_page(p_a, p_b)
     va, vb = 0.5, 0.5

@@ -107,7 +107,7 @@ def test_check_letters_copies_no_valid_stream():
     with pytest.raises(RangeError, match="got 'x'"):
         check_letters(letters + "x")
     for not_text in ([J, K], b"JK"):  # a list or bytes is no letter string, though it counts J and K
-        with pytest.raises((TypeError, AttributeError)):
+        with pytest.raises(RangeError, match="letters must be a str"):
             check_letters(not_text)
 
 

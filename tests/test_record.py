@@ -97,7 +97,7 @@ def test_record_contract(cls):
             compare(record, record)
 
     # immutable: no field, no derived value and no new name can be set or deleted
-    for name in fields + ("not_a_field", "codec", "admits", "_table"):
+    for name in fields + ("not_a_field", "codec", "chain", "admits", "_table"):
         with pytest.raises(AttributeError):
             setattr(record, name, None)
         with pytest.raises(AttributeError):
@@ -210,7 +210,8 @@ def _misbehaviour(call) -> str | None:
 
 def test_hostile_values_are_taken_or_refused():
     # one hostile value at a time: into each field of each record class, each census threshold, the bulk
-    # scramble, a draw's value, and the codes, the text and a lone code of each paged stream codec
+    # scramble, a draw's value, the codes, the text and a lone code of each paged stream codec, and the
+    # wire data of the Manchester and reconciler decoders
     calls = []
     for cls, values in EXAMPLES.items():
         for at, name in enumerate(cls._fields):
@@ -223,7 +224,10 @@ def test_hostile_values_are_taken_or_refused():
             calls.append((f"image_filter_census[{at}]", value, lambda t=thresholds: echo.image_filter_census(*t)))
     bin_map = scrambler.build_bin_map(scrambler.solve_dx1(15, 259))
     streams = {"ternary": (ternary, ()), "dictionary": (dictionary, (8,))}
+    oracle = reconciler.constant_oracle(256, 259)
     for value in HOSTILE:
+        calls.append(("letters_to_bits", value, lambda v=value: manchester.letters_to_bits(v)))
+        calls.append(("reconciler.decode_stream", value, lambda v=value: reconciler.decode_stream(v, oracle)))
         calls.append(("scramble_values", value, lambda v=value: scrambler.scramble_values(v, (1, 2, 0))))
         calls.append(("convert", value, lambda v=value: scrambler.convert(v, bin_map)))
         for name, (module, args) in streams.items():

@@ -346,13 +346,34 @@ def test_empty_words_are_refused_when_built():
 def test_portrait_builds_one_codec(monkeypatch):
     # every chain pass of a portrait reads the dictionary's one codec
     built = []
-    monkeypatch.setattr(ternary, "PagedCodec", lambda pages: built.append(pages) or PagedCodec(pages))
     shipped = ternary.reference_dictionary()
+    shipped.codec  # built before the count starts, so the test counts the same alone as in the suite
+    monkeypatch.setattr(ternary, "PagedCodec", lambda pages: built.append(pages) or PagedCodec(pages))
     book = ternary.PagedTernaryDictionary("reference", shipped.pages)
     assert ternary.portrait(book) == ternary.portrait(book) == ternary.portrait(shipped)
     assert len(built) == 1
     assert book.codec is book.codec and book.codec.forward == shipped.codec.forward
+    # the word-choice chain is built once per dictionary too, beside its codec
+    assert book.chain is book.chain == shipped.chain and len(ternary.broadened_dictionary().chain) == 68
     assert ternary.paged_codec(ternary.REFERENCE) is shipped.codec
+
+
+def test_misordered_or_malformed_pages_are_refused():
+    # a page is read at index sigma - 1, so pages out of order would answer for the wrong disparity
+    pages = ternary.reference_dictionary().pages
+    for given in (
+        (pages[1], pages[0]) + pages[2:],  # swapped: the portrait reported run_H 7, not 5
+        pages[:3],
+        pages + pages[:1],
+        None,
+        list(pages),  # a list would leave the record unhashable
+        (1, 2, 3, 4),
+        tuple(ternary.TernaryPage(p.sigma + 1, p.entries) for p in pages),
+    ):
+        with pytest.raises(RangeError, match=r"pages must be a tuple of the pages at disparities \(1, 2, 3, 4\)"):
+            ternary.PagedTernaryDictionary("reference", given)
+    with pytest.raises(RangeError, match="page 1 entries must be page entries"):
+        ternary.TernaryPage(1, list(pages[0].entries))
 
 
 def _reference_with_page_two(entries):
@@ -471,7 +492,7 @@ def fraction_portrait(dictionary):
     letters = [dict.fromkeys(ternary.SYMBOLS, Fraction(0)) for _ in range(ternary.WORD_LENGTH)]
     transits = [Fraction(0)] * ternary.WORD_LENGTH
     opens, ends = {}, {}
-    for sigma, rep, total, word, after in ternary._chain(dictionary):
+    for sigma, rep, total, word, after in dictionary.chain:
         share = Fraction(rep, total)
         weight = boundary[sigma - 1] * share
         level = sigma
@@ -533,7 +554,7 @@ def test_run_bounds_skip_words_no_key_picks():
 def symbol_walk_run_bounds(dictionary):
     """The run bounds stepped one symbol at a time over every word of every state: the oracle of the run walk."""
     moves = {sigma: [] for sigma in ternary.SIGMA_LEVELS}
-    for sigma, rep, _, word, after in ternary._chain(dictionary):
+    for sigma, rep, _, word, after in dictionary.chain:
         if rep > 0:
             moves[sigma].append((word.symbols, after))
     best = {ch: 0 for ch in ternary.SYMBOLS}
