@@ -264,13 +264,13 @@ def _t1l_codec_command(args) -> tuple[list[str], list[list]]:
     if args.words < 0:
         raise UsageError("word count must be nonnegative")
     rng = random.Random(args.seed)
-    codec = ternary.paged_codec(args.variant)
     codes = []
     sigma = floor = ceiling = ternary.START_SIGMA
+    table = ternary.paged_codec(args.variant).encoders[sigma]
     for _ in range(args.words):
-        code = rng.randrange(codec.sizes[sigma])
+        code = rng.randrange(len(table))
         codes.append(code)
-        _, sigma = codec.forward[sigma, code]
+        _, sigma, table = table[code]
         floor, ceiling = min(floor, sigma), max(ceiling, sigma)
     letters = ternary.encode_stream(codes, args.variant)
     verdict = "PASS" if ternary.decode_stream(letters, args.variant) == codes else "FAIL"

@@ -30,38 +30,27 @@ class Reducible(WorkbenchError, ArithmeticError):
 
 class PagedCodec:
     """Closed pages of equal-width words, given as {state: [(word, next_state), ...]}
-    in code order; a next state that names no page raises PageMiss, an empty
-    first word or a word of another width than the first RangeError.
-    `forward` maps (state, code) to (word, next_state). Each state's encode
-    table maps a code to (word, next_state, the next state's encode table),
-    and its decode table a word to (code, next_state, the next decode
-    table): one lookup per symbol."""
+    in code order; a next state that names no page raises PageMiss, no word,
+    an empty first word or a word of another width than the first RangeError.
+    `encoders` maps each state to its encode table, which maps a code to
+    (word, next_state, the next state's encode table); a state's decode
+    table maps a word to (code, next_state, the next decode table). Each
+    entry is stored once per direction, and a symbol costs one lookup."""
 
     def __init__(self, pages: dict) -> None:
-        self.sizes = {state: len(page) for state, page in pages.items()}
-        self.forward = {(s, code): entry for s, page in pages.items() for code, entry in enumerate(page)}
-        if not self.forward:
-            raise RangeError("pages hold no words")
-        self.width = len(next(iter(self.forward.values()))[0])
+        self.encoders = {state: {} for state in pages}
+        self._decoders = {state: {} for state in pages}
+        self.width = next((len(word) for page in pages.values() for word, _ in page), 0)
         if not self.width:
-            raise RangeError("words must hold at least one symbol")
-        self._encoders = {state: {} for state in self.sizes}
-        self._decoders = {state: {} for state in self.sizes}
-        for (state, code), (word, nxt) in self.forward.items():
-            if nxt not in self.sizes:
-                raise PageMiss(f"word {word!r} leaves the band from {state}")
-            if len(word) != self.width:
-                raise RangeError(f"word {word!r} has width {len(word)}, not {self.width}")
-            self._encoders[state][code] = word, nxt, self._encoders[nxt]
-            self._decoders[state][word] = code, nxt, self._decoders[nxt]
-
-    def _check_state(self, state) -> None:
-        try:
-            known = state in self.sizes
-        except TypeError:  # an unhashable state names no page either
-            known = False
-        if not known:
-            raise RangeError(f"state {state!r} outside pages {tuple(self.sizes)}")
+            raise RangeError("words must hold at least one symbol, and the pages at least one word")
+        for state, page in pages.items():
+            for code, (word, nxt) in enumerate(page):
+                if nxt not in self.encoders:
+                    raise PageMiss(f"word {word!r} leaves the band from {state}")
+                if len(word) != self.width:
+                    raise RangeError(f"word {word!r} has width {len(word)}, not {self.width}")
+                self.encoders[state][code] = word, nxt, self.encoders[nxt]
+                self._decoders[state][word] = code, nxt, self._decoders[nxt]
 
     def encode(self, codes, state) -> tuple[str, object]:
         """The words for `codes` sent from `state`, and the state after them.
@@ -69,30 +58,28 @@ class PagedCodec:
         `codes` that is not iterable is a RangeError; a code that is not in
         the current page, unhashable ones included, is a CodeOutOfRange.
         """
-        self._check_state(state)
+        table = _table(self.encoders, state)
         try:
             codes = iter(codes)
         except TypeError:
             raise RangeError(f"codes must be an iterable of integers, not {type(codes).__name__}") from None
-        table = self._encoders[state]
         words = []
         for code in codes:
             try:
                 word, state, table = table[code]
             except (KeyError, TypeError):
-                raise CodeOutOfRange(f"code {code} outside page {state} of {self.sizes[state]} words") from None
+                raise CodeOutOfRange(f"code {code} outside page {state} of {len(self.encoders[state])} words") from None
             words.append(word)
         return "".join(words), state
 
     def decode(self, text: str, state) -> tuple[list[int], object]:
         """The codes of `text` received from `state`, and the state after them; `text` that is not a str is a RangeError."""
-        self._check_state(state)
+        table = _table(self._decoders, state)
         if not isinstance(text, str):
             raise RangeError(f"text must be a str, not {type(text).__name__}")
         width = self.width
         if len(text) % width:
             raise PageMiss("stream length is not a whole number of words")
-        table = self._decoders[state]
         codes = []
         for start in range(0, len(text), width):
             word = text[start : start + width]  # sliced here, not listed first: a listing holds every word at once
@@ -104,18 +91,25 @@ class PagedCodec:
         return codes, state
 
 
+def _table(tables: dict, state) -> dict:
+    try:
+        return tables[state]
+    except (KeyError, TypeError):  # an unhashable state names no page either
+        raise RangeError(f"state {state!r} outside pages {tuple(tables)}") from None
+
+
 def stationary_distribution(matrix) -> tuple:
     """Exact stationary row vector of a page chain given as transition rows.
 
-    Every row must be a probability vector. Each entry is read as its exact
-    ratio (`as_integer_ratio`), so a chain of floats is answered exactly,
-    in `Fraction`s of the floats given, and a float row must sum to 1 in
-    those ratios: (0.3, 0.7) sums to 1 as floats, not exactly, and is a
-    RangeError. The balance equations with the normalisation have one
-    solution exactly when the chain has one closed class (Kemeny & Snell,
-    ch. 5; periodic chains included), and that solution is positive
-    exactly when no state is transient. Several closed classes raise
-    Reducible, and so do transient states.
+    The matrix must be square and nonempty, and every row a probability
+    vector. Each entry is read as its exact ratio (`as_integer_ratio`), so a
+    chain of floats is answered exactly, in `Fraction`s of the floats given,
+    and a float row must sum to 1 in those ratios: (0.3, 0.7) sums to 1 as
+    floats, not exactly, and is a RangeError. The balance equations with the
+    normalisation have one solution exactly when the chain has one closed
+    class (Kemeny & Snell, ch. 5; periodic chains included), and that
+    solution is positive exactly when no state is transient. Several closed
+    classes raise Reducible, and so do transient states.
 
     Row i is scaled to integer weights over its denominators' lcm d_i,
     and is refused unless they are nonnegative and sum to d_i. The system
@@ -123,6 +117,9 @@ def stationary_distribution(matrix) -> tuple:
     Comp. 22, 1968): every division is exact, and each share is one
     Fraction over the determinant.
     """
+    n = len(matrix)
+    if not n or any(len(row) != n for row in matrix):
+        raise RangeError("the chain must be a nonempty square matrix")
     scales, weights = [], []
     for i, row in enumerate(matrix):
         refusal = f"row {i} of the chain is not a probability vector"
@@ -136,7 +133,6 @@ def stationary_distribution(matrix) -> tuple:
             raise RangeError(refusal)
         scales.append(scale)
         weights.append(weight)
-    n = len(matrix)
     rows = [[weights[i][j] - (scales[i] if i == j else 0) for i in range(n)] + [0] for j in range(n - 1)]
     rows.append(scales + [1])
     previous = 1

@@ -130,7 +130,7 @@ def encode_stream(
             raise RangeError(f"queue invariant violated: B_q={b_q}, N_q={n_q}")
         if trace is not None:
             trace.append(f"{op},{b_q},{n_q},{symbol}")
-    return EncodedStream(count=len(inputs), symbols=tuple(out))
+    return tuple.__new__(EncodedStream, (len(inputs), tuple(out)))  # a count and symbols made here: unchecked
 
 
 def decode_stream(

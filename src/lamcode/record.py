@@ -3,19 +3,23 @@
 A record class declares its fields as annotations, defaults last, no name
 starting with an underscore. A ``collections.namedtuple`` of the fields
 binds arguments (TypeError for a missing, unknown or duplicate one) and
-reads fields. The constructor refuses a non-integer in an ``int`` or
-``int | None`` field through ``integer``, then runs ``_check``. Records in
-range by construction are built unchecked by ``tuple.__new__(cls, fields)``
-(``enumerate_valid``, code-point and echo packing and unpacking, the bin
-maps of checked partitions); three
-classes store coerced values from their own ``__new__``. Attributes cannot be set or
-deleted, so derived values are ``cached_property``s. A record equals only
-records of its own class and does not order. Copies and pickles call the
-constructor; the repr names every field; records act as tuples otherwise.
+reads fields. The constructor checks each field's shape from its
+annotation, evaluated or a string naming classes of the defining module:
+an ``int`` or ``int | None`` field passes ``integer``, a record-class one
+holds an instance, and a ``tuple[...]`` one holds exactly a tuple, of the
+fixed length if any, whose int and record-class items are checked so.
+Then ``_check`` runs the class's value rules. Records in range by
+construction are built unchecked by ``tuple.__new__(cls, fields)``;
+``CodePoint``, ``NativeSample`` and ``ForcedSample`` check their fields
+in their own ``__new__``. Attributes cannot be set or deleted, so derived
+values are ``cached_property``s. A record equals only records of its own
+class and does not order. Copies and pickles call the constructor; the
+repr names every field; records act as tuples otherwise.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
 from operator import index
 
@@ -34,20 +38,25 @@ class Record(tuple):
         defaults = [cls.__dict__[name] for name in names if name in cls.__dict__]
         if any(name in cls.__dict__ for name in names[: len(names) - len(defaults)]):
             raise TypeError(f"{cls.__qualname__}: a field without a default follows one with a default")
-        shape = namedtuple(cls.__name__, names, defaults=defaults, module=cls.__module__)
-        cls._bind, cls._defaults = shape.__new__, shape._field_defaults
+        layout = namedtuple(cls.__name__, names, defaults=defaults, module=cls.__module__)
+        cls._bind, cls._defaults = layout.__new__, layout._field_defaults
         cls._fields = cls.__match_args__ = names
         optional = {"int": False, "int | None": True, int: False, int | None: True}  # integer fields: None allowed?
-        kinds = enumerate(annotations.items())
+        kinds = tuple(enumerate(annotations.items()))
         cls._integers = tuple((at, name, optional[kind]) for at, (name, kind) in kinds if kind in optional)
+        scope = vars(sys.modules[cls.__module__])
+        shapes = ((at, name, _shape(kind, scope)) for at, (name, kind) in kinds if kind not in optional)
+        cls._shapes = tuple(rule for rule in shapes if rule[2])
         for name in names:
-            setattr(cls, name, shape.__dict__[name])  # the shape's C field getter
+            setattr(cls, name, layout.__dict__[name])  # the namedtuple's C field getter
 
     def __new__(cls, *args, **kwargs):
         record = cls._bind(cls, *args, **kwargs)
         for at, name, optional in cls._integers:
             if record[at].__class__ is not int and not (optional and record[at] is None):
                 integer(name, record[at])
+        for at, name, shape in cls._shapes:
+            _conform(name, record[at], shape)
         record._check()
         return record
 
@@ -93,3 +102,31 @@ def integer(name: str, value) -> int:
         return index(value)
     except TypeError:
         raise RangeError(f"{name} must be an integer, not {type(value).__name__}") from None
+
+
+def _shape(kind, scope: dict):
+    """What a value annotated `kind` is checked for: int, a record class, (length, item shapes)
+    of a tuple (length None: any number of items, each of shapes[0]), or None, unchecked."""
+    if isinstance(kind, str):  # postponed: names resolve in the defining module
+        kind = eval(kind, scope) if kind.startswith("tuple[") else scope.get(kind)
+    if getattr(kind, "__origin__", None) is tuple:
+        items = tuple(_shape(item, scope) for item in kind.__args__)
+        return (None, items[:1] if items[0] else ()) if kind.__args__[-1:] == (...,) else (len(items), items)
+    return kind if kind is int or isinstance(kind, type) and issubclass(kind, Record) else None
+
+
+def _conform(name: str, value, shape) -> None:
+    """Refuse a value off its shape (see `_shape`); item i of a tuple is named name[i]."""
+    if shape is int:
+        integer(name, value)
+    elif shape.__class__ is not tuple:
+        if not isinstance(value, shape):
+            raise RangeError(f"{name} must be a {shape.__name__}, not {type(value).__name__}")
+    elif value.__class__ is not tuple:
+        raise RangeError(f"{name} must be a tuple, not {type(value).__name__}")
+    elif shape[0] not in (None, len(value)):
+        raise RangeError(f"{name} must hold {shape[0]} items, not {len(value)}")
+    elif shape[1]:  # some items are checked
+        for at, (item, kind) in enumerate(zip(value, shape[1] * len(value) if shape[0] is None else shape[1])):
+            if kind and item.__class__ is not kind:  # a plain int or an exact record passes here
+                _conform(f"{name}[{at}]", item, kind)

@@ -21,7 +21,6 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from operator import index
 
 from .errors import RangeError, WorkbenchError
 from .record import Record, integer
@@ -252,13 +251,9 @@ class BinMap(Record):
 
     def _check(self) -> None:
         _check_width(self.r)
-        total = _integer_sum(self.sizes)
-        if total is None:
-            raise RangeError("bin sizes must be a sequence of integers, in a tuple")
-        if total != 1 << self.r or len(self.sizes) != self.n or min(self.sizes) < 0:
-            raise RangeError("bin sizes must tile the outcome space")
-        layout = self.layout
-        if _integer_sum(layout) != self.n or len(layout) != 3 or min(layout) < 0:
+        if sum(map(int, self.sizes)) != 1 << self.r or len(self.sizes) != self.n or min(self.sizes) < 0:
+            raise RangeError("bin sizes must tile the outcome space")  # summed as ints: numpy sums wrap
+        if sum(map(int, self.layout)) != self.n or min(self.layout) < 0:
             raise RangeError("layout must be three nonnegative bin counts summing to n")
 
     @cached_property
@@ -271,16 +266,6 @@ class BinMap(Record):
         shift = max(0, self.r - self.n.bit_length() - 1)
         guide = tuple(bisect_right(starts, b << shift) - 1 for b in range(((1 << self.r) >> shift) + 1))
         return 1 << self.r, starts, shift, guide
-
-
-def _integer_sum(value) -> int | None:
-    """The sum of a tuple of integers; None for anything else: a list, or a float, Fraction or non-number item."""
-    if value.__class__ is tuple:
-        try:
-            return index(sum(value))
-        except TypeError:
-            pass
-    return None
 
 
 def build_bin_map(sol: PartitionSolution) -> BinMap:

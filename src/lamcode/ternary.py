@@ -102,13 +102,8 @@ class TernaryPage(Record):
     entries: tuple[PageEntry, ...]
 
     def _check(self) -> None:
-        entries = self.entries if isinstance(self.entries, tuple) else None  # a list would leave the record unhashable
-        try:
-            codes = [entry.code for entry in entries]
-        except (TypeError, AttributeError):  # not a tuple, or holding something else
-            raise RangeError(f"page {self.sigma} entries must be page entries") from None
-        if codes != list(range(len(codes))):
-            raise RangeError(f"page {self.sigma} codes must run 0..{len(codes) - 1}")
+        if [entry.code for entry in self.entries] != list(range(len(self.entries))):
+            raise RangeError(f"page {self.sigma} codes must run 0..{len(self.entries) - 1}")
 
     def entry_for(self, code: int) -> PageEntry:
         if not 0 <= code < len(self.entries):
@@ -123,8 +118,7 @@ class PagedTernaryDictionary(Record):
     pages: tuple[TernaryPage, ...]
 
     def _check(self) -> None:
-        pages = self.pages if isinstance(self.pages, tuple) else ()
-        if tuple(p.sigma if isinstance(p, TernaryPage) else None for p in pages) != SIGMA_LEVELS:
+        if tuple(page.sigma for page in self.pages) != SIGMA_LEVELS:
             raise RangeError(f"pages must be a tuple of the pages at disparities {SIGMA_LEVELS}, in order")
 
     def page(self, sigma: int) -> TernaryPage:
@@ -143,12 +137,12 @@ class PagedTernaryDictionary(Record):
         page total, word, the codec's next disparity); a uniform key picks the entry with
         chance rep_count over its page's total. A page without weight raises RangeError,
         a word that leaves the band PageMiss."""
-        forward, chain = self.codec.forward, []
+        encoders, chain = self.codec.encoders, []
         for page in self.pages:
             total = sum(entry.rep_count for entry in page.entries)
             if total <= 0:
                 raise RangeError(f"page {page.sigma} has no representation weight to share")
-            chain.extend((page.sigma, e.rep_count, total, e.word, forward[page.sigma, e.code][1]) for e in page.entries)
+            chain.extend((page.sigma, e.rep_count, total, e.word, encoders[page.sigma][e.code][1]) for e in page.entries)
         return tuple(chain)
 
 

@@ -393,8 +393,9 @@ def test_jk_page_chain_is_absorbing(m, stay_a):
     rows = []
     for page in "AB":
         shares = dict.fromkeys("AB", Fraction(0))
-        for code in range(codec.sizes[page]):
-            shares[codec.forward[page, code][1]] += Fraction(1, codec.sizes[page])
+        table = codec.encoders[page]
+        for _, after, _ in table.values():
+            shares[after] += Fraction(1, len(table))
         rows.append(tuple(shares.values()))
     assert rows == [(stay_a, 1 - stay_a), (0, 1)]
     with pytest.raises(Reducible, match=r"transient states \[0\]"):

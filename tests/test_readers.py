@@ -1,12 +1,13 @@
-"""Every public function, class, method and property in lamcode has a reader outside the unit tests.
+"""Every public function, class, method, property and instance attribute in lamcode has a reader outside the unit tests.
 
 A reader is code that stays when the unit tests go: another lamcode module,
 the benchmark scripts, the acceptance gate, or any other code of the
 defining module itself; a definition's own body does not count. A name
 counts as read where it appears as a loaded name, an attribute or an
 imported alias. A public top-level alias, `Name = <name or attribute>`,
-needs a reader too. Private and dunder names and other assignments are out
-of scope.
+needs a reader too, and so does a public attribute that `__init__` assigns
+to `self`; the whole `__init__` is its definition, so reads there do not
+count. Private and dunder names and other assignments are out of scope.
 """
 
 import ast
@@ -55,6 +56,22 @@ def _public_definitions(tree: ast.Module):
             for member in node.body:
                 if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)) and not member.name.startswith("_"):
                     yield f"{node.name}.{member.name}", member
+                elif isinstance(member, ast.FunctionDef) and member.name == "__init__":
+                    for name in sorted(_self_attributes(member)):
+                        yield f"{node.name}.{name}", member
+
+
+def _self_attributes(init: ast.FunctionDef) -> set[str]:
+    """The public attributes an `__init__` assigns to its first argument."""
+    this = init.args.args[0].arg
+    return {
+        target.attr
+        for child in ast.walk(init)
+        if isinstance(child, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+        for target in (child.targets if isinstance(child, ast.Assign) else [child.target])
+        if isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name) and target.value.id == this
+        and not target.attr.startswith("_")
+    }
 
 
 def test_readers_are_found():
@@ -67,6 +84,9 @@ def test_readers_are_found():
     assert {"CodePoint.value", "PartitionSolution.delta_x"} <= labels and not any("._" in label for label in labels)
     # and top-level aliases of a name or an attribute, not constants
     assert "pack_point" in labels and "LFSR_WIDTH" not in labels
+    # and the public attributes an __init__ assigns to self, not the private ones
+    labels = {label for label, _ in _public_definitions(_tree(ROOT / "src" / "lamcode" / "paging.py"))}
+    assert {"PagedCodec.encoders", "PagedCodec.width"} <= labels and "PagedCodec._decoders" not in labels
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda path: path.stem)

@@ -211,8 +211,11 @@ def test_decoder_refuses_non_integer_symbols():
     oracle = constant_oracle(256, 259)
     assert decode_stream(EncodedStream(1, (5,)), oracle) == [5]
     for symbols in ((5.5,), (5.0,), ("5",), (None,), 5, None):
+        # the constructor refuses them; a stream built unchecked reaches the decoder, which refuses them too
+        with pytest.raises(RangeError, match=r"^symbols(\[0\] must be an integer| must be a tuple), not "):
+            EncodedStream(1, symbols)
         with pytest.raises(DecodeError, match="symbols must be integers"):
-            decode_stream(EncodedStream(1, symbols), oracle)
+            decode_stream(tuple.__new__(EncodedStream, (1, symbols)), oracle)
     # a float header count is refused where the stream is built
     with pytest.raises(RangeError, match="count must be an integer"):
         EncodedStream(1.0, (5,))

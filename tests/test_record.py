@@ -159,23 +159,38 @@ def test_non_integer_fields_are_refused():
             scrambler.BinMap(r, 2, (1, 1), (0, 2, 0))
 
 
+def _shape_refusal(field: str) -> str:
+    """The message of the annotation rule's refusal of one field or of one of its items."""
+    return rf"^{field}(\[\d+\])? must (be a tuple|hold \d+ items|be an integer|be a [A-Z]\w*), not "
+
+
 def test_non_sequence_fields_are_refused():
-    # a page's entries must be page entries, not None, a number or bare values
+    # a page's entries must be a tuple of page entries, not None, a number or bare values
     for entries in (None, 5, (1, 2)):
-        with pytest.raises(RangeError, match="entries must be page entries"):
+        with pytest.raises(RangeError, match=_shape_refusal("entries")):
             ternary.TernaryPage(1, entries)
     for sizes in (None, 5, "3", [1, 1], (0.5, 1.5), (Fraction(1, 2), Fraction(3, 2))):
-        with pytest.raises(RangeError, match="bin sizes must be a sequence of integers"):
+        with pytest.raises(RangeError, match=_shape_refusal("sizes")):
             scrambler.BinMap(1, 2, sizes, (0, 2, 0))
     for sizes in ((1, 2), (1, 1, 0)):  # 3 outcomes, or 2 outcomes over three bins
         with pytest.raises(RangeError, match="bin sizes must tile the outcome space"):
             scrambler.BinMap(1, 2, sizes, (0, 2, 0))
-    # the layout is three nonnegative integer bin counts over all n bins, in a tuple
-    for layout in (None, 2, [0, 2, 0], (0, 2), (0, 2, 0, 0), (0, 3, -1), (1, 0, 0), (0, 2.0, 0), ("0", "2", "0")):
+    # the layout is a tuple of three integer bin counts, nonnegative and over all n bins
+    for layout in (None, 2, [0, 2, 0], (0, 2), (0, 2, 0, 0), (0, 2.0, 0), ("0", "2", "0")):
+        with pytest.raises(RangeError, match=_shape_refusal("layout")):
+            scrambler.BinMap(1, 2, (1, 1), layout)
+    for layout in ((0, 3, -1), (1, 0, 0)):
         with pytest.raises(RangeError, match="layout must be three nonnegative bin counts summing to n"):
             scrambler.BinMap(1, 2, (1, 1), layout)
     # integer-like counts pass, as they do in int fields
     assert scrambler.convert(1, scrambler.BinMap(1, 2, (True, np.int64(1)), (0, np.int64(2), 0))) == 1
+
+
+def test_integer_like_bin_sizes_are_summed_exactly():
+    # numpy sizes that wrap past 2^64 summed to 8 = 2^3 in int64: the map was built, and every draw fell on digit 3
+    wrapped = (np.int64(1 << 62),) * 3 + (np.int64((1 << 62) + 8),)
+    with pytest.raises(RangeError, match="bin sizes must tile the outcome space"):
+        scrambler.BinMap(3, 4, wrapped, (0, 4, 0))
 
 
 HOSTILE = (None, 1.5, "3", (), 5, -1, Fraction(1, 2), object(), [1, 2], 10**400)
@@ -266,6 +281,81 @@ def test_integer_rule_follows_the_annotations():
     assert [cls for cls in RECORD_CLASSES if cls._integers] == [
         cls for cls in RECORD_CLASSES if {"int", "int | None"} & set(cls.__annotations__.values())
     ]
+
+
+def _shaped_fields(cls):
+    """(index, name, kind) of each field annotated tuple[...] ("tuple") or with a record class ("record")."""
+    scope = vars(sys.modules[cls.__module__])
+    for at, (name, kind) in enumerate(cls.__annotations__.items()):
+        named = scope.get(kind)
+        if kind.startswith("tuple["):
+            yield at, name, "tuple"
+        elif isinstance(named, type) and issubclass(named, Record):
+            yield at, name, "record"
+
+
+@pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda cls: cls.__qualname__)
+def test_shape_rule_follows_the_annotations(cls):
+    # a tuple field given a list of the example's own items, a record field given a plain tuple of its fields
+    values = EXAMPLES[cls]
+    for at, name, kind in _shaped_fields(cls):
+        given = list(values[at]) if kind == "tuple" else tuple(values[at])
+        fields = values[:at] + (given,) + values[at + 1 :]
+        if cls.__new__ is Record.__new__:
+            with pytest.raises(RangeError, match=rf"^{name} must be a \w+, not "):
+                cls(*fields)
+        else:  # the echo samples build their own records: a list of digits is stored as a tuple
+            assert cls(*fields)[at].__class__ is tuple and cls(*fields) == cls(*values)
+
+
+def test_shape_rule_reads_every_tuple_and_record_annotation():
+    # the fields read off the annotations here are the fields the rule checks
+    shaped = {(cls, name) for cls in RECORD_CLASSES for _, name, _ in _shaped_fields(cls)}
+    assert shaped and shaped == {(cls, name) for cls in RECORD_CLASSES for _, name, _ in cls._shapes}
+
+
+def test_fields_off_their_shape_are_refused():
+    # each was accepted before the annotations were read: a list or an iterator of symbols, which leaves the
+    # stream unhashable or decodable once (a second decode of the same record raised FlushAmbiguity), a page
+    # entry whose word is a str (its codec and portrait then failed with AttributeError), a list boundary
+    stats = ternary.portrait(ternary.reference_dictionary())
+    for build, message in (
+        (lambda: reconciler.EncodedStream(2, [1, 2]), "symbols must be a tuple, not list"),
+        (lambda: reconciler.EncodedStream(0, iter(())), "symbols must be a tuple, not tuple_iterator"),
+        (lambda: ternary.PageEntry("LzH", 0, 2), "word must be a TernaryWord, not str"),
+        (lambda: ternary.PortraitStats(stats.variant, list(stats.boundary), *stats[2:]), "boundary must be a tuple"),
+    ):
+        with pytest.raises(RangeError, match=message):
+            build()
+
+
+def test_shape_rule_reads_evaluated_annotations():
+    class Pair(Record):  # annotations evaluated here, postponed (strings) in lamcode
+        ends: tuple[int, int]
+        spans: tuple[tuple[int, int], ...] = ()
+        label: tuple[str, ...] = ()
+
+    class Chain(Record):
+        head: Pair
+        links: tuple[Pair, ...] = ()
+
+    assert Pair((np.int64(1), True)).ends == (1, 1) and Pair((1, 2), ((3, 4),), (5,)).label == (5,)
+    for args, message in (
+        (([1, 2],), "ends must be a tuple, not list"),
+        (((1, 2, 3),), "ends must hold 2 items, not 3"),
+        (((1, 2.5),), r"ends\[1\] must be an integer, not float"),
+        (((1, 2), ((3, 4), (5, None))), r"spans\[1\]\[1\] must be an integer, not NoneType"),
+    ):
+        with pytest.raises(RangeError, match=message):
+            Pair(*args)
+    pair = Pair((1, 2))
+    assert Chain(pair, (pair,)).links == (pair,)
+    for args, message in (
+        (((1, 2),), "head must be a Pair, not tuple"),
+        ((pair, (pair, (1, 2))), r"links\[1\] must be a Pair, not tuple"),
+    ):
+        with pytest.raises(RangeError, match=message):
+            Chain(*args)
 
 
 def test_bad_record_classes_are_refused_when_defined():

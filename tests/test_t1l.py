@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -343,6 +344,11 @@ def test_empty_words_are_refused_when_built():
         PagedCodec({1: [("", 1)]})
 
 
+def _entries(codec):
+    """Each state's (word, next state) in code order: the chained tables nest, so they are not compared whole."""
+    return {state: [entry[:2] for entry in table.values()] for state, table in codec.encoders.items()}
+
+
 def test_portrait_builds_one_codec(monkeypatch):
     # every chain pass of a portrait reads the dictionary's one codec
     built = []
@@ -352,7 +358,7 @@ def test_portrait_builds_one_codec(monkeypatch):
     book = ternary.PagedTernaryDictionary("reference", shipped.pages)
     assert ternary.portrait(book) == ternary.portrait(book) == ternary.portrait(shipped)
     assert len(built) == 1
-    assert book.codec is book.codec and book.codec.forward == shipped.codec.forward
+    assert book.codec is book.codec and _entries(book.codec) == _entries(shipped.codec)
     # the word-choice chain is built once per dictionary too, beside its codec
     assert book.chain is book.chain == shipped.chain and len(ternary.broadened_dictionary().chain) == 68
     assert ternary.paged_codec(ternary.REFERENCE) is shipped.codec
@@ -365,14 +371,19 @@ def test_misordered_or_malformed_pages_are_refused():
         (pages[1], pages[0]) + pages[2:],  # swapped: the portrait reported run_H 7, not 5
         pages[:3],
         pages + pages[:1],
-        None,
-        list(pages),  # a list would leave the record unhashable
-        (1, 2, 3, 4),
         tuple(ternary.TernaryPage(p.sigma + 1, p.entries) for p in pages),
     ):
         with pytest.raises(RangeError, match=r"pages must be a tuple of the pages at disparities \(1, 2, 3, 4\)"):
             ternary.PagedTernaryDictionary("reference", given)
-    with pytest.raises(RangeError, match="page 1 entries must be page entries"):
+    # the annotation rule names the field: not a tuple, or holding something other than pages
+    for given, message in (
+        (None, "pages must be a tuple, not NoneType"),
+        (list(pages), "pages must be a tuple, not list"),  # a list would leave the record unhashable
+        ((1, 2, 3, 4), "pages[0] must be a TernaryPage, not int"),
+    ):
+        with pytest.raises(RangeError, match=re.escape(message)):
+            ternary.PagedTernaryDictionary("reference", given)
+    with pytest.raises(RangeError, match="entries must be a tuple, not list"):
         ternary.TernaryPage(1, list(pages[0].entries))
 
 
