@@ -20,3 +20,11 @@ __all__ = [
     "echo",
     "cli",
 ]
+
+
+def __getattr__(name: str):
+    """Import `lamcode.<name>` on first access, so `import lamcode` loads no layer (PEP 562)."""
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    return import_module(f"{__name__}.{name}")

@@ -8,15 +8,30 @@ invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import csv
+import importlib.util
 import io
-import json
 import math
 import random
 import sys
 
-from . import dictionary, echo, manchester, reconciler, scrambler, ternary
 from .errors import WorkbenchError
+
+
+def _layer(name: str):
+    """`lamcode.<name>`, run on its first attribute read: a cold command compiles only the layers it calls."""
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[fullname] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+dictionary, echo, manchester, reconciler, scrambler, ternary = map(
+    _layer, ("dictionary", "echo", "manchester", "reconciler", "scrambler", "ternary")
+)
 
 DEFAULT_SEED = 20259
 EVEN_LETTERS = tuple(range(2, 21, 2))
@@ -297,12 +312,14 @@ def _echo_census_command(args) -> tuple[list[str], list[list]]:
 
 def _render(header: list[str], rows: list[list], fmt: str) -> str:
     if fmt == "csv":
+        import csv
         sink = io.StringIO()
         writer = csv.writer(sink, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
         return sink.getvalue()
     if fmt == "json":
+        import json
         records = [dict(zip(header, row)) for row in rows]
         return json.dumps(records, indent=2) + "\n"
     table = [header] + [[str(cell) for cell in row] for row in rows]
@@ -318,7 +335,8 @@ def _common_flags() -> argparse.ArgumentParser:
     return common
 
 
-def _parser() -> argparse.ArgumentParser:
+def _parser(argv: list[str]) -> argparse.ArgumentParser:
+    """Every group, with leaf commands only under the groups `argv` names (their flags read layer constants)."""
     common = _common_flags()
     parser = argparse.ArgumentParser(
         prog="lamcode", description="constrained line-code workbench reports"
@@ -328,67 +346,72 @@ def _parser() -> argparse.ArgumentParser:
     lam = sub.add_parser("lam", help="two-level letter dictionaries").add_subparsers(
         dest="command", required=True
     )
-    enum = lam.add_parser("enum", parents=[common], help="valid-image census table")
-    enum.set_defaults(handler=_census_report)
-    pages = lam.add_parser("pages", parents=[common], help="page sizes per letter count")
-    pages.add_argument("--letters", type=int)
-    pages.set_defaults(handler=_lam_pages_command)
-    codec = lam.add_parser("codec", parents=[common], help="randomized codec round trip")
-    codec.add_argument("--letters", type=int, default=8)
-    codec.add_argument("--count", type=int, default=2000)
-    codec.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    codec.set_defaults(handler=_lam_codec_command)
+    if "lam" in argv:
+        enum = lam.add_parser("enum", parents=[common], help="valid-image census table")
+        enum.set_defaults(handler=_census_report)
+        pages = lam.add_parser("pages", parents=[common], help="page sizes per letter count")
+        pages.add_argument("--letters", type=int)
+        pages.set_defaults(handler=_lam_pages_command)
+        codec = lam.add_parser("codec", parents=[common], help="randomized codec round trip")
+        codec.add_argument("--letters", type=int, default=8)
+        codec.add_argument("--count", type=int, default=2000)
+        codec.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        codec.set_defaults(handler=_lam_codec_command)
 
     scram = sub.add_parser("scramble", help="partition solver and budgets").add_subparsers(
         dest="command", required=True
     )
-    solve = scram.add_parser("solve", parents=[common], help="partition rows for one width")
-    solve.add_argument("--r", type=int, required=True)
-    solve.add_argument("--n", type=int, default=259)
-    solve.set_defaults(handler=_solve_command)
-    binmap = scram.add_parser("map", parents=[common], help="bubble bin layout")
-    binmap.add_argument("--bins", type=int, required=True)
-    binmap.set_defaults(handler=_map_command)
-    budget = scram.add_parser("budget", parents=[common], help="repetition and observation budget")
-    budget.set_defaults(handler=_budget_report)
+    if "scramble" in argv:
+        solve = scram.add_parser("solve", parents=[common], help="partition rows for one width")
+        solve.add_argument("--r", type=int, required=True)
+        solve.add_argument("--n", type=int, default=259)
+        solve.set_defaults(handler=_solve_command)
+        binmap = scram.add_parser("map", parents=[common], help="bubble bin layout")
+        binmap.add_argument("--bins", type=int, required=True)
+        binmap.set_defaults(handler=_map_command)
+        budget = scram.add_parser("budget", parents=[common], help="repetition and observation budget")
+        budget.set_defaults(handler=_budget_report)
 
     rec = sub.add_parser("reconcile", help="mixed-radix reconciler").add_subparsers(
         dest="command", required=True
     )
-    run = rec.add_parser("run", parents=[common], help="randomized round-trip suite")
-    run.add_argument("--count", type=int, default=2000)
-    run.add_argument("--n-in", type=int, default=256)
-    run.add_argument("--n-out", type=int, default=259)
-    run.add_argument("--threshold", type=int, default=1 << 20)
-    run.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    run.set_defaults(handler=_reconcile_command)
+    if "reconcile" in argv:
+        run = rec.add_parser("run", parents=[common], help="randomized round-trip suite")
+        run.add_argument("--count", type=int, default=2000)
+        run.add_argument("--n-in", type=int, default=256)
+        run.add_argument("--n-out", type=int, default=259)
+        run.add_argument("--threshold", type=int, default=1 << 20)
+        run.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        run.set_defaults(handler=_reconcile_command)
 
     t1l = sub.add_parser("t1l", help="paged ternary transport").add_subparsers(
         dest="command", required=True
     )
-    tcodec = t1l.add_parser("codec", parents=[common], help="randomized codec round trip")
-    tcodec.add_argument("--words", type=int, default=10000)
-    tcodec.add_argument("--variant", choices=ternary.VARIANTS, default=ternary.REFERENCE)
-    tcodec.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    tcodec.set_defaults(handler=_t1l_codec_command)
-    tport = t1l.add_parser("portrait", parents=[common], help="stationary statistics table")
-    tport.add_argument("--variant", choices=ternary.VARIANTS, default=ternary.REFERENCE)
-    tport.set_defaults(handler=lambda args: _portrait_report(args, args.variant))
+    if "t1l" in argv:
+        tcodec = t1l.add_parser("codec", parents=[common], help="randomized codec round trip")
+        tcodec.add_argument("--words", type=int, default=10000)
+        tcodec.add_argument("--variant", choices=ternary.VARIANTS, default=ternary.REFERENCE)
+        tcodec.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        tcodec.set_defaults(handler=_t1l_codec_command)
+        tport = t1l.add_parser("portrait", parents=[common], help="stationary statistics table")
+        tport.add_argument("--variant", choices=ternary.VARIANTS, default=ternary.REFERENCE)
+        tport.set_defaults(handler=lambda args: _portrait_report(args, args.variant))
 
     ech = sub.add_parser("echo", help="echo pools and image census").add_subparsers(
         dest="command", required=True
     )
-    plan = ech.add_parser("plan", parents=[common], help="round-length plan")
-    plan.add_argument("--data", type=int, default=16)
-    plan.add_argument("--capable", type=int, default=20)
-    plan.add_argument("--modulus", type=int, default=2)
-    plan.set_defaults(handler=_echo_plan_command)
-    census = ech.add_parser("census", parents=[common], help="image filter census")
-    census.add_argument("--head", type=int, default=echo.IMAGE_SYMBOLS)
-    census.add_argument("--tail", type=int, default=echo.IMAGE_SYMBOLS)
-    census.add_argument("--dc", type=int, default=echo.IMAGE_SYMBOLS)
-    census.add_argument("--transits", type=int, default=0)
-    census.set_defaults(handler=_echo_census_command)
+    if "echo" in argv:
+        plan = ech.add_parser("plan", parents=[common], help="round-length plan")
+        plan.add_argument("--data", type=int, default=16)
+        plan.add_argument("--capable", type=int, default=20)
+        plan.add_argument("--modulus", type=int, default=2)
+        plan.set_defaults(handler=_echo_plan_command)
+        census = ech.add_parser("census", parents=[common], help="image filter census")
+        census.add_argument("--head", type=int, default=echo.IMAGE_SYMBOLS)
+        census.add_argument("--tail", type=int, default=echo.IMAGE_SYMBOLS)
+        census.add_argument("--dc", type=int, default=echo.IMAGE_SYMBOLS)
+        census.add_argument("--transits", type=int, default=0)
+        census.set_defaults(handler=_echo_census_command)
 
     report = sub.add_parser("report", parents=[common], help="render a table by id")
     report.add_argument("table")
@@ -413,8 +436,8 @@ def _map_command(args) -> tuple[list[str], list[list]]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parser(argv).parse_args(argv)
     try:
         header, rows = args.handler(args)
         text = _render(header, rows, args.format)

@@ -117,8 +117,12 @@ def stationary_distribution(matrix) -> tuple:
     Comp. 22, 1968): every division is exact, and each share is one
     Fraction over the determinant.
     """
-    n = len(matrix)
-    if not n or any(len(row) != n for row in matrix):
+    try:
+        n = len(matrix)
+        square = n and all(len(row) == n for row in matrix)
+    except TypeError:  # a matrix or a row with no length
+        square = False
+    if not square:
         raise RangeError("the chain must be a nonempty square matrix")
     scales, weights = [], []
     for i, row in enumerate(matrix):

@@ -1,5 +1,6 @@
 """CLI subcommands: formats, determinism, exit codes, spot values."""
 
+import contextlib
 import importlib.util
 import json
 import random
@@ -228,6 +229,91 @@ def test_cli_import_leaves_numpy_out():
     assert proc.stdout.strip() == "False"
 
 
+# Prints the stem of each lamcode module whose code ran in a fresh `import lamcode.cli`,
+# followed by `cli.main(argv)` when argv is given.
+MODULES_RUN_PROBE = """
+import contextlib, io, sys
+from pathlib import Path
+ran = []
+sys.addaudithook(lambda event, args: event == "exec" and ran.append(getattr(args[0], "co_filename", "")))
+from lamcode import cli
+code = 0
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(sys.argv[1:])
+print(*sorted(Path(name).stem for name in ran if Path(name).parent.name == "lamcode"))
+sys.exit(code)
+"""
+CLI_MODULES = {"__init__", "cli", "errors"}
+# the modules each layer's code runs, itself and what it imports
+LAYER_MODULES = {
+    "dictionary": {"dictionary", "manchester", "paging", "record"},
+    "echo": {"echo", "record", "scrambler"},
+    "reconciler": {"reconciler", "record"},
+    "scrambler": {"record", "scrambler"},
+    "ternary": {"paging", "record", "scrambler", "ternary"},
+}
+# the layer each command of benchmarks/workload_cli.py calls; `lam codec` also calls
+# manchester and the features report scrambler, which those layers import
+COMMAND_LAYER = {
+    "report.tbt-table13-census": "dictionary",
+    "report.tbt-table9-pages": "dictionary",
+    "report.t1-table6-symmetric": "scrambler",
+    "report.t1-table6-dm": "scrambler",
+    "report.t1-table6-budget": "scrambler",
+    "report.t1s-table14-jump": "dictionary",
+    "report.t1l-table6-dictionary": "ternary",
+    "report.t1l-table8-dictionary": "ternary",
+    "report.t1l-table10-delimiters": "ternary",
+    "report.t1l-table7-portrait": "ternary",
+    "report.t1l-table9-portrait": "ternary",
+    "report.t1-table7-sweep": "echo",
+    "report.t1-table8-features": "echo",
+    "lam.enum": "dictionary",
+    "lam.pages": "dictionary",
+    "lam.codec": "dictionary",
+    "scramble.solve": "scrambler",
+    "scramble.map": "scrambler",
+    "scramble.budget": "scrambler",
+    "reconcile.run": "reconciler",
+    "t1l.codec.reference": "ternary",
+    "t1l.codec.broadened": "ternary",
+    "t1l.portrait": "ternary",
+    "echo.plan": "echo",
+    "echo.census": "echo",
+}
+
+
+def _modules_run(argv: list[str]) -> set[str]:
+    proc = subprocess.run(
+        [sys.executable, "-c", MODULES_RUN_PROBE, *argv], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_cli_import_runs_no_layer():
+    assert _modules_run([]) == CLI_MODULES
+
+
+@pytest.fixture(scope="module")
+def cli_workload_commands() -> dict[str, list[str]]:
+    """kind -> argv of each command that benchmarks/workload_cli.py runs."""
+    with _benchmarks_importable():
+        workload = _bench_module("workload_cli")
+        return dict(workload.setup(random.Random(20259), None).commands)
+
+
+def test_layer_table_covers_the_cli_workload(cli_workload_commands):
+    assert sorted(COMMAND_LAYER) == sorted(cli_workload_commands)
+
+
+@pytest.mark.parametrize("kind", COMMAND_LAYER)
+def test_each_command_runs_only_its_layers(kind, cli_workload_commands):
+    expected = CLI_MODULES | LAYER_MODULES[COMMAND_LAYER[kind]]
+    assert _modules_run(cli_workload_commands[kind]) == expected
+
+
 HUGE = str(10**4000)  # argparse's int() takes up to 4300 digits
 NEXT_TO_HUGE = str(10**4000 + 1)
 EXTREMES = [
@@ -268,35 +354,43 @@ def _bench_module(name: str):
     return module
 
 
-def test_tracer_targets_resolve():
-    # benchmarks/tracer.py patches each (module, attr) by name, including the
-    # re-exported dictionary.metrics and ternary.bubble_map bindings
-    import lamcode
-    from lamcode import dictionary, echo, manchester, reconciler, scrambler, ternary  # noqa: F401
+@contextlib.contextmanager
+def _benchmarks_importable():
+    """benchmarks/ on sys.path for the block; the modules loaded from it leave sys.modules after."""
+    before = set(sys.modules)
+    sys.path.insert(0, str(BENCH))
+    try:
+        yield
+    finally:
+        sys.path.remove(str(BENCH))
+        for added in set(sys.modules) - before:
+            if str(BENCH) in (getattr(sys.modules[added], "__file__", None) or ""):
+                del sys.modules[added]
 
-    tracer = _bench_module("tracer")
-    targets = tracer.targets(lamcode)
-    assert targets
-    for module, attr, _, _ in targets:
-        assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+def test_tracer_targets_resolve():
+    # benchmarks/tracer.py patches each (module, attr) by name, including the re-exported
+    # dictionary.metrics and ternary.bubble_map bindings; `import lamcode` alone must do
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import lamcode, tracer; targets = tracer.targets(lamcode); "
+        "print(len(targets), *(f'{m.__name__}.{a}' for m, a, _, _ in targets if not callable(getattr(m, a, None))))"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe, str(BENCH)], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    count, *uncallable = proc.stdout.split()
+    assert int(count) > 0 and uncallable == []
 
 
 @pytest.mark.parametrize("name", ["workload_stream", "workload_exact"])
-def test_benchmark_workload_checks_pass(name, monkeypatch):
+def test_benchmark_workload_checks_pass(name):
     # The benchmark reads data shapes (page entries, rep counts, partition
     # fields) and checks outputs against its oracles; a request whose check
     # lists problems counts as failed there, so one seeded deck runs here.
     import lamcode
 
-    before = set(sys.modules)
-    monkeypatch.syspath_prepend(str(BENCH))
-    try:
+    with _benchmarks_importable():
         workload = _bench_module(name)
         tracer = _bench_module("tracer").Tracer()
         state = workload.setup(lamcode)
         for request in workload.deck(state, random.Random(20259), tracer):
             assert request.check(request.run()) == [], request.kind
-    finally:
-        for added in set(sys.modules) - before:
-            if str(BENCH) in (getattr(sys.modules[added], "__file__", None) or ""):
-                del sys.modules[added]

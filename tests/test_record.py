@@ -13,8 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import lamcode.cli  # noqa: F401 - imports every module that declares a record
-from lamcode import dictionary, echo, manchester, reconciler, scrambler, ternary
+from lamcode import dictionary, echo, manchester, paging, reconciler, scrambler, ternary
 from lamcode.errors import RangeError, WorkbenchError
 from lamcode.record import Record
 
@@ -225,8 +224,8 @@ def _misbehaviour(call) -> str | None:
 
 def test_hostile_values_are_taken_or_refused():
     # one hostile value at a time: into each field of each record class, each census threshold, the bulk
-    # scramble, a draw's value, the codes, the text and a lone code of each paged stream codec, and the
-    # wire data of the Manchester and reconciler decoders
+    # scramble, a draw's value, the codes, the text and a lone code of each paged stream codec, the
+    # wire data of the Manchester and reconciler decoders, and a page chain and its one row
     calls = []
     for cls, values in EXAMPLES.items():
         for at, name in enumerate(cls._fields):
@@ -245,6 +244,8 @@ def test_hostile_values_are_taken_or_refused():
         calls.append(("reconciler.decode_stream", value, lambda v=value: reconciler.decode_stream(v, oracle)))
         calls.append(("scramble_values", value, lambda v=value: scrambler.scramble_values(v, (1, 2, 0))))
         calls.append(("convert", value, lambda v=value: scrambler.convert(v, bin_map)))
+        calls.append(("stationary_distribution", value, lambda v=value: paging.stationary_distribution(v)))
+        calls.append(("stationary_distribution[0]", value, lambda v=value: paging.stationary_distribution((v,))))
         for name, (module, args) in streams.items():
             calls.append((f"{name}.encode_stream", value, lambda m=module, a=args, v=value: m.encode_stream(v, *a)))
             calls.append((f"{name}.encode_stream[0]", value, lambda m=module, a=args, v=value: m.encode_stream([v], *a)))
@@ -372,12 +373,15 @@ def test_bad_record_classes_are_refused_when_defined():
 
 
 def test_cli_import_leaves_dataclasses_and_inspect_out():
+    # the CLI loads its layers on first use, so the probe loads every module of the package as well;
+    # -B because the stripped environment drops PYTHONDONTWRITEBYTECODE, and bytecode cached in src/
+    # would change every later cold timing of the tree
     probe = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import lamcode.cli; "
+        "import sys; sys.path.insert(0, sys.argv[1]); import lamcode.cli; from lamcode import *; "
         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     )
     env = {key: value for key, value in os.environ.items() if not key.startswith("PYTHON")}
     out = subprocess.run(
-        [sys.executable, "-S", "-c", probe, str(SRC)], capture_output=True, text=True, check=True, env=env
+        [sys.executable, "-S", "-B", "-c", probe, str(SRC)], capture_output=True, text=True, check=True, env=env
     )
     assert out.stdout.strip() == "[]"
