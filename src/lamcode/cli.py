@@ -144,7 +144,7 @@ def _delimiter_report(args) -> tuple[list[str], list[list]]:
     return header, [[*cell, word] for cell, word in ternary.delimiter_cells().items()]
 
 
-def _portrait_report(args, variant: str) -> tuple[list[str], list[list]]:
+def _portrait_report(variant: str) -> tuple[list[str], list[list]]:
     stats = ternary.portrait(ternary.dictionary_for(variant))
     header = ["quantity", "phase_1", "phase_2", "phase_3", "average"]
 
@@ -215,8 +215,8 @@ REPORTS = {
     "t1l-table6-dictionary": lambda args: _records_report(ternary.reference_rows()),
     "t1l-table8-dictionary": lambda args: _records_report(ternary.broadened_rows()),
     "t1l-table10-delimiters": _delimiter_report,
-    "t1l-table7-portrait": lambda args: _portrait_report(args, ternary.REFERENCE),
-    "t1l-table9-portrait": lambda args: _portrait_report(args, ternary.BROADENED),
+    "t1l-table7-portrait": lambda args: _portrait_report(ternary.REFERENCE),
+    "t1l-table9-portrait": lambda args: _portrait_report(ternary.BROADENED),
     "t1-table7-sweep": lambda args: _records_report(echo.selection_sweep()),
     "t1-table8-features": _features_report,
 }
@@ -328,97 +328,6 @@ def _render(header: list[str], rows: list[list], fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    common.add_argument("--out", help="write the report to this path instead of stdout")
-    return common
-
-
-def _parser(argv: list[str]) -> argparse.ArgumentParser:
-    """Every group, with leaf commands only under the groups `argv` names (their flags read layer constants)."""
-    common = _common_flags()
-    parser = argparse.ArgumentParser(
-        prog="lamcode", description="constrained line-code workbench reports"
-    )
-    sub = parser.add_subparsers(dest="group", required=True)
-
-    lam = sub.add_parser("lam", help="two-level letter dictionaries").add_subparsers(
-        dest="command", required=True
-    )
-    if "lam" in argv:
-        enum = lam.add_parser("enum", parents=[common], help="valid-image census table")
-        enum.set_defaults(handler=_census_report)
-        pages = lam.add_parser("pages", parents=[common], help="page sizes per letter count")
-        pages.add_argument("--letters", type=int)
-        pages.set_defaults(handler=_lam_pages_command)
-        codec = lam.add_parser("codec", parents=[common], help="randomized codec round trip")
-        codec.add_argument("--letters", type=int, default=8)
-        codec.add_argument("--count", type=int, default=2000)
-        codec.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        codec.set_defaults(handler=_lam_codec_command)
-
-    scram = sub.add_parser("scramble", help="partition solver and budgets").add_subparsers(
-        dest="command", required=True
-    )
-    if "scramble" in argv:
-        solve = scram.add_parser("solve", parents=[common], help="partition rows for one width")
-        solve.add_argument("--r", type=int, required=True)
-        solve.add_argument("--n", type=int, default=259)
-        solve.set_defaults(handler=_solve_command)
-        binmap = scram.add_parser("map", parents=[common], help="bubble bin layout")
-        binmap.add_argument("--bins", type=int, required=True)
-        binmap.set_defaults(handler=_map_command)
-        budget = scram.add_parser("budget", parents=[common], help="repetition and observation budget")
-        budget.set_defaults(handler=_budget_report)
-
-    rec = sub.add_parser("reconcile", help="mixed-radix reconciler").add_subparsers(
-        dest="command", required=True
-    )
-    if "reconcile" in argv:
-        run = rec.add_parser("run", parents=[common], help="randomized round-trip suite")
-        run.add_argument("--count", type=int, default=2000)
-        run.add_argument("--n-in", type=int, default=256)
-        run.add_argument("--n-out", type=int, default=259)
-        run.add_argument("--threshold", type=int, default=1 << 20)
-        run.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        run.set_defaults(handler=_reconcile_command)
-
-    t1l = sub.add_parser("t1l", help="paged ternary transport").add_subparsers(
-        dest="command", required=True
-    )
-    if "t1l" in argv:
-        tcodec = t1l.add_parser("codec", parents=[common], help="randomized codec round trip")
-        tcodec.add_argument("--words", type=int, default=10000)
-        tcodec.add_argument("--variant", choices=ternary.VARIANTS, default=ternary.REFERENCE)
-        tcodec.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        tcodec.set_defaults(handler=_t1l_codec_command)
-        tport = t1l.add_parser("portrait", parents=[common], help="stationary statistics table")
-        tport.add_argument("--variant", choices=ternary.VARIANTS, default=ternary.REFERENCE)
-        tport.set_defaults(handler=lambda args: _portrait_report(args, args.variant))
-
-    ech = sub.add_parser("echo", help="echo pools and image census").add_subparsers(
-        dest="command", required=True
-    )
-    if "echo" in argv:
-        plan = ech.add_parser("plan", parents=[common], help="round-length plan")
-        plan.add_argument("--data", type=int, default=16)
-        plan.add_argument("--capable", type=int, default=20)
-        plan.add_argument("--modulus", type=int, default=2)
-        plan.set_defaults(handler=_echo_plan_command)
-        census = ech.add_parser("census", parents=[common], help="image filter census")
-        census.add_argument("--head", type=int, default=echo.IMAGE_SYMBOLS)
-        census.add_argument("--tail", type=int, default=echo.IMAGE_SYMBOLS)
-        census.add_argument("--dc", type=int, default=echo.IMAGE_SYMBOLS)
-        census.add_argument("--transits", type=int, default=0)
-        census.set_defaults(handler=_echo_census_command)
-
-    report = sub.add_parser("report", parents=[common], help="render a table by id")
-    report.add_argument("table")
-    report.set_defaults(handler=_report_command)
-    return parser
-
-
 def _solve_command(args) -> tuple[list[str], list[list]]:
     header = ["r", "m_even", "m_odd", "x_even", "x_odd", "kind", "unb_pos", "unb_neg"]
     rows = []
@@ -433,6 +342,72 @@ def _map_command(args) -> tuple[list[str], list[list]]:
     header = ["bin", "size"]
     rows = [[i, size] for i, size in enumerate(layout.sizes)]
     return header, rows
+
+
+def _t1l_portrait_command(args) -> tuple[list[str], list[list]]:
+    return _portrait_report(args.variant)
+
+
+def _image_symbols() -> int:
+    return echo.IMAGE_SYMBOLS
+
+
+_SEED = ("seed", DEFAULT_SEED)
+_VARIANT = ("variant", lambda: (ternary.VARIANTS, ternary.REFERENCE))
+# group -> (help, {command: (help, handler, flags)}).  A flag is (name, default): an int default, None for
+# none, ... for a required flag, or a function that reads a layer constant when its group is built and
+# returns an int default or (choices, default).
+_COMMANDS = {
+    "lam": ("two-level letter dictionaries", {
+        "enum": ("valid-image census table", _census_report, ()),
+        "pages": ("page sizes per letter count", _lam_pages_command, (("letters", None),)),
+        "codec": ("randomized codec round trip", _lam_codec_command, (("letters", 8), ("count", 2000), _SEED)),
+    }),
+    "scramble": ("partition solver and budgets", {
+        "solve": ("partition rows for one width", _solve_command, (("r", ...), ("n", 259))),
+        "map": ("bubble bin layout", _map_command, (("bins", ...),)),
+        "budget": ("repetition and observation budget", _budget_report, ()),
+    }),
+    "reconcile": ("mixed-radix reconciler", {
+        "run": ("randomized round-trip suite", _reconcile_command, (
+            ("count", 2000), ("n-in", 256), ("n-out", 259), ("threshold", 1 << 20), _SEED,
+        )),
+    }),
+    "t1l": ("paged ternary transport", {
+        "codec": ("randomized codec round trip", _t1l_codec_command, (("words", 10000), _VARIANT, _SEED)),
+        "portrait": ("stationary statistics table", _t1l_portrait_command, (_VARIANT,)),
+    }),
+    "echo": ("echo pools and image census", {
+        "plan": ("round-length plan", _echo_plan_command, (("data", 16), ("capable", 20), ("modulus", 2))),
+        "census": ("image filter census", _echo_census_command, (
+            ("head", _image_symbols), ("tail", _image_symbols), ("dc", _image_symbols), ("transits", 0),
+        )),
+    }),
+}
+
+
+def _parser(argv: list[str]) -> argparse.ArgumentParser:
+    """Every group, with leaf commands only under the groups `argv` names (their flags read layer constants)."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--format", choices=("text", "csv", "json"), default="text")
+    common.add_argument("--out", help="write the report to this path instead of stdout")
+    parser = argparse.ArgumentParser(prog="lamcode", description="constrained line-code workbench reports")
+    sub = parser.add_subparsers(dest="group", required=True)
+    for group, (group_help, commands) in _COMMANDS.items():
+        leaves = sub.add_parser(group, help=group_help).add_subparsers(dest="command", required=True)
+        for command, (command_help, handler, flags) in commands.items() if group in argv else ():
+            leaf = leaves.add_parser(command, parents=[common], help=command_help)
+            for name, default in flags:
+                default = default() if callable(default) else default
+                if isinstance(default, tuple):
+                    leaf.add_argument(f"--{name}", choices=default[0], default=default[1])
+                else:
+                    leaf.add_argument(f"--{name}", type=int, required=default is ..., default=default)
+            leaf.set_defaults(handler=handler)
+    report = sub.add_parser("report", parents=[common], help="render a table by id")
+    report.add_argument("table")
+    report.set_defaults(handler=_report_command)
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -5,9 +5,10 @@ starting with an underscore. A ``collections.namedtuple`` of the fields
 binds arguments (TypeError for a missing, unknown or duplicate one) and
 reads fields. The constructor checks each field's shape from its
 annotation, evaluated or a string naming classes of the defining module:
-an ``int`` or ``int | None`` field passes ``integer``, a record-class one
-holds an instance, and a ``tuple[...]`` one holds exactly a tuple, of the
-fixed length if any, whose int and record-class items are checked so.
+an ``int`` or ``int | None`` field passes ``integer`` and stores a value
+that is not an int (a numpy integer) as one, a record-class one holds an
+instance, and a ``tuple[...]`` one holds exactly a tuple, of the fixed
+length if any, whose int and record-class items are checked so.
 Then ``_check`` runs the class's value rules. Records in range by
 construction are built unchecked by ``tuple.__new__(cls, fields)``;
 ``CodePoint``, ``NativeSample`` and ``ForcedSample`` check their fields
@@ -54,7 +55,9 @@ class Record(tuple):
         record = cls._bind(cls, *args, **kwargs)
         for at, name, optional in cls._integers:
             if record[at].__class__ is not int and not (optional and record[at] is None):
-                integer(name, record[at])
+                value = integer(name, record[at])
+                if not isinstance(record[at], int):  # stored as an int: 1 << np.int64(64) wraps
+                    record = tuple.__new__(cls, (*record[:at], value, *record[at + 1 :]))
         for at, name, shape in cls._shapes:
             _conform(name, record[at], shape)
         record._check()

@@ -344,6 +344,27 @@ def test_accepted_extremes_exit_0_or_2_in_bounded_time(capsys):
     assert time.perf_counter() - started < 10.0
 
 
+def _int_flag_edges():
+    """argv of every int flag of every leaf command at -1 and at 0, read off the command table: the
+    other flags keep their defaults, and the other required ones are given 8."""
+    for group, (_, commands) in cli._COMMANDS.items():
+        for command, (_, _, flags) in commands.items():
+            for name, default in flags:
+                if not isinstance(default() if callable(default) else default, tuple):
+                    others = [arg for other, d in flags if d is ... and other != name for arg in (f"--{other}", "8")]
+                    yield from ([group, command, f"--{name}", value, *others] for value in ("-1", "0"))
+
+
+def test_every_int_flag_edge_exits_0_or_2_in_bounded_time(capsys):
+    cases = list(_int_flag_edges())
+    assert len(cases) >= 42  # 21 int flags when this test was written
+    started = time.perf_counter()
+    for argv in cases:
+        code, _, err = run_cli(capsys, *argv)
+        assert code in (0, 2), f"{' '.join(argv)}: {err[:200]}"
+    assert time.perf_counter() - started < 10.0
+
+
 BENCH = Path(__file__).resolve().parents[1] / "benchmarks"
 
 

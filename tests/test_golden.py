@@ -2,8 +2,8 @@
 
 Each case renders in-process through `cli.main` and must hash to the value
 recorded in `golden_stdout.json`.  A change that alters output on purpose
-regenerates the fixture with `python tests/test_golden.py` and names the
-changed hashes in its change log.
+regenerates the fixture with `PYTHONPATH=src python -B tests/test_golden.py`
+and names the changed hashes in its change log.
 """
 
 import contextlib

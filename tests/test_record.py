@@ -267,6 +267,20 @@ def test_integer_like_fields_are_accepted():
     assert reconciler.ReconcilerConfig(np.int64(2)).capacity_threshold == 2
 
 
+@pytest.mark.parametrize(
+    "cls, fields",
+    [
+        (scrambler.BinMap, (64, 2, (1 << 63, 1 << 63), (0, 2, 0))),
+        (scrambler.PartitionSolution, (64, 2, 2, 0, 1 << 63, 1)),
+    ],
+    ids=("BinMap", "PartitionSolution"),
+)
+def test_integer_like_width_is_stored_as_an_int(cls, fields):
+    # stored as given, a numpy width made 1 << r wrap, and both records were refused at r = 64
+    record = cls(np.int64(fields[0]), *fields[1:])
+    assert record == cls(*fields) and type(record.r) is int
+
+
 def test_integer_rule_follows_the_annotations():
     class Span(Record):  # annotations evaluated here, postponed (strings) in lamcode
         start: int

@@ -4,7 +4,8 @@ Each case runs in-process through `cli.main` at a fixed terminal width and
 must match the exit code and the SHA-256 of stdout and stderr recorded in
 `golden_usage.json`.  argparse formats the texts, so the fixture holds for
 the Python minor version that recorded it; a change that alters them on
-purpose, or a new Python, regenerates it with `python tests/test_usage.py`.
+purpose, or a new Python, regenerates it with
+`PYTHONPATH=src python -B tests/test_usage.py`.
 """
 
 import contextlib
@@ -58,6 +59,11 @@ RECORDED_HERE = GOLDEN["python"] == "{}.{}".format(*sys.version_info)
 
 def test_fixture_covers_every_case():
     assert sorted(GOLDEN["cases"]) == sorted(cases())
+
+
+def test_commands_follow_the_cli_table():
+    # a command added to the CLI's table cannot escape the fixture
+    assert list(COMMANDS.items()) == [(group, tuple(commands)) for group, (_, commands) in cli._COMMANDS.items()]
 
 
 @pytest.mark.skipif(not RECORDED_HERE, reason=f"usage texts recorded under Python {GOLDEN['python']}")
