@@ -48,18 +48,9 @@ class UsageError(WorkbenchError, ValueError):
 
 def _census_report(args) -> tuple[list[str], list[list]]:
     header = ["count"] + [f"m{m}" for m in EVEN_LETTERS]
-    per = {m: dictionary.census(m) for m in EVEN_LETTERS}
-
-    def mask_total(m: int, mask: str) -> int:
-        return sum(per[m][mask].values())
-
-    rows = [
-        ["valid"] + [sum(mask_total(m, k) for k in per[m]) for m in EVEN_LETTERS],
-        ["mask_jj"] + [mask_total(m, "JJ") for m in EVEN_LETTERS],
-        ["mask_jk"] + [mask_total(m, "JK") for m in EVEN_LETTERS],
-        ["mask_kj"] + [mask_total(m, "KJ") for m in EVEN_LETTERS],
-    ]
-    return header, rows
+    totals = [{mask: sum(row.values()) for mask, row in dictionary.census(m).items()} for m in EVEN_LETTERS]
+    rows = [[f"mask_{mask.lower()}"] + [total[mask] for total in totals] for mask in dictionary.MASKS]
+    return header, [["valid"] + [sum(total.values()) for total in totals]] + rows
 
 
 def _check_letters(letters: int) -> None:
@@ -123,11 +114,11 @@ def _budget_report(args) -> tuple[list[str], list[list]]:
 
 def _jump_report(args) -> tuple[list[str], list[list]]:
     pages = dictionary.build_pages(JUMP_LETTERS)
-    header = ["position", "jj", "jk", "kj", "all"]
+    header = ["position", *(mask.lower() for mask in dictionary.MASKS), "all"]
     rows = []
     for i in range(JUMP_LETTERS):
         cells = [i]
-        for mask in ("JJ", "JK", "KJ", None):
+        for mask in (*dictionary.MASKS, None):
             p = dictionary.position_jump_probability(pages, i, mask=mask)
             cells.append(f"{float(p):.4f}")
         rows.append(cells)
@@ -148,28 +139,13 @@ def _portrait_report(variant: str) -> tuple[list[str], list[list]]:
     stats = ternary.portrait(ternary.dictionary_for(variant))
     header = ["quantity", "phase_1", "phase_2", "phase_3", "average"]
 
-    def cell(mapping, key) -> str:
-        return f"{float(mapping[key]):.2f}" if key in mapping else ""
+    def row(name: str, phases, average, key) -> list:
+        return [f"{name}_{key}"] + [f"{float(p[key]):.2f}" if key in p else "" for p in (*phases, average)]
 
-    rows = []
-    for level in range(6):
-        rows.append(
-            [f"p_sum_{level}"]
-            + [cell(phase, level) for phase in stats.p_sigma_phase]
-            + [cell(stats.p_sigma, level)]
-        )
-    for letter in ternary.SYMBOLS:
-        rows.append(
-            [f"p_letter_{letter}"]
-            + [cell(phase, letter) for phase in stats.p_letter_phase]
-            + [cell(stats.p_letter, letter)]
-        )
+    rows = [row("p_sum", stats.p_sigma_phase, stats.p_sigma, level) for level in range(6)]
+    rows += [row("p_letter", stats.p_letter_phase, stats.p_letter, letter) for letter in ternary.SYMBOLS]
     average = sum(stats.p_transit) / 3
-    rows.append(
-        ["p_transit"]
-        + [f"{float(p):.2f}" for p in stats.p_transit]
-        + [f"{float(average):.2f}"]
-    )
+    rows.append(["p_transit"] + [f"{float(p):.2f}" for p in (*stats.p_transit, average)])
     for sigma, share in zip(ternary.SIGMA_LEVELS, stats.boundary):
         rows.append([f"pi_{sigma}", "", "", "", f"{float(share):.2f}"])
     for letter, bound in sorted(stats.run_bounds.items()):
@@ -230,22 +206,27 @@ def _report_command(args) -> tuple[list[str], list[list]]:
     return builder(args)
 
 
+def _seeded(seed: int, count: int, noun: str) -> random.Random:
+    """The draws of a seeded round trip of `count` items, after a negative count is refused."""
+    if count < 0:
+        raise UsageError(f"{noun} count must be nonnegative")
+    return random.Random(seed)
+
+
+def _round_trip(passed: bool, detail: str, rows: list[list]) -> tuple[list[str], list[list]]:
+    """The check table of a seeded round trip: its verdict row, then the command's own rows."""
+    return ["check", "result", "detail"], [["round_trip", "PASS" if passed else "FAIL", detail], *rows]
+
+
 def _lam_codec_command(args) -> tuple[list[str], list[list]]:
     _check_letters(args.letters)
-    if args.count < 0:
-        raise UsageError("word count must be nonnegative")
-    rng = random.Random(args.seed)
+    rng = _seeded(args.seed, args.count, "word")
     space = 1 << (args.letters // 2)
     data = [rng.randrange(space) for _ in range(args.count)]
     letters = dictionary.encode_stream(data, args.letters)
-    verdict = "PASS" if dictionary.decode_stream(letters, args.letters) == data else "FAIL"
-    metrics = manchester.metrics(letters)
-    header = ["check", "result", "detail"]
-    rows = [
-        ["round_trip", verdict, f"{args.count} words of {args.letters} letters"],
-        ["stream_letters", len(letters), f"bias {metrics.dc_bias:+d}"],
-    ]
-    return header, rows
+    passed = dictionary.decode_stream(letters, args.letters) == data
+    stream = ["stream_letters", len(letters), f"bias {manchester.metrics(letters).dc_bias:+d}"]
+    return _round_trip(passed, f"{args.count} words of {args.letters} letters", [stream])
 
 
 def _reconcile_command(args) -> tuple[list[str], list[list]]:
@@ -253,32 +234,25 @@ def _reconcile_command(args) -> tuple[list[str], list[list]]:
         raise UsageError("input radix must be at least 2")
     if args.n_out <= args.n_in:
         raise UsageError("output radix must exceed input radix")
-    if args.count < 0:
-        raise UsageError("symbol count must be nonnegative")
-    rng = random.Random(args.seed)
+    rng = _seeded(args.seed, args.count, "symbol")
     data = [rng.randrange(args.n_in) for _ in range(args.count)]
     oracle = reconciler.constant_oracle(args.n_in, args.n_out)
     config = reconciler.ReconcilerConfig(capacity_threshold=args.threshold)
     encoded = reconciler.encode_stream(data, oracle, config)
-    verdict = "PASS" if reconciler.decode_stream(encoded, oracle, config) == data else "FAIL"
+    passed = reconciler.decode_stream(encoded, oracle, config) == data
     efficiency = (
         len(data) * math.log2(args.n_in) / (len(encoded.symbols) * math.log2(args.n_out))
         if encoded.symbols
         else 0.0
     )
-    header = ["check", "result", "detail"]
-    rows = [
-        ["round_trip", verdict, f"{args.count} symbols base {args.n_in} -> base {args.n_out}"],
+    return _round_trip(passed, f"{args.count} symbols base {args.n_in} -> base {args.n_out}", [
         ["outputs", len(encoded.symbols), f"threshold {args.threshold}"],
         ["efficiency", f"{efficiency:.4f}", "input bits over output bits"],
-    ]
-    return header, rows
+    ])
 
 
 def _t1l_codec_command(args) -> tuple[list[str], list[list]]:
-    if args.words < 0:
-        raise UsageError("word count must be nonnegative")
-    rng = random.Random(args.seed)
+    rng = _seeded(args.seed, args.words, "word")
     codes = []
     sigma = floor = ceiling = ternary.START_SIGMA
     table = ternary.paged_codec(args.variant).encoders[sigma]
@@ -288,13 +262,9 @@ def _t1l_codec_command(args) -> tuple[list[str], list[list]]:
         _, sigma, table = table[code]
         floor, ceiling = min(floor, sigma), max(ceiling, sigma)
     letters = ternary.encode_stream(codes, args.variant)
-    verdict = "PASS" if ternary.decode_stream(letters, args.variant) == codes else "FAIL"
-    header = ["check", "result", "detail"]
-    rows = [
-        ["round_trip", verdict, f"{args.words} words, variant {args.variant}"],
-        ["sum_band", f"{floor}..{ceiling}", "running disparity stays on a page"],
-    ]
-    return header, rows
+    passed = ternary.decode_stream(letters, args.variant) == codes
+    band = ["sum_band", f"{floor}..{ceiling}", "running disparity stays on a page"]
+    return _round_trip(passed, f"{args.words} words, variant {args.variant}", [band])
 
 
 def _echo_plan_command(args) -> tuple[list[str], list[list]]:

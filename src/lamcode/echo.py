@@ -197,6 +197,8 @@ def _cancels(data_radix: int, echo_radix: int, cancellation: int, count: int) ->
 
 def schedule_round(data_radix: int, echo_radix: int, echo_modulus: int) -> int:
     """Smallest word count n with echo_modulus * data_radix**n <= echo_radix**n."""
+    data_radix, echo_radix = integer("data radix", data_radix), integer("echo radix", echo_radix)
+    echo_modulus = integer("echo modulus", echo_modulus)
     if data_radix < 2:
         raise RangeError("data radix must be at least 2")
     if echo_modulus < 2:

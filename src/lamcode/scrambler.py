@@ -70,8 +70,11 @@ def _advance_word(state: int) -> int:
 
 def lfsr_values(state: int, nbits: int, count: int) -> tuple[int, list[int]]:
     """Draw `count` values of `nbits` each; first output bit lands in the LSB."""
+    state, nbits, count = integer("state", state), integer("nbits", nbits), integer("count", count)
     if nbits < 1:
         raise RangeError("nbits must be positive")
+    if count < 0:
+        raise RangeError("count must be nonnegative")
     _check_state(state)
     out: list[int] = []
     buffer = 0

@@ -3,6 +3,7 @@
 import contextlib
 import importlib.util
 import json
+import os
 import random
 import shlex
 import subprocess
@@ -363,6 +364,40 @@ def test_every_int_flag_edge_exits_0_or_2_in_bounded_time(capsys):
         code, _, err = run_cli(capsys, *argv)
         assert code in (0, 2), f"{' '.join(argv)}: {err[:200]}"
     assert time.perf_counter() - started < 10.0
+
+
+CHILD_RSS_BOUND_KIB = 64 * 1024
+# Runs each argv of argv[1] (JSON) as `python -m lamcode.cli`, one child at a time, and prints the exit code,
+# the stderr head and the peak resident set (KiB on Linux) that os.wait4 reports for that child.  A child's
+# peak counts the memory of the process that spawned it, so this small launcher spawns them, not the test run.
+RSS_PROBE = """
+import json, os, subprocess, sys
+found = []
+for argv in json.loads(sys.argv[1]):
+    child = subprocess.Popen([sys.executable, "-m", "lamcode.cli", *argv], stdout=subprocess.DEVNULL,
+                             stderr=subprocess.PIPE, text=True)
+    err = child.stderr.read()
+    _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)
+    child.stderr.close()
+    found.append((" ".join(argv), child.returncode, err[:200], usage.ru_maxrss))
+print(json.dumps(found))
+"""
+
+
+def test_every_int_flag_edge_child_stays_under_the_memory_bound():
+    cases = list(_int_flag_edges())
+    assert len(cases) >= 42
+    started = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", RSS_PROBE, json.dumps(cases)], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    found = json.loads(proc.stdout)
+    assert len(found) == len(cases)
+    assert [(argv, err) for argv, code, err, _ in found if code not in (0, 2)] == []
+    assert [(argv, peak) for argv, _, _, peak in found if peak >= CHILD_RSS_BOUND_KIB] == []
+    assert time.perf_counter() - started < 15.0
 
 
 BENCH = Path(__file__).resolve().parents[1] / "benchmarks"

@@ -236,6 +236,10 @@ def test_hostile_values_are_taken_or_refused():
         for value in HOSTILE:
             thresholds = [value if k == at else 6 for k in range(4)]
             calls.append((f"image_filter_census[{at}]", value, lambda t=thresholds: echo.image_filter_census(*t)))
+    for at in range(3):
+        for value in HOSTILE:
+            radices = [value if k == at else (16, 20, 2)[k] for k in range(3)]
+            calls.append((f"schedule_round[{at}]", value, lambda r=radices: echo.schedule_round(*r)))
     bin_map = scrambler.build_bin_map(scrambler.solve_dx1(15, 259))
     streams = {"ternary": (ternary, ()), "dictionary": (dictionary, (8,))}
     oracle = reconciler.constant_oracle(256, 259)
@@ -267,6 +271,18 @@ def test_integer_like_fields_are_accepted():
     assert reconciler.ReconcilerConfig(np.int64(2)).capacity_threshold == 2
 
 
+def test_integer_like_arguments_draw_and_plan_as_ints():
+    # a numpy state's shifts wrapped (49 of 50 draws differed), a numpy width overflowed, numpy radices had no
+    # bit_length, a negative count drew nothing and a float radix was planned
+    draws = scrambler.lfsr_values(123456789, 40, 50)
+    assert scrambler.lfsr_values(np.int64(123456789), np.int64(40), np.int64(50)) == draws
+    assert scrambler.lfsr_values(np.uint32(123456789), 40, 50) == draws
+    assert echo.schedule_round(np.int64(16), np.int64(20), np.int64(2)) == echo.schedule_round(16, 20, 2) == 4
+    for call in (lambda: scrambler.lfsr_values(5, 5, -1), lambda: echo.schedule_round(2.5, 3, 2)):
+        with pytest.raises(RangeError):
+            call()
+
+
 @pytest.mark.parametrize(
     "cls, fields",
     [
@@ -289,7 +305,7 @@ def test_integer_rule_follows_the_annotations():
 
     assert Span._fields == ("start", "stop", "scale") and Span._defaults == {"stop": None, "scale": 1.0}
     assert Span(1) == Span(start=1, stop=None, scale=1.0) and Span(1, scale=0.5).scale == 0.5
-    assert Span(np.int64(2), True).stop is True  # integer-like values pass and are stored as given
+    assert Span(np.int64(2), True).stop is True  # integer-like values pass; only the bool is stored as given
     for args in ((1.5,), (None,), ("1",), (1, 2.0), (1, Fraction(2))):
         with pytest.raises(RangeError, match="must be an integer"):
             Span(*args)
