@@ -23,8 +23,18 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    """Import `lamcode.<name>` on first access, so `import lamcode` loads no layer (PEP 562)."""
+    """`lamcode.<name>` on first access (PEP 562). `cli` is imported; a layer is bound through a LazyLoader, so it
+    runs on its first attribute read, however it is reached, and a command runs only the layers it reads from."""
     if name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-    return import_module(f"{__name__}.{name}")
+    import importlib.util
+    import sys
+    fullname = f"{__name__}.{name}"
+    if name == "cli":
+        return importlib.import_module(fullname)
+    if fullname not in sys.modules:  # a lazy module stays lazy: importing it again would run it
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules[fullname] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[fullname])
+    return sys.modules[fullname]

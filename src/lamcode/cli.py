@@ -8,30 +8,13 @@ invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import io
 import math
 import random
 import sys
 
+from . import dictionary, echo, manchester, reconciler, scrambler, ternary  # each runs on its first attribute read
 from .errors import WorkbenchError
-
-
-def _layer(name: str):
-    """`lamcode.<name>`, run on its first attribute read: a cold command compiles only the layers it calls."""
-    fullname = f"{__package__}.{name}"
-    if fullname in sys.modules:
-        return sys.modules[fullname]
-    spec = importlib.util.find_spec(fullname)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = sys.modules[fullname] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-dictionary, echo, manchester, reconciler, scrambler, ternary = map(
-    _layer, ("dictionary", "echo", "manchester", "reconciler", "scrambler", "ternary")
-)
 
 DEFAULT_SEED = 20259
 EVEN_LETTERS = tuple(range(2, 21, 2))

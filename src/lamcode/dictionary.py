@@ -23,11 +23,11 @@ from operator import is_
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
+from . import paging
 from .errors import RangeError, SizeLimit, WorkbenchError
 from .manchester import J, K
 from .manchester import metrics  # noqa: F401 - benchmarks/tracer.py patches dictionary.metrics
-from .paging import PagedCodec
-from .record import Record
+from .record import Record, integer
 
 MAX_IMAGE_LENGTH = 24
 MASKS = ("JJ", "JK", "KJ")
@@ -216,12 +216,12 @@ START_PAGE = "A"  # a stream opens as if its predecessor ended with K
 
 
 @lru_cache(maxsize=8)
-def paged_codec(m: int, image_filter: ImageFilter | None = None) -> PagedCodec:
+def paged_codec(m: int, image_filter: ImageFilter | None = None) -> paging.PagedCodec:
     """The page tables of length-m words; the state is the page id."""
     if image_filter is None:
         image_filter = filter_for_data_bits(m // 2)
     pages = zip("AB", build_pages(m, image_filter))
-    return PagedCodec({page: [(word, next_page(word)) for word in words] for page, words in pages})
+    return paging.PagedCodec({page: [(word, next_page(word)) for word in words] for page, words in pages})
 
 
 def encode_stream(
@@ -304,6 +304,7 @@ def position_jump_probability(
     size = words.bit_count()
     if not size:
         raise EmptyPage("no words to sample")
+    i = integer("position", i)
     if not 0 <= i < len(columns):
         raise RangeError(f"position must lie in [0, {len(columns)})")
     return Fraction((columns[i] & words).bit_count(), size)

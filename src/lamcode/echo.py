@@ -141,20 +141,16 @@ _OCTAL3 = tuple((v & 7, v >> 3 & 7, v >> 6) for v in range(OCTAL**3))
 def unpack_sample(point: scrambler.CodePoint | int) -> NativeSample | ForcedSample:
     """Recover the sample behind a code point, picking the pool by range.
 
+    The value is read as an int, and one that is not an integer is a RangeError.
     The range check puts every field in range, so the sample is built unchecked.
-    A value that is not an integer fails the shifts and masks with TypeError,
-    which is raised as RangeError.
     """
-    value = point.value if isinstance(point, scrambler.CodePoint) else point
-    try:
-        if not 0 <= value < POOL_TOTAL:
-            raise RangeError(f"code point must lie in [0, {POOL_TOTAL})")
-        if value < NATIVE_POOL:
-            return tuple.__new__(NativeSample, (value >> 18, _OCTAL3[value & 511] + _OCTAL3[value >> 9 & 511]))
-        offset = value - NATIVE_POOL
-        return tuple.__new__(ForcedSample, (offset >> 9, _OCTAL3[offset & 511]))
-    except TypeError:
-        raise RangeError(f"code point must be an integer, not {type(value).__name__}") from None
+    value = integer("code point", point.value if isinstance(point, scrambler.CodePoint) else point)
+    if not 0 <= value < POOL_TOTAL:
+        raise RangeError(f"code point must lie in [0, {POOL_TOTAL})")
+    if value < NATIVE_POOL:
+        return tuple.__new__(NativeSample, (value >> 18, _OCTAL3[value & 511] + _OCTAL3[value >> 9 & 511]))
+    offset = value - NATIVE_POOL
+    return tuple.__new__(ForcedSample, (offset >> 9, _OCTAL3[offset & 511]))
 
 
 def event_resolution(mii: bool = False) -> tuple[float, float]:
@@ -245,6 +241,7 @@ class MockRound(Record):
 
 def mock_round(echo_modulus: int) -> MockRound:
     """Describe the power-of-two round equivalent to delaying the stream."""
+    echo_modulus = integer("echo modulus", echo_modulus)
     if echo_modulus < 1 or echo_modulus & (echo_modulus - 1):
         raise RangeError("echo modulus must be a power of two")
     return MockRound(echo_modulus, echo_modulus.bit_length() - 1)

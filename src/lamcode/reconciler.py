@@ -110,8 +110,12 @@ def encode_stream(
     threshold test holds; termination drains every remaining digit.
     The schedule owns N_q; the queued value B_q is a plain int here.
     Each step appends "stage,B_q,N_q,symbol" to `trace` when given.
+    Inputs are read as ints; a non-integer one is a RangeError.
     """
-    inputs = list(inputs)
+    try:
+        inputs = list(map(index, inputs))  # 2.5 would enqueue a fraction, and numpy products overflow
+    except TypeError:  # a non-integer input, or inputs that are no iterable
+        raise RangeError("inputs must be integers") from None
     pending = iter(inputs)
     b_q = 0
     out: list[int] = []

@@ -344,22 +344,22 @@ pack_point = CodePoint
 
 
 def unpack_point(value: int) -> CodePoint:
-    """The point of a packed value; a value that is not an integer fails the shift, raised as RangeError."""
-    try:
-        if not 0 <= value < POINT_SPACE:
-            raise RangeError(f"value must lie in [0, {POINT_SPACE})")
-        return tuple.__new__(CodePoint, (value >> AFFIX_BITS, value & AFFIX_SPACE - 1, 0))
-    except TypeError:
-        raise RangeError(f"value must be an integer, not {type(value).__name__}") from None
+    """The point of a packed value, read as an int; a value that is not an integer is a RangeError."""
+    value = integer("value", value)
+    if not 0 <= value < POINT_SPACE:
+        raise RangeError(f"value must lie in [0, {POINT_SPACE})")
+    return tuple.__new__(CodePoint, (value >> AFFIX_BITS, value & AFFIX_SPACE - 1, 0))
 
 
 def _key_step(point: CodePoint, key: tuple[int, int, int], sign: int) -> CodePoint:
     """Shift the root by sign * s259, XOR the affix and the inversion.
 
     A checked point and a checked root key keep every field in range, so
-    the result is built unchecked.
+    the result is built unchecked; key parts are read as ints.
     """
     s259, s11, s1 = key
+    if s259.__class__ is not int or s11.__class__ is not int or s1.__class__ is not int:  # per point
+        s259, s11, s1 = integer("root key", s259), integer("affix key", s11), integer("inversion key", s1)
     if not 0 <= s259 < ROOT_BASE:
         raise RangeError(f"root key must lie in [0, {ROOT_BASE})")
     return tuple.__new__(

@@ -15,16 +15,16 @@ from __future__ import annotations
 import csv
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from importlib import resources
 from itertools import groupby
 from math import lcm
+from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
 
 from .errors import RangeError, WorkbenchError
 from .paging import PagedCodec, stationary_distribution  # benchmarks/tracer.py patches this binding
 from .paging import PageMiss, Reducible  # noqa: F401 - re-exported beside the codec and its solver
-from .record import Record
+from .record import Record, integer
 from .scrambler import KEY_BITS, bubble_map  # noqa: F401 - benchmarks/tracer.py patches ternary.bubble_map
 
 SYMBOLS = "LzH"
@@ -106,6 +106,7 @@ class TernaryPage(Record):
             raise RangeError(f"page {self.sigma} codes must run 0..{len(self.entries) - 1}")
 
     def entry_for(self, code: int) -> PageEntry:
+        code = integer("code", code)
         if not 0 <= code < len(self.entries):
             raise RangeError(f"code {code} outside page {self.sigma} of {len(self.entries)} words")
         return self.entries[code]
@@ -123,7 +124,7 @@ class PagedTernaryDictionary(Record):
 
     def page(self, sigma: int) -> TernaryPage:
         _check_sigma(sigma)
-        return self.pages[sigma - 1]
+        return self.pages[integer("disparity", sigma) - 1]  # 2.0 == 2 passes the check
 
     @cached_property
     def codec(self) -> PagedCodec:
@@ -147,7 +148,7 @@ class PagedTernaryDictionary(Record):
 
 
 def _data_rows(name: str) -> tuple[dict[str, str], ...]:
-    text = (resources.files(__package__) / "data" / name).read_text(encoding="utf-8")
+    text = (Path(__file__).with_name("data") / name).read_text(encoding="utf-8")
     return tuple(csv.DictReader(text.splitlines()))
 
 
@@ -242,7 +243,9 @@ def _key_words(variant: str, sigma: int) -> tuple[TernaryWord, ...]:
 
 
 def scrambled_word(key: int, sigma: int, variant: str = BROADENED) -> TernaryWord:
-    """Word selected by a 5-bit key; selection weight equals rep_count."""
+    """Word selected by a 5-bit key, read as an int; selection weight equals rep_count."""
+    if key.__class__ is not int:  # converted off the per-key int path
+        key = integer("key", key)
     if not 0 <= key < KEY_SPACE:
         raise RangeError(f"key {key} outside [0, {KEY_SPACE})")
     return _key_words(variant, sigma)[key]

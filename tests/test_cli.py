@@ -254,24 +254,25 @@ LAYER_MODULES = {
     "scrambler": {"record", "scrambler"},
     "ternary": {"paging", "record", "scrambler", "ternary"},
 }
-# the layer each command of benchmarks/workload_cli.py calls; `lam codec` also calls
-# manchester and the features report scrambler, which those layers import
+# the layer each command of benchmarks/workload_cli.py calls; after " - ", a module that the layer reaches through
+# the package and the command never reads from, so it never runs. `lam codec` also calls manchester and the
+# features report scrambler, which those layers import
 COMMAND_LAYER = {
-    "report.tbt-table13-census": "dictionary",
-    "report.tbt-table9-pages": "dictionary",
+    "report.tbt-table13-census": "dictionary - paging",
+    "report.tbt-table9-pages": "dictionary - paging",
     "report.t1-table6-symmetric": "scrambler",
     "report.t1-table6-dm": "scrambler",
     "report.t1-table6-budget": "scrambler",
-    "report.t1s-table14-jump": "dictionary",
+    "report.t1s-table14-jump": "dictionary - paging",
     "report.t1l-table6-dictionary": "ternary",
     "report.t1l-table8-dictionary": "ternary",
     "report.t1l-table10-delimiters": "ternary",
     "report.t1l-table7-portrait": "ternary",
     "report.t1l-table9-portrait": "ternary",
-    "report.t1-table7-sweep": "echo",
+    "report.t1-table7-sweep": "echo - scrambler",
     "report.t1-table8-features": "echo",
-    "lam.enum": "dictionary",
-    "lam.pages": "dictionary",
+    "lam.enum": "dictionary - paging",
+    "lam.pages": "dictionary - paging",
     "lam.codec": "dictionary",
     "scramble.solve": "scrambler",
     "scramble.map": "scrambler",
@@ -280,8 +281,8 @@ COMMAND_LAYER = {
     "t1l.codec.reference": "ternary",
     "t1l.codec.broadened": "ternary",
     "t1l.portrait": "ternary",
-    "echo.plan": "echo",
-    "echo.census": "echo",
+    "echo.plan": "echo - scrambler",
+    "echo.census": "echo - scrambler",
 }
 
 
@@ -311,7 +312,8 @@ def test_layer_table_covers_the_cli_workload(cli_workload_commands):
 
 @pytest.mark.parametrize("kind", COMMAND_LAYER)
 def test_each_command_runs_only_its_layers(kind, cli_workload_commands):
-    expected = CLI_MODULES | LAYER_MODULES[COMMAND_LAYER[kind]]
+    layer, _, unread = COMMAND_LAYER[kind].partition(" - ")
+    expected = CLI_MODULES | LAYER_MODULES[layer] - {unread}
     assert _modules_run(cli_workload_commands[kind]) == expected
 
 

@@ -225,7 +225,8 @@ def _misbehaviour(call) -> str | None:
 def test_hostile_values_are_taken_or_refused():
     # one hostile value at a time: into each field of each record class, each census threshold, the bulk
     # scramble, a draw's value, the codes, the text and a lone code of each paged stream codec, the
-    # wire data of the Manchester and reconciler decoders, and a page chain and its one row
+    # wire data of the Manchester and reconciler decoders, the reconciler encoder's inputs and a lone
+    # input, a ternary code, key and disparity, a jump position, an echo modulus, and a page chain and its one row
     calls = []
     for cls, values in EXAMPLES.items():
         for at, name in enumerate(cls._fields):
@@ -243,9 +244,17 @@ def test_hostile_values_are_taken_or_refused():
     bin_map = scrambler.build_bin_map(scrambler.solve_dx1(15, 259))
     streams = {"ternary": (ternary, ()), "dictionary": (dictionary, (8,))}
     oracle = reconciler.constant_oracle(256, 259)
+    pages, reference = dictionary.build_pages(8), ternary.reference_dictionary()
     for value in HOSTILE:
         calls.append(("letters_to_bits", value, lambda v=value: manchester.letters_to_bits(v)))
         calls.append(("reconciler.decode_stream", value, lambda v=value: reconciler.decode_stream(v, oracle)))
+        calls.append(("reconciler.encode_stream", value, lambda v=value: reconciler.encode_stream(v, oracle)))
+        calls.append(("reconciler.encode_stream[0]", value, lambda v=value: reconciler.encode_stream([v], oracle)))
+        calls.append(("encode_nibble", value, lambda v=value: ternary.encode_nibble(v, 1)))
+        calls.append(("scrambled_word", value, lambda v=value: ternary.scrambled_word(v, 1)))
+        calls.append(("page", value, lambda v=value: reference.page(v)))
+        calls.append(("position_jump_probability", value, lambda v=value: dictionary.position_jump_probability(pages, v)))
+        calls.append(("mock_round", value, lambda v=value: echo.mock_round(v)))
         calls.append(("scramble_values", value, lambda v=value: scrambler.scramble_values(v, (1, 2, 0))))
         calls.append(("convert", value, lambda v=value: scrambler.convert(v, bin_map)))
         calls.append(("stationary_distribution", value, lambda v=value: paging.stationary_distribution(v)))
@@ -281,6 +290,52 @@ def test_integer_like_arguments_draw_and_plan_as_ints():
     for call in (lambda: scrambler.lfsr_values(5, 5, -1), lambda: echo.schedule_round(2.5, 3, 2)):
         with pytest.raises(RangeError):
             call()
+
+
+@pytest.mark.parametrize("n_in, n_out", [(256, 259), (2**40, 2**41 + 1)], ids=("byte", "wide"))
+def test_integer_like_inputs_encode_as_ints(n_in, n_out):
+    # numpy inputs came back as numpy symbols, and at the wide oracle int64 products overflowed into a wrong stream
+    # or a refused one; a float input was enqueued as a fraction
+    oracle = reconciler.constant_oracle(n_in, n_out)
+    inputs = [n_in - 1, 5, n_in // 2, 7, 1, n_in - 2, 0, 3]
+    encoded = reconciler.encode_stream(inputs, oracle)
+    for dtype in (np.int64, np.uint64):
+        taken = reconciler.encode_stream(np.array(inputs, dtype=dtype), oracle)
+        assert taken == encoded and all(type(symbol) is int for symbol in taken.symbols)
+    with pytest.raises(RangeError):
+        reconciler.encode_stream([2, 1.5, 7], oracle)
+
+
+def test_unchecked_points_and_samples_hold_ints():
+    # the unchecked builds stored numpy values, and a uint64 point's root wrapped with OverflowError when descrambled
+    point = scrambler.CodePoint(1, 2)
+    points = [
+        scrambler.unpack_point(np.int64(1000)),
+        scrambler.unpack_point(np.uint64(1000)),
+        scrambler.scramble_point(point, (np.int64(3), np.int64(5), np.int64(1))),
+        scrambler.descramble_point(scrambler.unpack_point(np.uint64(1000)), (5, 1, 1)),
+    ]
+    sample = echo.unpack_sample(np.uint32(300000))
+    assert all(type(field) is int for field in [*(field for p in points for field in p), sample.aux, *sample.digits])
+    assert points[0] == points[1] == scrambler.unpack_point(1000)
+    assert points[2] == scrambler.scramble_point(point, (3, 5, 1))
+    assert points[3] == scrambler.descramble_point(scrambler.unpack_point(1000), (5, 1, 1))
+    assert sample == echo.unpack_sample(300000)
+
+
+def test_float_codes_keys_positions_and_moduli_are_refused():
+    # each indexed a table or compared as a float and raised an untyped TypeError; a numpy modulus had no bit_length
+    pages = dictionary.build_pages(8)
+    for call in (
+        lambda: ternary.encode_nibble(1.0, 1),
+        lambda: ternary.scrambled_word(1.0, 1),
+        lambda: ternary.reference_dictionary().page(2.0),
+        lambda: dictionary.position_jump_probability(pages, 1.0),
+        lambda: echo.mock_round(2.0),
+    ):
+        with pytest.raises(RangeError):
+            call()
+    assert echo.mock_round(np.int64(4)) == echo.mock_round(4)
 
 
 @pytest.mark.parametrize(
@@ -403,11 +458,12 @@ def test_bad_record_classes_are_refused_when_defined():
 
 
 def test_cli_import_leaves_dataclasses_and_inspect_out():
-    # the CLI loads its layers on first use, so the probe loads every module of the package as well;
+    # the package binds its layers lazily, so the probe reads from every module of the package to run it;
     # -B because the stripped environment drops PYTHONDONTWRITEBYTECODE, and bytecode cached in src/
     # would change every later cold timing of the tree
     probe = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import lamcode.cli; from lamcode import *; "
+        "import sys; sys.path.insert(0, sys.argv[1]); import lamcode.cli; "
+        "[getattr(lamcode, name).__doc__ for name in lamcode.__all__]; "
         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     )
     env = {key: value for key, value in os.environ.items() if not key.startswith("PYTHON")}
