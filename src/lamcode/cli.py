@@ -61,29 +61,28 @@ def _lam_pages_command(args) -> tuple[list[str], list[list]]:
     return _pages_report((args.letters,))
 
 
-def _partition_row(sol, label) -> list:
-    pos, neg = scrambler.unbalance(sol)
-    unbalance = [scrambler.format_unbalance(pos), scrambler.format_unbalance(neg)]
-    return [sol.r, sol.m_even, sol.m_odd, sol.x_even, sol.x_odd, label] + unbalance
+def _partition_table(label: str, labelled, extra: tuple[str, ...] = ()) -> tuple[list[str], list[list]]:
+    """One row per (solution, label cell, *extra cells): its counts, the cell under `label`, its unbalances, the extras."""
+    header = ["r", "m_even", "m_odd", "x_even", "x_odd", label, "unb_pos", "unb_neg", *extra]
+    rows = []
+    for sol, cell, *cells in labelled:
+        unbalance = [scrambler.format_unbalance(side) for side in scrambler.unbalance(sol)]
+        rows.append([sol.r, sol.m_even, sol.m_odd, sol.x_even, sol.x_odd, cell, *unbalance, *cells])
+    return header, rows
 
 
 def _symmetric_report(args) -> tuple[list[str], list[list]]:
-    header = ["r", "m_even", "m_odd", "x_even", "x_odd", "anchor", "unb_pos", "unb_neg", "obs_s"]
     rows = []
     for r in SYMMETRIC_ROWS:
-        sol = scrambler.symmetric_solutions(r, 259)[0]
+        sol = scrambler.symmetric_solutions(r, scrambler.ROOT_BASE)[0]
         anchor = "x_even" if sol.symmetric_e else "x_odd"
-        rows.append(_partition_row(sol, anchor) + [f"{scrambler.observation_time(r):.3g}"])
-    return header, rows
+        rows.append((sol, anchor, f"{scrambler.observation_time(r):.3g}"))
+    return _partition_table("anchor", rows, ("obs_s",))
 
 
 def _dm_report(args) -> tuple[list[str], list[list]]:
-    header = ["r", "m_even", "m_odd", "x_even", "x_odd", "delta_x", "unb_pos", "unb_neg"]
-    rows = []
-    for r in DM_ROWS:
-        sol = scrambler.solve_dm1(r, 259)[0]
-        rows.append(_partition_row(sol, sol.delta_x))
-    return header, rows
+    solutions = [scrambler.solve_dm1(r, scrambler.ROOT_BASE)[0] for r in DM_ROWS]
+    return _partition_table("delta_x", [(sol, sol.delta_x) for sol in solutions])
 
 
 def _budget_report(args) -> tuple[list[str], list[list]]:
@@ -282,12 +281,8 @@ def _render(header: list[str], rows: list[list], fmt: str) -> str:
 
 
 def _solve_command(args) -> tuple[list[str], list[list]]:
-    header = ["r", "m_even", "m_odd", "x_even", "x_odd", "kind", "unb_pos", "unb_neg"]
-    rows = []
-    for sol in scrambler.solve_partitions(args.r, args.n):
-        kind = "dx1" if sol.delta_x <= 1 else "dm1"
-        rows.append(_partition_row(sol, kind))
-    return header, rows
+    solutions = scrambler.solve_partitions(args.r, args.n)
+    return _partition_table("kind", [(sol, "dx1" if sol.delta_x <= 1 else "dm1") for sol in solutions])
 
 
 def _map_command(args) -> tuple[list[str], list[list]]:
@@ -317,7 +312,7 @@ _COMMANDS = {
         "codec": ("randomized codec round trip", _lam_codec_command, (("letters", 8), ("count", 2000), _SEED)),
     }),
     "scramble": ("partition solver and budgets", {
-        "solve": ("partition rows for one width", _solve_command, (("r", ...), ("n", 259))),
+        "solve": ("partition rows for one width", _solve_command, (("r", ...), ("n", lambda: scrambler.ROOT_BASE))),
         "map": ("bubble bin layout", _map_command, (("bins", ...),)),
         "budget": ("repetition and observation budget", _budget_report, ()),
     }),

@@ -215,11 +215,17 @@ def next_page(previous: str) -> str:
 START_PAGE = "A"  # a stream opens as if its predecessor ended with K
 
 
-@lru_cache(maxsize=8)
 def paged_codec(m: int, image_filter: ImageFilter | None = None) -> paging.PagedCodec:
-    """The page tables of length-m words; the state is the page id."""
-    if image_filter is None:
-        image_filter = filter_for_data_bits(m // 2)
+    """The page tables of length-m words, m read as an int; the state is the page id.
+
+    The default filter is resolved before the cache, so each (m, filter) has one codec.
+    """
+    m = integer("word length", m)
+    return _paged_codec(m, filter_for_data_bits(m // 2) if image_filter is None else image_filter)
+
+
+@lru_cache(maxsize=8)
+def _paged_codec(m: int, image_filter: ImageFilter) -> paging.PagedCodec:
     pages = zip("AB", build_pages(m, image_filter))
     return paging.PagedCodec({page: [(word, next_page(word)) for word in words] for page, words in pages})
 
@@ -234,8 +240,7 @@ def encode_stream(
 def decode_stream(
     letters: str, m: int, image_filter: ImageFilter | None = None
 ) -> list[int]:
-    """The ordinal values of `letters`. `m` is configuration, not wire data, and is not
-    type-checked: a word length that is not an int may raise TypeError."""
+    """The ordinal values of `letters`; a word length `m` that is not an integer is a RangeError."""
     return paged_codec(m, image_filter).decode(letters, START_PAGE)[0]
 
 

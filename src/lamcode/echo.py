@@ -116,20 +116,15 @@ def pool_arithmetic() -> dict[str, int]:
 
 
 def pack_native(sample: NativeSample) -> scrambler.CodePoint:
-    """Map a native sample into the low code-point range, 3 bits per octal digit.
-
-    A checked sample packs below NATIVE_POOL, so the point is built unchecked.
-    """
+    """Map a native sample into the low code-point range, 3 bits per octal digit, split by `unpack_point`."""
     d0, d1, d2, d3, d4, d5 = sample.digits
-    value = sample.aux << 18 | d5 << 15 | d4 << 12 | d3 << 9 | d2 << 6 | d1 << 3 | d0
-    return tuple.__new__(scrambler.CodePoint, (value >> scrambler.AFFIX_BITS, value & scrambler.AFFIX_SPACE - 1, 0))
+    return scrambler.unpack_point(sample.aux << 18 | d5 << 15 | d4 << 12 | d3 << 9 | d2 << 6 | d1 << 3 | d0)
 
 
 def pack_forced(sample: ForcedSample) -> scrambler.CodePoint:
-    """Map a forced sample into the high code-point range, built unchecked as a native one."""
+    """Map a forced sample into the high code-point range, split as a native one."""
     d0, d1, d2 = sample.digits
-    value = NATIVE_POOL + (sample.position << 9 | d2 << 6 | d1 << 3 | d0)
-    return tuple.__new__(scrambler.CodePoint, (value >> scrambler.AFFIX_BITS, value & scrambler.AFFIX_SPACE - 1, 0))
+    return scrambler.unpack_point(NATIVE_POOL + (sample.position << 9 | d2 << 6 | d1 << 3 | d0))
 
 
 # The three octal digits of every 9-bit value, low digit first.  An octal

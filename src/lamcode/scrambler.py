@@ -344,8 +344,9 @@ pack_point = CodePoint
 
 
 def unpack_point(value: int) -> CodePoint:
-    """The point of a packed value, read as an int; a value that is not an integer is a RangeError."""
-    value = integer("value", value)
+    """The point of a packed value, read as an int (a non-integer is a RangeError); the one split of a value."""
+    if value.__class__ is not int:  # a plain int skips the call: echo packs every sample through here
+        value = integer("value", value)
     if not 0 <= value < POINT_SPACE:
         raise RangeError(f"value must lie in [0, {POINT_SPACE})")
     return tuple.__new__(CodePoint, (value >> AFFIX_BITS, value & AFFIX_SPACE - 1, 0))

@@ -243,11 +243,13 @@ def _key_words(variant: str, sigma: int) -> tuple[TernaryWord, ...]:
 
 
 def scrambled_word(key: int, sigma: int, variant: str = BROADENED) -> TernaryWord:
-    """Word selected by a 5-bit key, read as an int; selection weight equals rep_count."""
+    """Word selected by a 5-bit key on page sigma, both read as ints; selection weight equals rep_count."""
     if key.__class__ is not int:  # converted off the per-key int path
         key = integer("key", key)
     if not 0 <= key < KEY_SPACE:
         raise RangeError(f"key {key} outside [0, {KEY_SPACE})")
+    if sigma.__class__ is not int:  # before the cache, which keys 2.0 as 2
+        sigma = integer("disparity", sigma)
     return _key_words(variant, sigma)[key]
 
 

@@ -226,7 +226,8 @@ def test_hostile_values_are_taken_or_refused():
     # one hostile value at a time: into each field of each record class, each census threshold, the bulk
     # scramble, a draw's value, the codes, the text and a lone code of each paged stream codec, the
     # wire data of the Manchester and reconciler decoders, the reconciler encoder's inputs and a lone
-    # input, a ternary code, key and disparity, a jump position, an echo modulus, and a page chain and its one row
+    # input, a ternary code, key and disparity, a scrambled word's disparity, a J/K codec's word length, a jump
+    # position, an echo modulus, and a page chain and its one row
     calls = []
     for cls, values in EXAMPLES.items():
         for at, name in enumerate(cls._fields):
@@ -252,6 +253,8 @@ def test_hostile_values_are_taken_or_refused():
         calls.append(("reconciler.encode_stream[0]", value, lambda v=value: reconciler.encode_stream([v], oracle)))
         calls.append(("encode_nibble", value, lambda v=value: ternary.encode_nibble(v, 1)))
         calls.append(("scrambled_word", value, lambda v=value: ternary.scrambled_word(v, 1)))
+        calls.append(("scrambled_word[sigma]", value, lambda v=value: ternary.scrambled_word(1, v)))
+        calls.append(("dictionary.paged_codec", value, lambda v=value: dictionary.paged_codec(v)))
         calls.append(("page", value, lambda v=value: reference.page(v)))
         calls.append(("position_jump_probability", value, lambda v=value: dictionary.position_jump_probability(pages, v)))
         calls.append(("mock_round", value, lambda v=value: echo.mock_round(v)))
@@ -336,6 +339,34 @@ def test_float_codes_keys_positions_and_moduli_are_refused():
         with pytest.raises(RangeError):
             call()
     assert echo.mock_round(np.int64(4)) == echo.mock_round(4)
+
+
+# In a fresh process, so the first calls meet cold caches: both floats answer, their int twins run, and both
+# floats answer again.
+COLD_WARM_PROBE = """
+import sys; sys.path.insert(0, sys.argv[1])
+from lamcode import dictionary, ternary
+text = dictionary.build_pages(8)[0][0]
+def answer(call):
+    try:
+        return repr(call())
+    except Exception as exc:
+        return type(exc).__name__
+calls = (lambda: ternary.scrambled_word(1, 2.0), lambda: dictionary.decode_stream(text, 8.0))
+print(*map(answer, calls))
+assert ternary.scrambled_word(1, 2) and dictionary.decode_stream(text, 8) == [0]
+print(*map(answer, calls))
+"""
+
+
+def test_float_disparity_and_word_length_answer_alike_cold_and_warm():
+    # the lru caches keyed 2.0 as 2 and 8.0 as 8: each float was refused (the length with an untyped TypeError)
+    # until its int twin had run, and then taken; and the default filter was a second and third J/K codec
+    out = subprocess.run(
+        [sys.executable, "-B", "-c", COLD_WARM_PROBE, str(SRC)], capture_output=True, text=True, timeout=120
+    )
+    assert out.stdout.splitlines() == ["RangeError RangeError"] * 2, out.stderr
+    assert dictionary.paged_codec(8) is dictionary.paged_codec(8, None) is dictionary.paged_codec(8, dictionary.UNIT_BIAS)
 
 
 @pytest.mark.parametrize(
