@@ -237,11 +237,11 @@ def _t1l_codec_command(args) -> tuple[list[str], list[list]]:
     rng = _seeded(args.seed, args.words, "word")
     codes = []
     sigma = floor = ceiling = ternary.START_SIGMA
-    table = ternary.paged_codec(args.variant).encoders[sigma]
+    successors = ternary.paged_codec(args.variant).successors
     for _ in range(args.words):
-        code = rng.randrange(len(table))
+        code = rng.randrange(len(successors[sigma]))
         codes.append(code)
-        _, sigma, table = table[code]
+        sigma = successors[sigma][code]
         floor, ceiling = min(floor, sigma), max(ceiling, sigma)
     letters = ternary.encode_stream(codes, args.variant)
     passed = ternary.decode_stream(letters, args.variant) == codes

@@ -67,9 +67,11 @@ class ValidImage(Record):
     droop: int  # the longer of the head and the tail run
 
 
-def check_length(m: int) -> None:
+def check_length(m: int) -> int:
+    m = integer("image length", m)
     if not 2 <= m <= MAX_IMAGE_LENGTH:
         raise SizeLimit(f"image length must lie in [2, {MAX_IMAGE_LENGTH}]")
+    return m
 
 
 # Every no-KK word is J or KJ before a shorter one. Read from the low level,
@@ -85,10 +87,9 @@ def _ends(head: str, last: str) -> tuple[tuple[str, int], ...]:
 
 @lru_cache(maxsize=8)
 def _listing(m: int) -> tuple[tuple[tuple[str, int, str, int, int], ...], tuple[tuple[str, int], ...]]:
-    """The valid images of length m as (cells, rows), no record built: each distinct
-    (mask, bias, pattern, transits, droop) once, then (letters, cell index) per image.
+    """The valid images of length m, an int checked by the caller, as (cells, rows), no record built: each
+    distinct (mask, bias, pattern, transits, droop) once, then (letters, cell index) per image.
     Words grow from their openings, J first, so each length is in lexicographic order."""
-    check_length(m)
     shorter, words = [("", 0, 0)], [(J, 0, 1), (K, -1, 0)]  # (letters, bias, transits)
     for _ in range(m - 1):
         rests = zip(_OPENINGS, (words, shorter))
@@ -102,9 +103,13 @@ def _listing(m: int) -> tuple[tuple[tuple[str, int, str, int, int], ...], tuple[
     return tuple(cells), rows
 
 
-@lru_cache(maxsize=8)
 def enumerate_valid(m: int) -> tuple[ValidImage, ...]:
     """All valid serial images of length m, J before K; built unchecked from the integer listing."""
+    return _enumerate_valid(check_length(m))
+
+
+@lru_cache(maxsize=8)
+def _enumerate_valid(m: int) -> tuple[ValidImage, ...]:
     cells, rows = _listing(m)
     return tuple(tuple.__new__(ValidImage, (letters, *cells[cell])) for letters, cell in rows)
 
@@ -140,17 +145,20 @@ BALANCED = ImageFilter(balanced_only=True)
 def filter_for_data_bits(m_bits: int) -> ImageFilter:
     """Applicability filter per payload width: |bias| <= 1, except
     balanced-only at the 8-bit (16-letter) point."""
-    if m_bits < 1:
+    if integer("payload width", m_bits) < 1:
         raise RangeError("payload width must be positive")
     return BALANCED if m_bits == 8 else UNIT_BIAS
 
 
-@lru_cache(maxsize=32)
 def image_histogram(m: int) -> Mapping[tuple[str, int, int, int], int]:
     """(mask, bias, transits, droop) -> count over the valid images of length m: a transfer-matrix count
     (Marcus, Roth & Siegel) over the listing's openings, whose state is (first two letters, last letter,
     bias, transits), so it counts the words instead of listing them."""
-    check_length(m)
+    return _image_histogram(check_length(m))
+
+
+@lru_cache(maxsize=32)
+def _image_histogram(m: int) -> Mapping[tuple[str, int, int, int], int]:
     shorter, words = Counter({("", "", 0, 0): 1}), Counter({(J, J, 0, 1): 1, (K, K, -1, 0): 1})
     for _ in range(m - 1):
         grown = Counter()
@@ -180,7 +188,7 @@ PAGE_B_MASKS = frozenset({"JJ", "KJ"})  # J-ending
 
 def build_pages(m: int, image_filter: ImageFilter = UNIT_BIAS) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """The admitted words of pages A and B, each in lexicographic order."""
-    cells, rows = _listing(m)  # the filter judges each cell once, not each word
+    cells, rows = _listing(check_length(m))  # the filter judges each cell once, not each word
     admitted = [image_filter.admits(bias, transits, droop) for _, bias, _, transits, droop in cells]
     pages = []
     for masks in (PAGE_A_MASKS, PAGE_B_MASKS):
@@ -207,8 +215,8 @@ def next_page(previous: str) -> str:
     A K-ending word forces a J-starting successor, served by page A; a J-ending
     word leads to page B, whose words all end in J: page B absorbs, page A is transient.
     """
-    if not previous:
-        raise RangeError("previous word must be nonempty")
+    if not isinstance(previous, str) or not previous:
+        raise RangeError("previous word must be a nonempty str")
     return "A" if previous.endswith(K) else "B"
 
 
@@ -216,11 +224,11 @@ START_PAGE = "A"  # a stream opens as if its predecessor ended with K
 
 
 def paged_codec(m: int, image_filter: ImageFilter | None = None) -> paging.PagedCodec:
-    """The page tables of length-m words, m read as an int; the state is the page id.
+    """The page tables of length-m words, m read as an int in range; the state is the page id.
 
     The default filter is resolved before the cache, so each (m, filter) has one codec.
     """
-    m = integer("word length", m)
+    m = check_length(m)
     return _paged_codec(m, filter_for_data_bits(m // 2) if image_filter is None else image_filter)
 
 
@@ -246,6 +254,7 @@ def decode_stream(
 
 def multiplex_feasible(m_bits: int) -> bool:
     """Whether one page can carry 2^m data words plus a control word."""
+    m_bits = integer("payload width", m_bits)
     if not 1 <= m_bits <= MAX_IMAGE_LENGTH // 2:
         raise RangeError(f"payload width must lie in [1, {MAX_IMAGE_LENGTH // 2}]")
     size_a, _ = page_sizes(2 * m_bits, filter_for_data_bits(m_bits))

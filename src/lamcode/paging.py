@@ -32,25 +32,26 @@ class PagedCodec:
     """Closed pages of equal-width words, given as {state: [(word, next_state), ...]}
     in code order; a next state that names no page raises PageMiss, no word,
     an empty first word or a word of another width than the first RangeError.
-    `encoders` maps each state to its encode table, which maps a code to
-    (word, next_state, the next state's encode table); a state's decode
-    table maps a word to (code, next_state, the next decode table). Each
-    entry is stored once per direction, and a symbol costs one lookup."""
+    `successors` maps each state to its next states in code order. The private
+    encode table of a state maps a code to (word, next_state, the next encode
+    table), and its decode table maps a word to (code, next_state, the next decode
+    table); each entry is stored once per direction, and a symbol costs one lookup."""
 
     def __init__(self, pages: dict) -> None:
-        self.encoders = {state: {} for state in pages}
+        self._encoders = {state: {} for state in pages}
         self._decoders = {state: {} for state in pages}
         self.width = next((len(word) for page in pages.values() for word, _ in page), 0)
         if not self.width:
             raise RangeError("words must hold at least one symbol, and the pages at least one word")
         for state, page in pages.items():
             for code, (word, nxt) in enumerate(page):
-                if nxt not in self.encoders:
+                if nxt not in self._encoders:
                     raise PageMiss(f"word {word!r} leaves the band from {state}")
                 if len(word) != self.width:
                     raise RangeError(f"word {word!r} has width {len(word)}, not {self.width}")
-                self.encoders[state][code] = word, nxt, self.encoders[nxt]
+                self._encoders[state][code] = word, nxt, self._encoders[nxt]
                 self._decoders[state][word] = code, nxt, self._decoders[nxt]
+        self.successors = {state: tuple(nxt for _, nxt in page) for state, page in pages.items()}
 
     def encode(self, codes, state) -> tuple[str, object]:
         """The words for `codes` sent from `state`, and the state after them.
@@ -58,7 +59,7 @@ class PagedCodec:
         `codes` that is not iterable is a RangeError; a code that is not in
         the current page, unhashable ones included, is a CodeOutOfRange.
         """
-        table = _table(self.encoders, state)
+        table = _table(self._encoders, state)
         try:
             codes = iter(codes)
         except TypeError:
@@ -68,7 +69,7 @@ class PagedCodec:
             try:
                 word, state, table = table[code]
             except (KeyError, TypeError):
-                raise CodeOutOfRange(f"code {code} outside page {state} of {len(self.encoders[state])} words") from None
+                raise CodeOutOfRange(f"code {code} outside page {state} of {len(self._encoders[state])} words") from None
             words.append(word)
         return "".join(words), state
 

@@ -138,12 +138,12 @@ class PagedTernaryDictionary(Record):
         page total, word, the codec's next disparity); a uniform key picks the entry with
         chance rep_count over its page's total. A page without weight raises RangeError,
         a word that leaves the band PageMiss."""
-        encoders, chain = self.codec.encoders, []
+        successors, chain = self.codec.successors, []
         for page in self.pages:
             total = sum(entry.rep_count for entry in page.entries)
             if total <= 0:
                 raise RangeError(f"page {page.sigma} has no representation weight to share")
-            chain.extend((page.sigma, e.rep_count, total, e.word, encoders[page.sigma][e.code][1]) for e in page.entries)
+            chain.extend((page.sigma, e.rep_count, total, e.word, successors[page.sigma][e.code]) for e in page.entries)
         return tuple(chain)
 
 
@@ -217,12 +217,12 @@ def paged_codec(variant: str = REFERENCE) -> PagedCodec:
     return dictionary_for(variant).codec
 
 
-def encode_stream(codes, variant: str = REFERENCE, start_sigma: int = START_SIGMA) -> str:
-    return paged_codec(variant).encode(codes, start_sigma)[0]
+def encode_stream(codes, variant: str = REFERENCE) -> str:
+    return paged_codec(variant).encode(codes, START_SIGMA)[0]
 
 
-def decode_stream(symbols: str, variant: str = REFERENCE, start_sigma: int = START_SIGMA) -> list[int]:
-    return paged_codec(variant).decode(symbols, start_sigma)[0]
+def decode_stream(symbols: str, variant: str = REFERENCE) -> list[int]:
+    return paged_codec(variant).decode(symbols, START_SIGMA)[0]
 
 
 def representation_table(page: TernaryPage) -> tuple[int, ...]:

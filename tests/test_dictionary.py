@@ -393,9 +393,9 @@ def test_jk_page_chain_is_absorbing(m, stay_a):
     rows = []
     for page in "AB":
         shares = dict.fromkeys("AB", Fraction(0))
-        table = codec.encoders[page]
-        for _, after, _ in table.values():
-            shares[after] += Fraction(1, len(table))
+        successors = codec.successors[page]
+        for after in successors:
+            shares[after] += Fraction(1, len(successors))
         rows.append(tuple(shares.values()))
     assert rows == [(stay_a, 1 - stay_a), (0, 1)]
     with pytest.raises(Reducible, match=r"transient states \[0\]"):

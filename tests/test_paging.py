@@ -99,7 +99,7 @@ def _stream(oracle, rng, state, count):
 def test_chained_tables_match_the_tuple_keyed_walk(build):
     codec, pages = build()
     oracle = TupleKeyed(pages)
-    assert list(codec.encoders) == list(pages) and codec.width == oracle.width
+    assert list(codec.successors) == list(pages) and codec.width == oracle.width
     rng = random.Random(20)
     for state in pages:
         codes = _stream(oracle, rng, state, STREAM_WORDS)
@@ -159,7 +159,6 @@ def test_unhashable_state_is_an_unknown_state():
     for call in (
         lambda: codec.encode([0], [1, 2]),
         lambda: codec.decode("", [1, 2]),
-        lambda: ternary.decode_stream("", "reference", [1, 2]),
     ):
         assert _outcome(call) == (RangeError, "state [1, 2] outside pages (1, 2, 3, 4)")
 

@@ -192,7 +192,9 @@ def test_integer_like_bin_sizes_are_summed_exactly():
         scrambler.BinMap(3, 4, wrapped, (0, 4, 0))
 
 
-HOSTILE = (None, 1.5, "3", (), 5, -1, Fraction(1, 2), object(), [1, 2], 10**400)
+HOSTILE = (None, 1.5, "3", (), 5, -1, Fraction(1, 2), object(), [1, 2], 10**400, 2.0)
+JK_ENTRIES = ("build_pages", "page_sizes", "census", "enumerate_valid", "count_valid", "image_histogram",
+              "filter_for_data_bits", "multiplex_feasible", "next_page")
 CALL_BOUND_S = 2.0
 
 
@@ -227,7 +229,7 @@ def test_hostile_values_are_taken_or_refused():
     # scramble, a draw's value, the codes, the text and a lone code of each paged stream codec, the
     # wire data of the Manchester and reconciler decoders, the reconciler encoder's inputs and a lone
     # input, a ternary code, key and disparity, a scrambled word's disparity, a J/K codec's word length, a jump
-    # position, an echo modulus, and a page chain and its one row
+    # position, an echo modulus, a page chain and its one row, and each J/K length, payload width and previous word
     calls = []
     for cls, values in EXAMPLES.items():
         for at, name in enumerate(cls._fields):
@@ -262,6 +264,8 @@ def test_hostile_values_are_taken_or_refused():
         calls.append(("convert", value, lambda v=value: scrambler.convert(v, bin_map)))
         calls.append(("stationary_distribution", value, lambda v=value: paging.stationary_distribution(v)))
         calls.append(("stationary_distribution[0]", value, lambda v=value: paging.stationary_distribution((v,))))
+        for name in JK_ENTRIES:
+            calls.append((f"dictionary.{name}", value, lambda f=getattr(dictionary, name), v=value: f(v)))
         for name, (module, args) in streams.items():
             calls.append((f"{name}.encode_stream", value, lambda m=module, a=args, v=value: m.encode_stream(v, *a)))
             calls.append((f"{name}.encode_stream[0]", value, lambda m=module, a=args, v=value: m.encode_stream([v], *a)))

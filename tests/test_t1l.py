@@ -138,14 +138,14 @@ def test_decode_errors():
 def test_codec_round_trip_reference():
     rng = random.Random(0x71F1)
     nibbles = [rng.randrange(16) for _ in range(20000)]
-    letters = ternary.encode_stream(nibbles, start_sigma=2)
+    letters = ternary.paged_codec().encode(nibbles, 2)[0]
     assert len(letters) == 3 * len(nibbles)
     sigma = 2
     for i in range(0, len(letters), 3):
         assert sigma in ternary.SIGMA_LEVELS
         sigma += ternary.word_metrics(letters[i : i + 3]).delta_dc
     assert sigma in ternary.SIGMA_LEVELS
-    assert ternary.decode_stream(letters, start_sigma=2) == nibbles
+    assert ternary.paged_codec().decode(letters, 2)[0] == nibbles
 
 
 def test_codec_round_trip_broadened():
@@ -345,8 +345,8 @@ def test_empty_words_are_refused_when_built():
 
 
 def _entries(codec):
-    """Each state's (word, next state) in code order: the chained tables nest, so they are not compared whole."""
-    return {state: [entry[:2] for entry in table.values()] for state, table in codec.encoders.items()}
+    """Each state's (word, next state) in code order, each word encoded alone from its state."""
+    return {state: [codec.encode([code], state) for code in range(len(nexts))] for state, nexts in codec.successors.items()}
 
 
 def test_portrait_builds_one_codec(monkeypatch):
@@ -752,9 +752,9 @@ def test_run_bounds():
 
 def test_run_bound_witnesses():
     # LzH, HHH, HLL is a legal walk 1 -> 1 -> 4 -> 3 holding five H's in a row
-    assert ternary.decode_stream("LzHHHHHLL", start_sigma=1)
+    assert ternary.paged_codec().decode("LzHHHHHLL", 1)[0]
     # Hzz, zzH walks 1 -> 2 -> 3 holding four z's in a row
-    assert ternary.decode_stream("HzzzzH", start_sigma=1)
+    assert ternary.paged_codec().decode("HzzzzH", 1)[0]
 
 
 def test_simulated_frequencies_track_exact_values():
@@ -829,7 +829,7 @@ def test_page_code_gap_is_range_error():
 def test_paged_decoder_round_trips_or_raises(text, variant, sigma):
     # any symbol string from any disparity, "x" and sigma outside 1..4 being foreign
     try:
-        codes = ternary.decode_stream(text, variant, sigma)
+        codes = ternary.paged_codec(variant).decode(text, sigma)[0]
     except WorkbenchError:
         return
-    assert ternary.encode_stream(codes, variant, sigma) == text
+    assert ternary.paged_codec(variant).encode(codes, sigma)[0] == text
