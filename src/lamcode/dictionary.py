@@ -39,9 +39,12 @@ class EmptyPage(WorkbenchError, ValueError):
 
 
 def fibonacci(n: int) -> int:
-    """F(1) = F(2) = 1 indexing; F(0) = 0."""
+    """F(1) = F(2) = 1 indexing; F(0) = 0. The index is read as an int, at most MAX_IMAGE_LENGTH."""
+    n = integer("fibonacci index", n)
     if n < 0:
         raise RangeError("fibonacci index must be nonnegative")
+    if n > MAX_IMAGE_LENGTH:
+        raise SizeLimit(f"fibonacci index must be at most {MAX_IMAGE_LENGTH}")
     a, b = 0, 1
     for _ in range(n):
         a, b = b, a + b
@@ -86,21 +89,28 @@ def _ends(head: str, last: str) -> tuple[tuple[str, int], ...]:
 
 
 @lru_cache(maxsize=8)
-def _listing(m: int) -> tuple[tuple[tuple[str, int, str, int, int], ...], tuple[tuple[str, int], ...]]:
-    """The valid images of length m, an int checked by the caller, as (cells, rows), no record built: each
-    distinct (mask, bias, pattern, transits, droop) once, then (letters, cell index) per image.
-    Words grow from their openings, J first, so each length is in lexicographic order."""
-    shorter, words = [("", 0, 0)], [(J, 0, 1), (K, -1, 0)]  # (letters, bias, transits)
+def _listing(m: int) -> tuple[tuple[tuple[str, int, str, int, int] | None, ...], tuple[tuple[str, int], ...]]:
+    """The valid images of length m, an int checked by the caller, as (cells, rows), no record built. A state
+    is (first two letters, last letter, bias, transits): cells holds each state's (mask, bias, pattern,
+    transits, droop), None for the K..K words, and rows each word's (letters, state index).
+    Words grow from their openings, J first, so each length is in lexicographic order, and a word's state
+    is its rest's state stepped by the opening, so a caller judges each state once, not each word."""
+    shorter, words = ((("", "", 0, 0),), [("", 0)]), (((J, J, 0, 1), (K, K, -1, 0)), [(J, 0), (K, 1)])  # (states, rows)
     for _ in range(m - 1):
-        rests = zip(_OPENINGS, (words, shorter))
-        shorter, words = words, [(o + rest, add - bias, t + 1) for (o, add), tails in rests for rest, bias, t in tails]
-    cells = {}
-    rows = tuple(
-        (letters, cells.setdefault((mask, bias, pattern_of(bias), transits, droop), len(cells)))
-        for letters, bias, transits in words
-        for mask, droop in _ends(letters[:2], letters[-1])
-    )
-    return tuple(cells), rows
+        index, grown = {}, []  # the states of the longer words and their rows
+        for (opening, add), (states, rows) in zip(_OPENINGS, (words, shorter)):
+            step = [  # each state's successor under this opening
+                index.setdefault(((opening + head)[:2], last or opening[-1], add - bias, transits + 1), len(index))
+                for head, last, bias, transits in states
+            ]
+            grown += [(opening + rest, step[state]) for rest, state in rows]
+        shorter, words = words, (tuple(index), grown)
+    states, rows = words
+    cells = [None] * len(states)
+    for at, (head, last, bias, transits) in enumerate(states):
+        for mask, droop in _ends(head, last):
+            cells[at] = mask, bias, pattern_of(bias), transits, droop
+    return tuple(cells), tuple(rows)
 
 
 def enumerate_valid(m: int) -> tuple[ValidImage, ...]:
@@ -111,7 +121,7 @@ def enumerate_valid(m: int) -> tuple[ValidImage, ...]:
 @lru_cache(maxsize=8)
 def _enumerate_valid(m: int) -> tuple[ValidImage, ...]:
     cells, rows = _listing(m)
-    return tuple(tuple.__new__(ValidImage, (letters, *cells[cell])) for letters, cell in rows)
+    return tuple(tuple.__new__(ValidImage, (letters, *cells[state])) for letters, state in rows if cells[state])
 
 
 def count_valid(m: int) -> int:
@@ -136,6 +146,13 @@ class ImageFilter(Record):
         if transits < min_transits:
             return False
         return max_droop is None or droop <= max_droop
+
+
+def _checked(image_filter: ImageFilter) -> ImageFilter:
+    """The filter itself; anything but an ImageFilter is a RangeError."""
+    if not isinstance(image_filter, ImageFilter):
+        raise RangeError(f"image filter must be an ImageFilter, not {type(image_filter).__name__}")
+    return image_filter
 
 
 UNIT_BIAS = ImageFilter(max_abs_bias=1)
@@ -175,9 +192,10 @@ def _image_histogram(m: int) -> Mapping[tuple[str, int, int, int], int]:
 
 def census(m: int, image_filter: ImageFilter = ImageFilter()) -> dict[str, dict[str, int]]:
     """Per-mask, per-pattern counts of the admitted valid images."""
+    admits = _checked(image_filter).admits
     counts = {mask: {pattern: 0 for pattern in PATTERNS} for mask in MASKS}
     for (mask, bias, transits, droop), count in image_histogram(m).items():
-        if image_filter.admits(bias, transits, droop):
+        if admits(bias, transits, droop):
             counts[mask][pattern_of(bias)] += count
     return counts
 
@@ -188,12 +206,13 @@ PAGE_B_MASKS = frozenset({"JJ", "KJ"})  # J-ending
 
 def build_pages(m: int, image_filter: ImageFilter = UNIT_BIAS) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """The admitted words of pages A and B, each in lexicographic order."""
-    cells, rows = _listing(check_length(m))  # the filter judges each cell once, not each word
-    admitted = [image_filter.admits(bias, transits, droop) for _, bias, _, transits, droop in cells]
+    admits = _checked(image_filter).admits
+    cells, rows = _listing(check_length(m))  # the filter judges each state once, not each word
+    admitted = [cell is not None and admits(cell[1], cell[3], cell[4]) for cell in cells]
     pages = []
     for masks in (PAGE_A_MASKS, PAGE_B_MASKS):
-        kept = {i for i, cell in enumerate(cells) if admitted[i] and cell[0] in masks}
-        pages.append(tuple([letters for letters, cell in rows if cell in kept]))
+        kept = [ok and cell[0] in masks for ok, cell in zip(admitted, cells)]
+        pages.append(tuple([letters for letters, state in rows if kept[state]]))
     if not all(pages):
         raise EmptyPage(f"filter admits no page words at length {m}")
     return pages[0], pages[1]
@@ -226,16 +245,16 @@ START_PAGE = "A"  # a stream opens as if its predecessor ended with K
 def paged_codec(m: int, image_filter: ImageFilter | None = None) -> paging.PagedCodec:
     """The page tables of length-m words, m read as an int in range; the state is the page id.
 
-    The default filter is resolved before the cache, so each (m, filter) has one codec.
+    The default filter is resolved, and any other checked, before the cache, so each (m, filter) has one codec.
     """
     m = check_length(m)
-    return _paged_codec(m, filter_for_data_bits(m // 2) if image_filter is None else image_filter)
+    return _paged_codec(m, filter_for_data_bits(m // 2) if image_filter is None else _checked(image_filter))
 
 
 @lru_cache(maxsize=8)
 def _paged_codec(m: int, image_filter: ImageFilter) -> paging.PagedCodec:
-    pages = zip("AB", build_pages(m, image_filter))
-    return paging.PagedCodec({page: [(word, next_page(word)) for word in words] for page, words in pages})
+    page_a, page_b = build_pages(m, image_filter)  # page B absorbs: each of its words leads back to it
+    return paging.PagedCodec({"A": [(word, next_page(word)) for word in page_a], "B": [(word, "B") for word in page_b]})
 
 
 def encode_stream(

@@ -10,11 +10,8 @@ over the 3^12 serial-image space.
 from __future__ import annotations
 
 import math
-from array import array
 from collections import Counter
 from functools import lru_cache
-from itertools import accumulate
-from operator import add
 from types import MappingProxyType
 from typing import Mapping
 
@@ -242,55 +239,68 @@ def mock_round(echo_modulus: int) -> MockRound:
     return MockRound(echo_modulus, echo_modulus.bit_length() - 1)
 
 
+# Every count over the 3^12 images is at most IMAGE_SPACE, so a coefficient of this
+# many bits never carries into the next one of a packed int.
+_COUNT_BITS = IMAGE_SPACE.bit_length()
+_COUNT_MASK = (1 << _COUNT_BITS) - 1
+
+
 @lru_cache(maxsize=1)
 def image_features() -> Mapping[tuple[int, int, int, int], int]:
     """(head droop, tail droop, |dc|, transits) -> count over all 3^12 images.
 
     A transfer-matrix count over the run automaton instead of a listing.
     The state is the last level, the current run, the closed head run (0
-    while the first run is still open), the dc sum and the transits so
-    far.  Every filter compares |dc|, so the cells fold the sign away.
+    while the first run is still open) and the transits so far; the dc sum
+    is one axis of a generating function (Marcus, Roth & Siegel): each
+    state holds one packed int whose coefficient dc + IMAGE_SYMBOLS counts
+    its images at that dc, so a level step of -1, 0 or +1 is one shift.
+    Every filter compares |dc|, so the cells fold the sign away.
     """
-    states = Counter({(level, 1, 0, level, 0): 1 for level in (-1, 0, 1)})
+    states = {(level, 1, 0, 0): 1 << _COUNT_BITS * (IMAGE_SYMBOLS + level) for level in (-1, 0, 1)}  # one image at dc level
     for _ in range(IMAGE_SYMBOLS - 1):
-        grown = Counter()
-        for (last, run, head, dc, transits), count in states.items():
+        grown = {}
+        for (last, run, head, transits), packed in states.items():
+            stepped = (packed >> _COUNT_BITS, packed, packed << _COUNT_BITS)  # the next level -1, 0, +1
+            grown[last, run + 1, head, transits] = stepped[last + 1]  # the only way into a run past 1
+            head = head or run
             for level in (-1, 0, 1):
-                if level == last:
-                    grown[last, run + 1, head, dc + level, transits] += count
-                else:
-                    grown[level, 1, head or run, dc + level, transits + 1] += count
+                if level != last:
+                    key = level, 1, head, transits + 1
+                    grown[key] = grown.get(key, 0) + stepped[level + 1]
         states = grown
+    folded = Counter()  # the last level dropped
+    for (_, run, head, transits), packed in states.items():
+        folded[head or run, run, transits] += packed
     cells = Counter()
-    for (_, run, head, dc, transits), count in states.items():
-        cells[head or run, run, abs(dc), transits] += count
+    for (head, tail, transits), packed in folded.items():
+        for dc in range(-IMAGE_SYMBOLS, IMAGE_SYMBOLS + 1):
+            if count := packed >> _COUNT_BITS * (dc + IMAGE_SYMBOLS) & _COUNT_MASK:
+                cells[head, tail, abs(dc), transits] += count
     return MappingProxyType(cells)
 
 
 @lru_cache(maxsize=1)
-def _image_dominance() -> array:
-    """image_filter_census at every threshold tuple in 0..IMAGE_SYMBOLS, one cell each.
+def _image_dominance() -> tuple[int, ...]:
+    """image_filter_census at every threshold tuple in 0..IMAGE_SYMBOLS, one packed row per (head, tail, dc).
 
-    With n = IMAGE_SYMBOLS + 1, cell ((head * n + tail) * n + dc) * n + transits
+    With n = IMAGE_SYMBOLS + 1, coefficient `transits` of row (head * n + tail) * n + dc
     counts the images whose head droop, tail droop and |dc| are at most
     those values and whose transits are at least that one: the
-    image_features cells summed as suffixes over transits, row by row, then
-    as prefixes over |dc|, tail and head, a run of rows at a time. Blocks
-    still all zero are skipped; few (head, tail, dc) rows hold images.
+    image_features cells summed as suffixes over transits, four
+    shift-adds a row, then as prefixes over |dc|, tail and head, a row add a cell.
     """
     n = IMAGE_SYMBOLS + 1
-    rows = {}
+    rows = [0] * n**3
     for (head, tail, dc, transits), count in image_features().items():
-        rows.setdefault((head * n + tail) * n + dc, [0] * n)[transits] = count
-    table = [0] * n**4
-    for row, counts in rows.items():
-        table[row * n : row * n + n] = reversed(list(accumulate(reversed(counts))))
-    for stride in (n, n**2, n**3):
-        for block in range(0, n**4, stride * n):
-            if any(table[block : block + stride * n]):
-                for low in range(block + stride, block + stride * n, stride):
-                    table[low : low + stride] = map(add, table[low : low + stride], table[low - stride : low])
-    return array("q", table)
+        rows[(head * n + tail) * n + dc] += count << _COUNT_BITS * transits
+    for span in (1, 2, 4, 8):  # doubling: each coefficient ends as the sum of the 16 >= n from its own up
+        rows = [row + (row >> _COUNT_BITS * span) for row in rows]
+    for stride in (1, n, n * n):
+        for row in range(n**3):
+            if row // stride % n:
+                rows[row] += rows[row - stride]
+    return tuple(rows)
 
 
 def image_filter_census(
@@ -301,7 +311,7 @@ def image_filter_census(
 ) -> int:
     """Count images passing every threshold, exactly over 3^12.
 
-    One read of the dominance table. No image has a droop, |dc| or transit
+    One shift and mask of one dominance row. No image has a droop, |dc| or transit
     count above IMAGE_SYMBOLS, so each threshold is clamped there, and a
     fractional one is rounded to the integers it admits.
     """
@@ -310,10 +320,10 @@ def image_filter_census(
         if not (0 <= max_head_droop and 0 <= max_tail_droop and 0 <= dc_bound and 0 <= min_transits):  # NaN too
             raise RangeError("image filter thresholds must be nonnegative")
         row = (floor(min(max_head_droop, top)) * n + floor(min(max_tail_droop, top))) * n + floor(min(dc_bound, top))
-        cell = row * n + math.ceil(min(min_transits, top))
+        shift = _COUNT_BITS * math.ceil(min(min_transits, top))
     except TypeError:  # None, a string, a sequence: no order against a number
         raise RangeError("image filter thresholds must be numbers") from None
-    return _image_dominance()[cell]
+    return _image_dominance()[row] >> shift & _COUNT_MASK
 
 
 SELECTION_GRID = (

@@ -250,6 +250,8 @@ def scrambled_word(key: int, sigma: int, variant: str = BROADENED) -> TernaryWor
         raise RangeError(f"key {key} outside [0, {KEY_SPACE})")
     if sigma.__class__ is not int:  # before the cache, which keys 2.0 as 2
         sigma = integer("disparity", sigma)
+    if variant.__class__ is not str:  # before the cache, which cannot hash a list; _key_words refuses an unknown str
+        dictionary_for(variant)
     return _key_words(variant, sigma)[key]
 
 

@@ -87,6 +87,31 @@ def test_size_limit():
         enumerate_valid(1)
 
 
+def test_fibonacci_index_is_bounded_like_the_image_length():
+    assert fibonacci(dictionary.MAX_IMAGE_LENGTH) == 46_368
+    for index in (dictionary.MAX_IMAGE_LENGTH + 1, 10**400):  # 10**400 looped without bound
+        with pytest.raises(SizeLimit, match="fibonacci index"):
+            fibonacci(index)
+    with pytest.raises(RangeError):
+        fibonacci(2.5)
+
+
+def test_a_filter_that_is_not_an_image_filter_is_refused():
+    # each was an AttributeError, or a TypeError from the codec cache for an unhashable one
+    calls = (
+        lambda: build_pages(8, "x"),
+        lambda: page_sizes(8, "x"),
+        lambda: census(8, 3),
+        lambda: paged_codec(8, [1, 2]),
+        lambda: encode_stream([0], 8, "x"),
+        lambda: decode_stream("J" * 8, 8, (1, False, 0, None)),  # the fields of a filter, not one
+    )
+    for call in calls:
+        with pytest.raises(RangeError, match="must be an ImageFilter"):
+            call()
+    assert paged_codec(8, None) is paged_codec(8)  # None stays the default
+
+
 def test_images_are_valid_and_sorted():
     for m in range(2, 17):
         images = enumerate_valid(m)
@@ -129,14 +154,15 @@ def automaton_walk(m: int, head: int):
 
 
 def test_openings_match_the_automaton_walk():
-    # the listing (cells, rows and their order) and the census histogram, at every accepted length
+    # the listing (each word's cell and their order) and the census histogram, at every accepted length
     for m in range(2, dictionary.MAX_IMAGE_LENGTH + 1):
-        cells = {}
-        rows = tuple(
-            (letters, cells.setdefault((mask, bias, pattern_of(bias), transits, droop), len(cells)))
+        cells, rows = dictionary._listing(m)
+        assert all(before < after for (before, _), (after, _) in zip(rows, rows[1:]))
+        assert all(letters[0] == K == letters[-1] for letters, state in rows if cells[state] is None)
+        assert tuple((letters, *cells[state]) for letters, state in rows if cells[state]) == tuple(
+            (letters, mask, bias, pattern_of(bias), transits, droop)
             for letters, mask, bias, transits, droop, _ in automaton_walk(m, m)
         )
-        assert dictionary._listing(m) == (tuple(cells), rows)
         histogram = Counter()
         for _, mask, bias, transits, droop, count in automaton_walk(m, 2):
             histogram[mask, bias, transits, droop] += count

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 import random
 import time
 from collections import Counter
@@ -341,3 +342,51 @@ def test_census_table_matches_the_feature_sum():
     for at in range(4):  # a NaN bound is no threshold: refused as a negative one is
         with pytest.raises(RangeError, match="nonnegative"):
             echo.image_filter_census(*[math.nan if k == at else 6 for k in range(4)])
+
+
+def counted_features() -> dict:
+    """The image features by a Counter walk with the dc sum in the state: the oracle of the packed dc axis."""
+    states = Counter({(level, 1, 0, level, 0): 1 for level in (-1, 0, 1)})
+    for _ in range(echo.IMAGE_SYMBOLS - 1):
+        grown = Counter()
+        for (last, run, head, dc, transits), count in states.items():
+            for level in (-1, 0, 1):
+                if level == last:
+                    grown[last, run + 1, head, dc + level, transits] += count
+                else:
+                    grown[level, 1, head or run, dc + level, transits + 1] += count
+        states = grown
+    cells = Counter()
+    for (_, run, head, dc, transits), count in states.items():
+        cells[head or run, run, abs(dc), transits] += count
+    return dict(cells)
+
+
+def listed_dominance(features: dict) -> list[int]:
+    """Cell ((head * n + tail) * n + dc) * n + transits of the dominance table, one list entry a cell:
+    suffix sums over transits, then prefix sums over |dc|, tail and head. The oracle of the packed rows."""
+    n = echo.IMAGE_SYMBOLS + 1
+    rows = {}
+    for (head, tail, dc, transits), count in features.items():
+        rows.setdefault((head * n + tail) * n + dc, [0] * n)[transits] = count
+    table = [0] * n**4
+    for row, counts in rows.items():
+        table[row * n : row * n + n] = reversed(list(itertools.accumulate(reversed(counts))))
+    for stride in (n, n**2, n**3):
+        for block in range(0, n**4, stride * n):
+            for low in range(block + stride, block + stride * n, stride):
+                table[low : low + stride] = map(operator.add, table[low : low + stride], table[low - stride : low])
+    return table
+
+
+def test_packed_features_match_the_counter_walk():
+    features = counted_features()
+    assert dict(echo.image_features()) == features
+    assert sum(features.values()) == echo.IMAGE_SPACE
+
+
+def test_packed_dominance_matches_the_listed_table_at_every_cell():
+    table = listed_dominance(counted_features())
+    thresholds = itertools.product(range(echo.IMAGE_SYMBOLS + 1), repeat=4)
+    assert [echo.image_filter_census(*cell) for cell in thresholds] == table
+    assert table[-echo.IMAGE_SYMBOLS - 1] == echo.IMAGE_SPACE  # every image under the loosest thresholds

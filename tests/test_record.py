@@ -194,7 +194,8 @@ def test_integer_like_bin_sizes_are_summed_exactly():
 
 HOSTILE = (None, 1.5, "3", (), 5, -1, Fraction(1, 2), object(), [1, 2], 10**400, 2.0)
 JK_ENTRIES = ("build_pages", "page_sizes", "census", "enumerate_valid", "count_valid", "image_histogram",
-              "filter_for_data_bits", "multiplex_feasible", "next_page")
+              "filter_for_data_bits", "multiplex_feasible", "next_page", "fibonacci")
+FILTER_ENTRIES = ("build_pages", "page_sizes", "census", "paged_codec")
 CALL_BOUND_S = 2.0
 
 
@@ -228,8 +229,9 @@ def test_hostile_values_are_taken_or_refused():
     # one hostile value at a time: into each field of each record class, each census threshold, the bulk
     # scramble, a draw's value, the codes, the text and a lone code of each paged stream codec, the
     # wire data of the Manchester and reconciler decoders, the reconciler encoder's inputs and a lone
-    # input, a ternary code, key and disparity, a scrambled word's disparity, a J/K codec's word length, a jump
-    # position, an echo modulus, a page chain and its one row, and each J/K length, payload width and previous word
+    # input, a ternary code, key and disparity, a scrambled word's disparity and variant, a J/K codec's word length,
+    # a jump position, an echo modulus, a page chain and its one row, each J/K length, payload width, previous
+    # word and Fibonacci index, and the image filter of each J/K entry that takes one
     calls = []
     for cls, values in EXAMPLES.items():
         for at, name in enumerate(cls._fields):
@@ -256,6 +258,7 @@ def test_hostile_values_are_taken_or_refused():
         calls.append(("encode_nibble", value, lambda v=value: ternary.encode_nibble(v, 1)))
         calls.append(("scrambled_word", value, lambda v=value: ternary.scrambled_word(v, 1)))
         calls.append(("scrambled_word[sigma]", value, lambda v=value: ternary.scrambled_word(1, v)))
+        calls.append(("scrambled_word[variant]", value, lambda v=value: ternary.scrambled_word(1, 1, v)))
         calls.append(("dictionary.paged_codec", value, lambda v=value: dictionary.paged_codec(v)))
         calls.append(("page", value, lambda v=value: reference.page(v)))
         calls.append(("position_jump_probability", value, lambda v=value: dictionary.position_jump_probability(pages, v)))
@@ -266,6 +269,8 @@ def test_hostile_values_are_taken_or_refused():
         calls.append(("stationary_distribution[0]", value, lambda v=value: paging.stationary_distribution((v,))))
         for name in JK_ENTRIES:
             calls.append((f"dictionary.{name}", value, lambda f=getattr(dictionary, name), v=value: f(v)))
+        for name in FILTER_ENTRIES:
+            calls.append((f"dictionary.{name}[filter]", value, lambda f=getattr(dictionary, name), v=value: f(8, v)))
         for name, (module, args) in streams.items():
             calls.append((f"{name}.encode_stream", value, lambda m=module, a=args, v=value: m.encode_stream(v, *a)))
             calls.append((f"{name}.encode_stream[0]", value, lambda m=module, a=args, v=value: m.encode_stream([v], *a)))
