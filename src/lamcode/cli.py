@@ -170,8 +170,8 @@ REPORTS = {
     "t1-table6-dm": _dm_report,
     "t1-table6-budget": _budget_report,
     "t1s-table14-jump": _jump_report,
-    "t1l-table6-dictionary": lambda args: _records_report(ternary.reference_rows()),
-    "t1l-table8-dictionary": lambda args: _records_report(ternary.broadened_rows()),
+    "t1l-table6-dictionary": lambda args: _records_report(ternary.table_rows(ternary.REFERENCE)),
+    "t1l-table8-dictionary": lambda args: _records_report(ternary.table_rows(ternary.BROADENED)),
     "t1l-table10-delimiters": _delimiter_report,
     "t1l-table7-portrait": lambda args: _portrait_report(ternary.REFERENCE),
     "t1l-table9-portrait": lambda args: _portrait_report(ternary.BROADENED),

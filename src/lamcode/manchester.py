@@ -74,7 +74,10 @@ def bits_to_letters(bits: Iterable[int], initial_level: str = LOW) -> str:
     initial level stands as the bit before the first.
     """
     _check_level(initial_level)
-    bits = list(bits)
+    try:
+        bits = list(bits)
+    except TypeError:
+        raise RangeError(f"bits must be iterable, not {type(bits).__name__}") from None
     if bits.count(0) + bits.count(1) != len(bits):
         bad = next(bit for bit in bits if bit not in (0, 1))
         raise RangeError(f"bit must be 0 or 1, got {bad!r}")
@@ -82,7 +85,9 @@ def bits_to_letters(bits: Iterable[int], initial_level: str = LOW) -> str:
 
 
 def level_trace(letters: str, initial_level: str = LOW) -> str:
-    """Per-letter line levels, each letter reported at its settled level."""
+    """Per-letter line levels, each letter reported at its settled level; a non-str raises RangeError."""
+    if not isinstance(letters, str):
+        raise RangeError(f"letters must be a str, not {type(letters).__name__}")
     _check_level(initial_level)
     level = initial_level
     out: list[str] = []

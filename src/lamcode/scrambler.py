@@ -139,18 +139,21 @@ class PartitionSolution(Record):
         return _nests(self.m_even, self.m_odd - 1)
 
 
-def _check_width(r: int) -> None:
-    """Refuse a width outside [1, MAX_WIDTH] before anything shifts by it."""
+def _check_width(r: int) -> int:
+    """The width as an int; refuse one outside [1, MAX_WIDTH] before anything shifts by it."""
+    r = integer("r", r)
     if not 1 <= r <= MAX_WIDTH:
         raise RangeError(f"r must lie in [1, {MAX_WIDTH}]")
+    return r
 
 
-def _check_rn(r: int, n: int) -> None:
-    _check_width(r)
+def _check_rn(r: int, n: int) -> tuple[int, int]:
+    r, n = _check_width(r), integer("base", n)
     if n < 1:
         raise RangeError("base must be at least 1")
     if n > 1 << r:
         raise NoSolution(f"base {n} exceeds the 2^{r} outcome space")
+    return r, n
 
 
 def solve_dx1(r: int, n: int) -> PartitionSolution:
@@ -159,7 +162,7 @@ def solve_dx1(r: int, n: int) -> PartitionSolution:
     With sizes floor(2^r/N) and one more, the size-parity constraint is
     automatic; when N divides 2^r the second class is left empty.
     """
-    _check_rn(r, n)
+    r, n = _check_rn(r, n)
     low, m_high = divmod(1 << r, n)
     counts = {low: n - m_high, low + 1: m_high}
     x_even, x_odd = (low, low + 1) if low % 2 == 0 else (low + 1, low)
@@ -175,7 +178,7 @@ def solve_dm1(r: int, n: int) -> list[PartitionSolution]:
     |x_even - x_odd| is found by inspecting the neighbours of 2^r/N.
     Returns every solution attaining the minimum (usually one).
     """
-    _check_rn(r, n)
+    r, n = _check_rn(r, n)
     if n % 2 == 0:
         raise NoSolution("count split of an even base cannot differ by one")
     total = 1 << r
@@ -307,7 +310,7 @@ def convert(value: int, bin_map: BinMap) -> int:
 
 def bubble_map(n: int) -> BinMap:
     """Per-word cipher-point map for small paged dictionaries (N <= 2^KEY_BITS)."""
-    if n > 1 << KEY_BITS:
+    if integer("word count", n) > 1 << KEY_BITS:
         raise NoSolution(f"{n} words cannot share {1 << KEY_BITS} cipher points")
     return build_bin_map(solve_dx1(KEY_BITS, n))
 
@@ -419,6 +422,7 @@ def scramble_values(values, key: tuple[int, int, int]):
 
 def repetition_period(t: int) -> float:
     """Seconds before the side stream repeats when t bits feed each round."""
+    t = integer("t", t)
     if not 1 <= t <= ROUND_BITS:
         raise RangeError(f"t must lie in [1, {ROUND_BITS}]")
     return LFSR_PERIOD * WORD_NS * 1e-9 * ROUND_BITS / t
@@ -426,6 +430,7 @@ def repetition_period(t: int) -> float:
 
 def observation_time(r: int) -> float:
     """Seconds to watch all 2^r draws once at one draw per round."""
+    r = integer("draw width", r)
     if not 0 <= r < sys.float_info.max_exp:
         raise RangeError(f"draw width must lie in [0, {sys.float_info.max_exp})")
     return (2.0**r) * ROUND_NS * 1e-9
@@ -441,5 +446,5 @@ class BudgetReport(Record):
 
 def budget(t: int) -> BudgetReport:
     """Time budget when t side-stream bits are demanded per echo round."""
-    r = t - AFFIX_BITS - 1  # the affix and the inversion bit take the other 12
+    r = integer("t", t) - AFFIX_BITS - 1  # the affix and the inversion bit take the other 12
     return BudgetReport(t, r, repetition_period(t), observation_time(r), r >= ROOT_MIN_BITS)

@@ -53,6 +53,8 @@ def _check_sigma(sigma: int) -> None:
 
 
 def check_word(symbols: str) -> None:
+    if not isinstance(symbols, str):
+        raise RangeError(f"word must be a str, not {type(symbols).__name__}")
     if len(symbols) != WORD_LENGTH:
         raise RangeError(f"word needs {WORD_LENGTH} symbols, got {symbols!r}")
     for ch in symbols:
@@ -147,37 +149,37 @@ class PagedTernaryDictionary(Record):
         return tuple(chain)
 
 
+@lru_cache(maxsize=None)
 def _data_rows(name: str) -> tuple[dict[str, str], ...]:
     text = (Path(__file__).with_name("data") / name).read_text(encoding="utf-8")
     return tuple(csv.DictReader(text.splitlines()))
 
 
-@lru_cache(maxsize=None)
-def reference_rows() -> tuple[dict[str, str], ...]:
-    """Raw reference-table rows, one per word, metric cells included."""
-    return _data_rows("t1l_reference_dictionary.csv")
-
-
-@lru_cache(maxsize=None)
-def broadened_rows() -> tuple[dict[str, str], ...]:
-    """Raw broadened-table rows with per-page ids and representation counts."""
-    return _data_rows("t1l_broadened_dictionary.csv")
-
-
-# Per variant: the table's rows, its page-code column and the code's base,
+# Per variant: the table's file, its page-code column and the code's base,
 # and its representation-count column (None: every word holds 2 key slots).
 _LAYOUTS = {
-    REFERENCE: (reference_rows, "nibble_s{}", 2, None),
-    BROADENED: (broadened_rows, "s{}_id", 10, "s{}_rn"),
+    REFERENCE: ("t1l_reference_dictionary.csv", "nibble_s{}", 2, None),
+    BROADENED: ("t1l_broadened_dictionary.csv", "s{}_id", 10, "s{}_rn"),
 }
+
+
+def _check_variant(variant: str) -> str:
+    if variant not in VARIANTS:
+        raise RangeError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    return variant
+
+
+def table_rows(variant: str) -> tuple[dict[str, str], ...]:
+    """Raw rows of one shipped table, one per word, metric cells included."""
+    return _data_rows(_LAYOUTS[_check_variant(variant)][0])
 
 
 @lru_cache(maxsize=None)
 def _load(variant: str) -> PagedTernaryDictionary:
     """Pages of one shipped table; every word is measured from its symbols."""
-    rows, code_cell, base, rep_cell = _LAYOUTS[variant]
+    _, code_cell, base, rep_cell = _LAYOUTS[variant]
     pages = {sigma: [] for sigma in SIGMA_LEVELS}
-    for row in rows():
+    for row in table_rows(variant):
         word = word_metrics(row["image"])
         for sigma, entries in pages.items():
             code = row[code_cell.format(sigma)]
@@ -188,18 +190,8 @@ def _load(variant: str) -> PagedTernaryDictionary:
     return PagedTernaryDictionary(variant, tuple(ordered))
 
 
-def reference_dictionary() -> PagedTernaryDictionary:
-    return _load(REFERENCE)
-
-
-def broadened_dictionary() -> PagedTernaryDictionary:
-    return _load(BROADENED)
-
-
 def dictionary_for(variant: str) -> PagedTernaryDictionary:
-    if variant not in VARIANTS:
-        raise RangeError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    return _load(variant)
+    return _load(_check_variant(variant))
 
 
 def encode_nibble(code: int, sigma: int, variant: str = REFERENCE) -> TernaryWord:
@@ -225,21 +217,15 @@ def decode_stream(symbols: str, variant: str = REFERENCE) -> list[int]:
     return paged_codec(variant).decode(symbols, START_SIGMA)[0]
 
 
-def representation_table(page: TernaryPage) -> tuple[int, ...]:
-    """The 32 scrambler-key slots of a page; widths follow rep_count."""
-    slots = []
-    for entry in page.entries:
-        slots.extend([entry.code] * entry.rep_count)
-    if len(slots) != KEY_SPACE:
-        raise RangeError(f"page {page.sigma} fills {len(slots)} of {KEY_SPACE} slots")
-    return tuple(slots)
-
-
 @lru_cache(maxsize=None)
 def _key_words(variant: str, sigma: int) -> tuple[TernaryWord, ...]:
-    """The word each scrambler key selects on one page."""
-    page = dictionary_for(variant).page(sigma)
-    return tuple(page.entry_for(code).word for code in representation_table(page))
+    """The word each scrambler key selects on one page: each page entry holds rep_count consecutive keys, in code order."""
+    book = dictionary_for(variant)
+    book.page(sigma)  # an unknown disparity is refused as such, not as an empty page
+    words = tuple(word for at, rep, _, word, _ in book.chain if at == sigma for _ in range(rep))
+    if len(words) != KEY_SPACE:
+        raise RangeError(f"page {sigma} fills {len(words)} of {KEY_SPACE} slots")
+    return words
 
 
 def scrambled_word(key: int, sigma: int, variant: str = BROADENED) -> TernaryWord:
@@ -251,7 +237,7 @@ def scrambled_word(key: int, sigma: int, variant: str = BROADENED) -> TernaryWor
     if sigma.__class__ is not int:  # before the cache, which keys 2.0 as 2
         sigma = integer("disparity", sigma)
     if variant.__class__ is not str:  # before the cache, which cannot hash a list; _key_words refuses an unknown str
-        dictionary_for(variant)
+        _check_variant(variant)
     return _key_words(variant, sigma)[key]
 
 
@@ -263,7 +249,8 @@ def delimiter_cells() -> Mapping[tuple[int, int, int, str], str]:
 
 
 def delimiter_word(s4: int, sigma: int, period: int, kind: str = "any") -> str:
-    """One cell of the delimiting grid; blank cells raise UndefinedCell."""
+    """One cell of the delimiting grid, its coordinates read as ints; blank cells raise UndefinedCell."""
+    s4, sigma, period = integer("scrambler bit", s4), integer("disparity", sigma), integer("period", period)
     if s4 not in (0, 1):
         raise RangeError(f"scrambler bit must be 0 or 1, got {s4!r}")
     _check_sigma(sigma)

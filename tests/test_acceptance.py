@@ -200,7 +200,7 @@ def test_criterion_08_reconciler():
 
 
 def test_criterion_09_t1l_portrait():
-    reference = ternary.portrait(ternary.reference_dictionary())
+    reference = ternary.portrait(ternary.dictionary_for(ternary.REFERENCE))
     assert reference.run_bounds == {"L": 5, "z": 4, "H": 5}
     for letter, printed in (("L", 0.32), ("z", 0.36), ("H", 0.32)):
         assert float(reference.p_letter[letter]) == pytest.approx(printed, abs=0.01)
@@ -222,7 +222,7 @@ def test_criterion_09_t1l_portrait():
         assert float(got) == pytest.approx(printed, abs=0.01)
     assert float(sum(reference.p_transit) / 3) == pytest.approx(0.76, abs=0.01)
 
-    broadened = ternary.portrait(ternary.broadened_dictionary())
+    broadened = ternary.portrait(ternary.dictionary_for(ternary.BROADENED))
     assert broadened.run_bounds == {"L": 5, "z": 4, "H": 5}
     wide_sigma = (
         (0.03, 0.16, 0.31, 0.31, 0.16, 0.03),

@@ -16,6 +16,8 @@ from hypothesis import given, strategies as st
 from lamcode import echo, scrambler
 from lamcode.errors import RangeError, SizeLimit, WorkbenchError
 
+STRAYS = 64  # values tried past each end of the sample pools
+
 
 def test_pool_arithmetic():
     report = echo.pool_arithmetic()
@@ -56,9 +58,16 @@ def test_sample_validation():
 
 
 def test_pack_round_trip_exhaustive():
-    # unpack_sample builds its records unchecked: each equals the checked constructor's
-    for value in range(echo.POOL_TOTAL):
-        sample = echo.unpack_sample(value)
+    # unpack_sample builds its records unchecked: each equals the checked constructor's; of the values around
+    # the pools, it takes exactly the pools and refuses the STRAYS on each side
+    accepted, refused = 0, []
+    for value in range(-STRAYS, echo.POOL_TOTAL + STRAYS):
+        try:
+            sample = echo.unpack_sample(value)
+        except RangeError:
+            refused.append(value)
+            continue
+        accepted += 1
         if value < echo.NATIVE_POOL:
             assert isinstance(sample, echo.NativeSample)
             assert sample == echo.NativeSample(sample.aux, sample.digits)
@@ -67,6 +76,8 @@ def test_pack_round_trip_exhaustive():
             assert isinstance(sample, echo.ForcedSample)
             assert sample == echo.ForcedSample(sample.position, sample.digits)
             assert echo.pack_forced(sample).value == value
+    assert accepted == echo.NATIVE_POOL + echo.FORCED_POOL
+    assert refused == [*range(-STRAYS, 0), *range(echo.POOL_TOTAL, echo.POOL_TOTAL + STRAYS)]
 
 
 def test_non_integer_digits_are_refused_in_both_pools():

@@ -39,9 +39,9 @@ def _examples() -> dict[type, tuple]:
         reconciler.EncodedStream(3, (1, 2)),
         ternary.word_metrics("LzH"),
         ternary.PageEntry(ternary.word_metrics("LzH"), 0, 2),
-        ternary.reference_dictionary().page(1),
-        ternary.reference_dictionary(),
-        ternary.portrait(ternary.reference_dictionary()),
+        ternary.dictionary_for(ternary.REFERENCE).page(1),
+        ternary.dictionary_for(ternary.REFERENCE),
+        ternary.portrait(ternary.dictionary_for(ternary.REFERENCE)),
     ]
     return {type(record): tuple(record) for record in records}
 
@@ -142,7 +142,7 @@ def test_non_integer_fields_are_refused():
         lambda: reconciler.ReconcilerConfig(1.5),
         lambda: scrambler.PartitionSolution(1, 2, 1, 1, 0, 2.0),
         lambda: scrambler.BinMap(1.0, 2, (1, 1), (0, 2, 0)),
-        lambda: ternary.TernaryPage(1.5, ternary.reference_dictionary().page(1).entries),
+        lambda: ternary.TernaryPage(1.5, ternary.dictionary_for(ternary.REFERENCE).page(1).entries),
         lambda: reconciler.EncodedStream(1.0, ()),
         lambda: reconciler.EncodedStream(None, ()),
         lambda: dictionary.ImageFilter(min_transits=0.5),
@@ -192,11 +192,29 @@ def test_integer_like_bin_sizes_are_summed_exactly():
         scrambler.BinMap(3, 4, wrapped, (0, 4, 0))
 
 
-HOSTILE = (None, 1.5, "3", (), 5, -1, Fraction(1, 2), object(), [1, 2], 10**400, 2.0)
+HOSTILE = (None, 1.5, "3", (), 5, -1, Fraction(1, 2), object(), [1, 2], 10**400, 2.0, float("nan"), float("inf"))
 JK_ENTRIES = ("build_pages", "page_sizes", "census", "enumerate_valid", "count_valid", "image_histogram",
               "filter_for_data_bits", "multiplex_feasible", "next_page", "fibonacci")
 FILTER_ENTRIES = ("build_pages", "page_sizes", "census", "paged_codec")
 CALL_BOUND_S = 2.0
+SCALAR_ENTRIES = {
+    "solve_dx1[r]": lambda v: scrambler.solve_dx1(v, 259),
+    "solve_dx1[n]": lambda v: scrambler.solve_dx1(15, v),
+    "solve_dm1[n]": lambda v: scrambler.solve_dm1(15, v),
+    "solve_partitions[r]": lambda v: scrambler.solve_partitions(v, 259),
+    "symmetric_solutions[n]": lambda v: scrambler.symmetric_solutions(15, v),
+    "bubble_map": scrambler.bubble_map,
+    "repetition_period": scrambler.repetition_period,
+    "observation_time": scrambler.observation_time,
+    "budget": scrambler.budget,
+    "bits_to_letters": manchester.bits_to_letters,
+    "level_trace": manchester.level_trace,
+    "word_metrics": ternary.word_metrics,
+    "check_word": ternary.check_word,
+    "delimiter_word[s4]": lambda v: ternary.delimiter_word(v, 1, 1),
+    "delimiter_word[sigma]": lambda v: ternary.delimiter_word(0, v, 1),
+    "delimiter_word[period]": lambda v: ternary.delimiter_word(0, 1, v),
+}
 
 
 class _Overrun(Exception):
@@ -229,9 +247,11 @@ def test_hostile_values_are_taken_or_refused():
     # one hostile value at a time: into each field of each record class, each census threshold, the bulk
     # scramble, a draw's value, the codes, the text and a lone code of each paged stream codec, the
     # wire data of the Manchester and reconciler decoders, the reconciler encoder's inputs and a lone
-    # input, a ternary code, key and disparity, a scrambled word's disparity and variant, a J/K codec's word length,
-    # a jump position, an echo modulus, a page chain and its one row, each J/K length, payload width, previous
-    # word and Fibonacci index, and the image filter of each J/K entry that takes one
+    # input, a ternary code, key and disparity, a scrambled word's disparity and variant, a shipped table's
+    # variant, a J/K codec's word length, a jump position, an echo modulus, a page chain and its one row, each
+    # J/K length, payload width, previous word and Fibonacci index, the image filter of each J/K entry that takes
+    # one, each scalar argument of the scrambler's solvers, maps and budgets, the Manchester bits and trace
+    # letters, a ternary word and each coordinate of the delimiter grid
     calls = []
     for cls, values in EXAMPLES.items():
         for at, name in enumerate(cls._fields):
@@ -249,7 +269,7 @@ def test_hostile_values_are_taken_or_refused():
     bin_map = scrambler.build_bin_map(scrambler.solve_dx1(15, 259))
     streams = {"ternary": (ternary, ()), "dictionary": (dictionary, (8,))}
     oracle = reconciler.constant_oracle(256, 259)
-    pages, reference = dictionary.build_pages(8), ternary.reference_dictionary()
+    pages, reference = dictionary.build_pages(8), ternary.dictionary_for(ternary.REFERENCE)
     for value in HOSTILE:
         calls.append(("letters_to_bits", value, lambda v=value: manchester.letters_to_bits(v)))
         calls.append(("reconciler.decode_stream", value, lambda v=value: reconciler.decode_stream(v, oracle)))
@@ -259,6 +279,7 @@ def test_hostile_values_are_taken_or_refused():
         calls.append(("scrambled_word", value, lambda v=value: ternary.scrambled_word(v, 1)))
         calls.append(("scrambled_word[sigma]", value, lambda v=value: ternary.scrambled_word(1, v)))
         calls.append(("scrambled_word[variant]", value, lambda v=value: ternary.scrambled_word(1, 1, v)))
+        calls.append(("table_rows", value, lambda v=value: ternary.table_rows(v)))
         calls.append(("dictionary.paged_codec", value, lambda v=value: dictionary.paged_codec(v)))
         calls.append(("page", value, lambda v=value: reference.page(v)))
         calls.append(("position_jump_probability", value, lambda v=value: dictionary.position_jump_probability(pages, v)))
@@ -267,6 +288,8 @@ def test_hostile_values_are_taken_or_refused():
         calls.append(("convert", value, lambda v=value: scrambler.convert(v, bin_map)))
         calls.append(("stationary_distribution", value, lambda v=value: paging.stationary_distribution(v)))
         calls.append(("stationary_distribution[0]", value, lambda v=value: paging.stationary_distribution((v,))))
+        for name, call in SCALAR_ENTRIES.items():
+            calls.append((name, value, lambda f=call, v=value: f(v)))
         for name in JK_ENTRIES:
             calls.append((f"dictionary.{name}", value, lambda f=getattr(dictionary, name), v=value: f(v)))
         for name in FILTER_ENTRIES:
@@ -341,9 +364,13 @@ def test_float_codes_keys_positions_and_moduli_are_refused():
     for call in (
         lambda: ternary.encode_nibble(1.0, 1),
         lambda: ternary.scrambled_word(1.0, 1),
-        lambda: ternary.reference_dictionary().page(2.0),
+        lambda: ternary.dictionary_for(ternary.REFERENCE).page(2.0),
         lambda: dictionary.position_jump_probability(pages, 1.0),
         lambda: echo.mock_round(2.0),
+        lambda: scrambler.repetition_period(2.5),
+        lambda: scrambler.observation_time(9.5),
+        lambda: scrambler.solve_dx1(15.0, 259),
+        lambda: ternary.delimiter_word(0, 2.0, 1),
     ):
         with pytest.raises(RangeError):
             call()
@@ -444,7 +471,7 @@ def test_fields_off_their_shape_are_refused():
     # each was accepted before the annotations were read: a list or an iterator of symbols, which leaves the
     # stream unhashable or decodable once (a second decode of the same record raised FlushAmbiguity), a page
     # entry whose word is a str (its codec and portrait then failed with AttributeError), a list boundary
-    stats = ternary.portrait(ternary.reference_dictionary())
+    stats = ternary.portrait(ternary.dictionary_for(ternary.REFERENCE))
     for build, message in (
         (lambda: reconciler.EncodedStream(2, [1, 2]), "symbols must be a tuple, not list"),
         (lambda: reconciler.EncodedStream(0, iter(())), "symbols must be a tuple, not tuple_iterator"),

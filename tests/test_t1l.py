@@ -61,7 +61,7 @@ def test_invert_word_involution():
 
 
 def test_stored_cells_match_measurement():
-    rows = ternary.reference_rows()
+    rows = ternary.table_rows(ternary.REFERENCE)
     assert len(rows) == 27
     for row in rows:
         m = ternary.word_metrics(row["image"])
@@ -69,12 +69,12 @@ def test_stored_cells_match_measurement():
         assert m.peak_pos == int(row["peak_pos"] or 0)
         assert m.peak_neg == int(row["peak_neg"] or 0)
         assert m.transits == int(row["transits"])
-    for row in ternary.broadened_rows():
+    for row in ternary.table_rows(ternary.BROADENED):
         assert ternary.word_metrics(row["image"]).delta_dc == int(row["delta_dc"])
 
 
 def test_reference_page_shape():
-    d = ternary.reference_dictionary()
+    d = ternary.dictionary_for(ternary.REFERENCE)
     for sigma in ternary.SIGMA_LEVELS:
         page = d.page(sigma).entries
         assert len(page) == 16
@@ -86,7 +86,7 @@ def test_reference_page_shape():
 
 
 def test_broadened_page_shape():
-    d = ternary.broadened_dictionary()
+    d = ternary.dictionary_for(ternary.BROADENED)
     assert [len(p.entries) for p in d.pages] == [16, 18, 18, 16]
     for sigma in ternary.SIGMA_LEVELS:
         page = d.page(sigma).entries
@@ -150,7 +150,7 @@ def test_codec_round_trip_reference():
 
 def test_codec_round_trip_broadened():
     rng = random.Random(0x71F2)
-    d = ternary.broadened_dictionary()
+    d = ternary.dictionary_for(ternary.BROADENED)
     codes = []
     sigma = ternary.START_SIGMA
     for _ in range(20000):
@@ -162,26 +162,17 @@ def test_codec_round_trip_broadened():
 
 
 def test_representation_tables():
-    for variant in ternary.VARIANTS:
-        d = ternary.dictionary_for(variant)
-        for sigma in ternary.SIGMA_LEVELS:
-            page = d.page(sigma)
-            table = ternary.representation_table(page)
-            assert len(table) == 32
-            for entry in page.entries:
-                assert table.count(entry.code) == entry.rep_count
     assert ternary.scrambled_word(0, 1).symbols == "HHH"
     with pytest.raises(RangeError):
         ternary.scrambled_word(32, 1)
 
 
 def test_scrambled_selection_matches_weights():
-    d = ternary.broadened_dictionary()
-    for sigma in ternary.SIGMA_LEVELS:
-        page = d.page(sigma)
+    for variant, sigma in itertools.product(ternary.VARIANTS, ternary.SIGMA_LEVELS):
+        page = ternary.dictionary_for(variant).page(sigma)
         hist = {}
         for key in range(32):
-            word = ternary.scrambled_word(key, sigma)
+            word = ternary.scrambled_word(key, sigma, variant)
             hist[word.symbols] = hist.get(word.symbols, 0) + 1
         assert hist == {e.word.symbols: e.rep_count for e in page.entries}
 
@@ -243,7 +234,7 @@ FLAG_PAIRS = {2: (0, 17), 3: (0, 17)}
 
 
 def test_event_pattern_words():
-    d = ternary.broadened_dictionary()
+    d = ternary.dictionary_for(ternary.BROADENED)
     fade = [d.page(1).entry_for(c).word for c in FADE_IN_PAIRS[1]]
     assert [w.symbols for w in fade] == ["HHz", "LHH"]
     assert sorted(w.delta_dc for w in fade) == [1, 2]
@@ -264,7 +255,7 @@ def test_flag_rep_counts_stored():
     counts = {
         sigma: {
             int(row[f"s{sigma}_id"]): int(row[f"s{sigma}_rprev"])
-            for row in ternary.broadened_rows()
+            for row in ternary.table_rows(ternary.BROADENED)
             if row[f"s{sigma}_id"] and row[f"s{sigma}_rprev"]
         }
         for sigma in ternary.SIGMA_LEVELS
@@ -281,10 +272,10 @@ def test_transition_matrix_exact():
         (Fraction(0), Fraction(6, 16), Fraction(6, 16), Fraction(4, 16)),
         (Fraction(1, 16), Fraction(3, 16), Fraction(6, 16), Fraction(6, 16)),
     )
-    ref = ternary.transition_matrix(ternary.reference_dictionary())
+    ref = ternary.transition_matrix(ternary.dictionary_for(ternary.REFERENCE))
     assert ref == expected
     # the widened pages keep the page-to-page probabilities untouched
-    assert ternary.transition_matrix(ternary.broadened_dictionary()) == expected
+    assert ternary.transition_matrix(ternary.dictionary_for(ternary.BROADENED)) == expected
 
 
 def test_stationary_exact():
@@ -313,7 +304,7 @@ def test_reducible_chain_reported():
 
 
 def test_word_leaving_the_band_is_a_page_miss():
-    pages = list(ternary.reference_dictionary().pages)
+    pages = list(ternary.dictionary_for(ternary.REFERENCE).pages)
     top = pages[-1]
     escape = ternary.PageEntry(ternary.word_metrics("HHH"), 0, top.entries[0].rep_count)
     pages[-1] = ternary.TernaryPage(top.sigma, (escape,) + top.entries[1:])
@@ -352,7 +343,7 @@ def _entries(codec):
 def test_portrait_builds_one_codec(monkeypatch):
     # every chain pass of a portrait reads the dictionary's one codec
     built = []
-    shipped = ternary.reference_dictionary()
+    shipped = ternary.dictionary_for(ternary.REFERENCE)
     shipped.codec  # built before the count starts, so the test counts the same alone as in the suite
     monkeypatch.setattr(ternary, "PagedCodec", lambda pages: built.append(pages) or PagedCodec(pages))
     book = ternary.PagedTernaryDictionary("reference", shipped.pages)
@@ -360,13 +351,13 @@ def test_portrait_builds_one_codec(monkeypatch):
     assert len(built) == 1
     assert book.codec is book.codec and _entries(book.codec) == _entries(shipped.codec)
     # the word-choice chain is built once per dictionary too, beside its codec
-    assert book.chain is book.chain == shipped.chain and len(ternary.broadened_dictionary().chain) == 68
+    assert book.chain is book.chain == shipped.chain and len(ternary.dictionary_for(ternary.BROADENED).chain) == 68
     assert ternary.paged_codec(ternary.REFERENCE) is shipped.codec
 
 
 def test_misordered_or_malformed_pages_are_refused():
     # a page is read at index sigma - 1, so pages out of order would answer for the wrong disparity
-    pages = ternary.reference_dictionary().pages
+    pages = ternary.dictionary_for(ternary.REFERENCE).pages
     for given in (
         (pages[1], pages[0]) + pages[2:],  # swapped: the portrait reported run_H 7, not 5
         pages[:3],
@@ -388,7 +379,7 @@ def test_misordered_or_malformed_pages_are_refused():
 
 
 def _reference_with_page_two(entries):
-    pages = list(ternary.reference_dictionary().pages)
+    pages = list(ternary.dictionary_for(ternary.REFERENCE).pages)
     pages[1] = ternary.TernaryPage(2, entries)
     return ternary.PagedTernaryDictionary("reference", tuple(pages))
 
@@ -404,7 +395,7 @@ def test_empty_page_is_refused():
 
 
 def test_weightless_page_is_refused():
-    page = ternary.reference_dictionary().page(2)
+    page = ternary.dictionary_for(ternary.REFERENCE).page(2)
     weightless = tuple(ternary.PageEntry(e.word, e.code, 0) for e in page.entries)
     with pytest.raises(RangeError, match="page 2"):
         ternary.portrait(_reference_with_page_two(weightless))
@@ -419,7 +410,7 @@ def test_substochastic_row_is_refused():
 
 
 def test_reference_portrait_cells():
-    stats = ternary.portrait(ternary.reference_dictionary())
+    stats = ternary.portrait(ternary.dictionary_for(ternary.REFERENCE))
     assert stats.boundary == (Fraction(2, 13), Fraction(9, 26), Fraction(9, 26), Fraction(2, 13))
     assert stats.p_sigma_phase[0] == {
         0: Fraction(12, 416), 1: Fraction(65, 416), 2: Fraction(131, 416),
@@ -461,7 +452,7 @@ def test_portrait_families_sum_to_one():
 
 
 def test_broadened_portrait_cells():
-    stats = ternary.portrait(ternary.broadened_dictionary())
+    stats = ternary.portrait(ternary.dictionary_for(ternary.BROADENED))
     assert stats.p_sigma_phase[0] == {
         0: Fraction(24, 832), 1: Fraction(130, 832), 2: Fraction(262, 832),
         3: Fraction(262, 832), 4: Fraction(130, 832), 5: Fraction(24, 832),
@@ -550,7 +541,7 @@ def test_portrait_matches_fraction_oracle_on_redrawn_rep_counts(variant, data):
 
 def test_run_bounds_skip_words_no_key_picks():
     # a word at rep count 0 is never sent: with every zz word muted, no z run passes two letters
-    shipped = ternary.reference_dictionary()
+    shipped = ternary.dictionary_for(ternary.REFERENCE)
     pages = tuple(
         ternary.TernaryPage(page.sigma, tuple(
             ternary.PageEntry(e.word, e.code, 0 if "zz" in e.word.symbols else e.rep_count) for e in page.entries
@@ -620,7 +611,7 @@ def test_run_walk_matches_symbol_walk_on_muted_rep_counts(variant, data):
 
 def test_run_past_the_cap_is_refused():
     # zzz keeps the disparity, so on page 2 it loops on its own page and the z run grows without end
-    page = ternary.reference_dictionary().page(2)
+    page = ternary.dictionary_for(ternary.REFERENCE).page(2)
     looping = (ternary.PageEntry(ternary.word_metrics("zzz"), 0, page.entries[0].rep_count),) + page.entries[1:]
     book = _reference_with_page_two(looping)
     message = "run of 'z' exceeds the cap of 16"
@@ -687,10 +678,10 @@ def _occupancy(pages):
 
 
 def test_boundary_transit_oracle():
-    broadened = _table_pages(ternary.broadened_rows(), "s{}_id", WEIGHTINGS["rep"])
-    reference = _table_pages(ternary.reference_rows(), "nibble_s{}", WEIGHTINGS["uniform"])
-    wide = ternary.portrait(ternary.broadened_dictionary())
-    narrow = ternary.portrait(ternary.reference_dictionary())
+    broadened = _table_pages(ternary.table_rows(ternary.BROADENED), "s{}_id", WEIGHTINGS["rep"])
+    reference = _table_pages(ternary.table_rows(ternary.REFERENCE), "nibble_s{}", WEIGHTINGS["uniform"])
+    wide = ternary.portrait(ternary.dictionary_for(ternary.BROADENED))
+    narrow = ternary.portrait(ternary.dictionary_for(ternary.REFERENCE))
     assert _boundary_transit(broadened, broadened) == wide.p_transit[2] == Fraction(2267, 3328)
     assert _boundary_transit(reference, reference) == narrow.p_transit[2] == Fraction(569, 832)
 
@@ -703,7 +694,7 @@ def test_boundary_transit_conventions_ruled_out():
     the current one.  The current-page reading is also refuted by the
     reference table, whose printed 0.68 it misses.
     """
-    rows = ternary.broadened_rows()
+    rows = ternary.table_rows(ternary.BROADENED)
     pages = {name: _table_pages(rows, "s{}_id", weight) for name, weight in WEIGHTINGS.items()}
     cells = {
         (chosen, follow, next_page): _boundary_transit(pages[chosen], pages[follow], next_page=next_page)
@@ -718,7 +709,7 @@ def test_boundary_transit_conventions_ruled_out():
     assert max(cells.values()) == Fraction(89, 128)
     assert 0.62 < min(cells.values()) and max(cells.values()) < 0.70
 
-    reference = _table_pages(ternary.reference_rows(), "nibble_s{}", WEIGHTINGS["uniform"])
+    reference = _table_pages(ternary.table_rows(ternary.REFERENCE), "nibble_s{}", WEIGHTINGS["uniform"])
     current = _boundary_transit(reference, reference, next_page=False)
     assert current == Fraction(1081, 1664)
     assert abs(float(current) - 0.68) > 0.01
@@ -731,7 +722,7 @@ def test_boundary_transit_profile_sweep():
     rep-1 words; page 3 mirrors page 2, so the four rep-1 words of page 2
     fix the profile.  Each profile gets the occupancy of its own chain.
     """
-    shipped = _table_pages(ternary.broadened_rows(), "s{}_id", WEIGHTINGS["rep"])
+    shipped = _table_pages(ternary.table_rows(ternary.BROADENED), "s{}_id", WEIGHTINGS["rep"])
     assert sorted(w for _, _, w in shipped[2]) == [1] * 4 + [2] * 14
     cells = []
     for light in itertools.combinations([word for word, _, _ in shipped[2]], 4):
@@ -759,7 +750,7 @@ def test_run_bound_witnesses():
 
 def test_simulated_frequencies_track_exact_values():
     rng = random.Random(0xBEA7)
-    stats = ternary.portrait(ternary.reference_dictionary())
+    stats = ternary.portrait(ternary.dictionary_for(ternary.REFERENCE))
     words = 333334
     counts = {ch: 0 for ch in ternary.SYMBOLS}
     runs = {ch: 0 for ch in ternary.SYMBOLS}
@@ -783,7 +774,7 @@ def test_simulated_frequencies_track_exact_values():
 
 def test_simulated_broadened_key_stream():
     rng = random.Random(0xB0A7)
-    stats = ternary.portrait(ternary.broadened_dictionary())
+    stats = ternary.portrait(ternary.dictionary_for(ternary.BROADENED))
     words = 120000
     counts = {ch: 0 for ch in ternary.SYMBOLS}
     changes = [0, 0, 0]  # after the first and second symbol, then at the boundary
@@ -816,7 +807,7 @@ def test_simulated_broadened_key_stream():
 
 
 def test_page_code_gap_is_range_error():
-    entries = ternary.reference_dictionary().page(1).entries
+    entries = ternary.dictionary_for(ternary.REFERENCE).page(1).entries
     with pytest.raises(RangeError):
         ternary.TernaryPage(1, entries[1:])
 
