@@ -52,6 +52,9 @@ def fibonacci(n: int) -> int:
 
 
 def pattern_of(bias: int) -> str:
+    """The bias class of a word, the bias read as an int."""
+    if bias.__class__ is not int:  # converted off the per-cell int path
+        bias = integer("bias", bias)
     if bias == 0:
         return "balanced"
     if abs(bias) == 1:
@@ -138,6 +141,9 @@ class ImageFilter(Record):
     max_droop: int | None = None
 
     def admits(self, bias: int, transits: int, droop: int) -> bool:
+        """Whether a word of this footprint passes, each argument read as an int."""
+        if bias.__class__ is not int or transits.__class__ is not int or droop.__class__ is not int:  # off the int path
+            bias, transits, droop = integer("bias", bias), integer("transits", transits), integer("droop", droop)
         max_abs_bias, balanced_only, min_transits, max_droop = self  # one read of the fields
         if balanced_only and bias != 0:
             return False

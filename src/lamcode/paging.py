@@ -33,31 +33,32 @@ class PagedCodec:
     in code order; a next state that names no page raises PageMiss, no word,
     an empty first word or a word of another width than the first RangeError.
     `successors` maps each state to its next states in code order. The private
-    encode table of a state maps a code to (word, next_state, the next encode
+    encode table of a state lists, per code, (word, next_state, the next encode
     table), and its decode table maps a word to (code, next_state, the next decode
     table); each entry is stored once per direction, and a symbol costs one lookup."""
 
     def __init__(self, pages: dict) -> None:
-        self._encoders = {state: {} for state in pages}
-        self._decoders = {state: {} for state in pages}
-        self.width = next((len(word) for page in pages.values() for word, _ in page), 0)
-        if not self.width:
+        encoders = self._encoders = {state: [] for state in pages}
+        decoders = self._decoders = {state: {} for state in pages}
+        width = self.width = next((len(word) for page in pages.values() for word, _ in page), 0)
+        if not width:
             raise RangeError("words must hold at least one symbol, and the pages at least one word")
         for state, page in pages.items():
+            encode, decode = encoders[state], decoders[state]
             for code, (word, nxt) in enumerate(page):
-                if nxt not in self._encoders:
+                if nxt not in encoders:
                     raise PageMiss(f"word {word!r} leaves the band from {state}")
-                if len(word) != self.width:
-                    raise RangeError(f"word {word!r} has width {len(word)}, not {self.width}")
-                self._encoders[state][code] = word, nxt, self._encoders[nxt]
-                self._decoders[state][word] = code, nxt, self._decoders[nxt]
+                if len(word) != width:
+                    raise RangeError(f"word {word!r} has width {len(word)}, not {width}")
+                encode.append((word, nxt, encoders[nxt]))
+                decode[word] = code, nxt, decoders[nxt]
         self.successors = {state: tuple(nxt for _, nxt in page) for state, page in pages.items()}
 
     def encode(self, codes, state) -> tuple[str, object]:
         """The words for `codes` sent from `state`, and the state after them.
 
-        `codes` that is not iterable is a RangeError; a code that is not in
-        the current page, unhashable ones included, is a CodeOutOfRange.
+        `codes` that is not iterable is a RangeError; a code that is not an
+        integer (`__index__`) in the current page's range is a CodeOutOfRange.
         """
         table = _table(self._encoders, state)
         try:
@@ -67,8 +68,10 @@ class PagedCodec:
         words = []
         for code in codes:
             try:
+                if code < 0:  # a negative index would read from the end of the list
+                    raise IndexError(code)
                 word, state, table = table[code]
-            except (KeyError, TypeError):
+            except (IndexError, TypeError, ValueError):  # ValueError: an array's truth value is ambiguous
                 raise CodeOutOfRange(f"code {code} outside page {state} of {len(self._encoders[state])} words") from None
             words.append(word)
         return "".join(words), state

@@ -160,13 +160,14 @@ def solve_dx1(r: int, n: int) -> PartitionSolution:
     """The quasi-uniform solution: bin sizes differ by at most one.
 
     With sizes floor(2^r/N) and one more, the size-parity constraint is
-    automatic; when N divides 2^r the second class is left empty.
+    automatic; when N divides 2^r the second class is left empty. The
+    counts and sizes tile 2^r by construction, so the solution is built unchecked.
     """
     r, n = _check_rn(r, n)
     low, m_high = divmod(1 << r, n)
     counts = {low: n - m_high, low + 1: m_high}
     x_even, x_odd = (low, low + 1) if low % 2 == 0 else (low + 1, low)
-    return PartitionSolution(r, n, counts[x_even], counts[x_odd], x_even, x_odd)
+    return tuple.__new__(PartitionSolution, (r, n, counts[x_even], counts[x_odd], x_even, x_odd))
 
 
 def solve_dm1(r: int, n: int) -> list[PartitionSolution]:
@@ -176,7 +177,8 @@ def solve_dm1(r: int, n: int) -> list[PartitionSolution]:
     size class must have an even count, which pins the count assignment;
     candidate sizes then live on one residue class, so the minimum of
     |x_even - x_odd| is found by inspecting the neighbours of 2^r/N.
-    Returns every solution attaining the minimum (usually one).
+    Returns every solution attaining the minimum (usually one), each built
+    unchecked: the residue class and the bound on x_odd make every field valid.
     """
     r, n = _check_rn(r, n)
     if n % 2 == 0:
@@ -194,7 +196,7 @@ def solve_dm1(r: int, n: int) -> list[PartitionSolution]:
     # its minimum lies on the two terms around total/n. An empty odd class (N = 1) bounds no size.
     k = max(0, (total - n * x0) // (n * step))
     found = [
-        PartitionSolution(r, n, m_even, m_odd, (total - m_odd * x_odd) // m_even, x_odd)
+        tuple.__new__(PartitionSolution, (r, n, m_even, m_odd, (total - m_odd * x_odd) // m_even, x_odd))
         for x_odd in (x0 + k * step, x0 + (k + 1) * step)
         if m_odd * x_odd <= total
     ]

@@ -148,6 +148,11 @@ class PagedTernaryDictionary(Record):
             chain.extend((page.sigma, e.rep_count, total, e.word, successors[page.sigma][e.code]) for e in page.entries)
         return tuple(chain)
 
+    @cached_property
+    def _portrait(self) -> PortraitStats:
+        """The portrait, solved on first read; a refusal caches nothing, so every read raises it again."""
+        return _solve_portrait(self)
+
 
 @lru_cache(maxsize=None)
 def _data_rows(name: str) -> tuple[dict[str, str], ...]:
@@ -357,7 +362,18 @@ class PortraitStats(Record):
 
 
 def portrait(dictionary: PagedTernaryDictionary) -> PortraitStats:
-    """Exact occupancy statistics under uniform code flow, in one pass.
+    """Exact occupancy statistics under uniform code flow, solved once per dictionary.
+
+    Each call gets its own copies of the dict fields, built unchecked, so
+    one caller's edit never reaches the next report.
+    """
+    variant, boundary, p_sigma_phase, p_letter_phase, p_transit, bounds = dictionary._portrait
+    sigma, letters = tuple(map(dict.copy, p_sigma_phase)), tuple(map(dict.copy, p_letter_phase))
+    return tuple.__new__(PortraitStats, (variant, boundary, sigma, letters, p_transit, bounds.copy()))
+
+
+def _solve_portrait(dictionary: PagedTernaryDictionary) -> PortraitStats:
+    """The portrait in one pass over the word-choice chain.
 
     Every cell sums weights boundary[sigma] * rep_count / page total. They
     are summed as integers over one scale, the boundary denominators' lcm

@@ -5,6 +5,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -110,6 +111,25 @@ def test_a_filter_that_is_not_an_image_filter_is_refused():
         with pytest.raises(RangeError, match="must be an ImageFilter"):
             call()
     assert paged_codec(8, None) is paged_codec(8)  # None stays the default
+
+
+def test_bias_classes_and_filters_read_their_arguments_as_ints():
+    # pattern_of(None) and a bias-bounded filter's admits("x", ...) raised untyped TypeErrors, the balanced
+    # filter said False to "x", and float footprints were judged as numbers
+    strict = ImageFilter(max_abs_bias=1, min_transits=2, max_droop=2)
+    for call in (
+        lambda: pattern_of(None),
+        lambda: pattern_of(0.0),
+        lambda: UNIT_BIAS.admits("x", 1, 1),
+        lambda: BALANCED.admits("x", 1, 1),
+        lambda: BALANCED.admits(0, 3.0, 1),
+        lambda: strict.admits(0, 3, float("nan")),
+        lambda: ImageFilter().admits(0, 0, None),
+    ):
+        with pytest.raises(RangeError, match="must be an integer"):
+            call()
+    assert pattern_of(np.int64(-1)) == "unit" and pattern_of(True) == "unit"
+    assert strict.admits(np.int8(1), np.int64(2), np.uint8(2)) and not strict.admits(np.int64(2), 2, 2)
 
 
 def test_images_are_valid_and_sorted():

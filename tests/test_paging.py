@@ -5,6 +5,7 @@ import random
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -151,6 +152,17 @@ def test_wrong_type_arguments_are_refused():
             codec.decode(text, ternary.START_SIGMA)
     # integer-like codes still find their word, and an iterator is read once
     assert codec.encode(iter([True, 0]), ternary.START_SIGMA) == codec.encode([1, 0], ternary.START_SIGMA)
+
+
+@pytest.mark.parametrize("module, args", [(ternary, ()), (dictionary, (8,))], ids=("ternary", "dictionary"))
+def test_non_integer_and_negative_codes_are_refused(module, args):
+    # the code-keyed encode dict found 2.0 and Fraction(3) by their equal hash and sent the words of 2 and 3;
+    # a list indexed by code would read a negative code from its end
+    for codes in ([2.0, 1], [Fraction(3)], [-1], [1, -1], [np.float64(2.0)], [np.array([1, 2])]):
+        with pytest.raises(CodeOutOfRange):
+            module.encode_stream(codes, *args)
+    assert module.encode_stream(np.array([2, 1]), *args) == module.encode_stream([2, 1], *args)
+    assert module.encode_stream([np.int64(2), np.uint8(1)], *args) == module.encode_stream([2, 1], *args)
 
 
 def test_unhashable_state_is_an_unknown_state():

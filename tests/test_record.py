@@ -197,6 +197,7 @@ JK_ENTRIES = ("build_pages", "page_sizes", "census", "enumerate_valid", "count_v
               "filter_for_data_bits", "multiplex_feasible", "next_page", "fibonacci")
 FILTER_ENTRIES = ("build_pages", "page_sizes", "census", "paged_codec")
 CALL_BOUND_S = 2.0
+THRESHOLDS = dictionary.ImageFilter(max_abs_bias=1, min_transits=2, max_droop=2)  # every footprint argument is compared
 SCALAR_ENTRIES = {
     "solve_dx1[r]": lambda v: scrambler.solve_dx1(v, 259),
     "solve_dx1[n]": lambda v: scrambler.solve_dx1(15, v),
@@ -214,6 +215,10 @@ SCALAR_ENTRIES = {
     "delimiter_word[s4]": lambda v: ternary.delimiter_word(v, 1, 1),
     "delimiter_word[sigma]": lambda v: ternary.delimiter_word(0, v, 1),
     "delimiter_word[period]": lambda v: ternary.delimiter_word(0, 1, v),
+    "pattern_of": dictionary.pattern_of,
+    "admits[bias]": lambda v: THRESHOLDS.admits(v, 3, 1),
+    "admits[transits]": lambda v: THRESHOLDS.admits(0, v, 1),
+    "admits[droop]": lambda v: THRESHOLDS.admits(0, 3, v),
 }
 
 
@@ -251,7 +256,7 @@ def test_hostile_values_are_taken_or_refused():
     # variant, a J/K codec's word length, a jump position, an echo modulus, a page chain and its one row, each
     # J/K length, payload width, previous word and Fibonacci index, the image filter of each J/K entry that takes
     # one, each scalar argument of the scrambler's solvers, maps and budgets, the Manchester bits and trace
-    # letters, a ternary word and each coordinate of the delimiter grid
+    # letters, a ternary word, each coordinate of the delimiter grid, a bias class and each footprint an image filter judges
     calls = []
     for cls, values in EXAMPLES.items():
         for at, name in enumerate(cls._fields):

@@ -345,6 +345,18 @@ def test_solver_range_errors():
             scrambler.PartitionSolution(*fields)
 
 
+def test_unchecked_solutions_equal_their_checked_rebuild():
+    # the solvers build their solutions unchecked: each must pass the checked constructor unchanged, with int fields
+    grid = [(r, n) for r in range(1, 65) for n in range(1, min(1 << r, 600) + 1)]
+    grid += [(r, n) for r in range(1, 65) for n in ((1 << r) - 1, 1 << r, (1 << r) // 3 | 1)]
+    grid += [(MAX_WIDTH, n) for n in (1, 3, 259, (1 << MAX_WIDTH) - 1, 1 << MAX_WIDTH)]
+    for r, n in grid:
+        for sol in solve_partitions(r, n):
+            assert sol == scrambler.PartitionSolution(*sol) and all(type(field) is int for field in sol), (r, n)
+    assert solve_partitions(np.int64(15), np.uint16(259)) == solve_partitions(15, 259)
+    assert all(type(field) is int for sol in solve_partitions(np.int64(15), np.uint16(259)) for field in sol)
+
+
 # --- bin maps -----------------------------------------------------------
 
 

@@ -396,9 +396,10 @@ def test_empty_page_is_refused():
 
 def test_weightless_page_is_refused():
     page = ternary.dictionary_for(ternary.REFERENCE).page(2)
-    weightless = tuple(ternary.PageEntry(e.word, e.code, 0) for e in page.entries)
-    with pytest.raises(RangeError, match="page 2"):
-        ternary.portrait(_reference_with_page_two(weightless))
+    weightless = _reference_with_page_two(tuple(ternary.PageEntry(e.word, e.code, 0) for e in page.entries))
+    for _ in range(2):  # a refusal is not cached as an answer: the second call raises it again
+        with pytest.raises(RangeError, match="page 2 has no representation weight"):
+            ternary.portrait(weightless)
 
 
 def test_substochastic_row_is_refused():
@@ -618,8 +619,51 @@ def test_run_past_the_cap_is_refused():
     assert _run_outcome(symbol_walk_run_bounds, book) == (RangeError, message)
     with pytest.raises(RangeError, match=message):
         ternary.run_bounds(book)
-    with pytest.raises(RangeError, match=message):
-        ternary.portrait(book)
+    for _ in range(2):  # and again on the second call
+        with pytest.raises(RangeError, match=message):
+            ternary.portrait(book)
+
+
+def _fresh(variant):
+    """A book equal to a shipped one, with none of its derived tables built yet."""
+    shipped = ternary.dictionary_for(variant)
+    return ternary.PagedTernaryDictionary(shipped.variant, shipped.pages)
+
+
+def test_portrait_is_solved_once_per_dictionary(monkeypatch):
+    # the stationary solve and the run walk ran again on every call; an equal book is solved once, for itself
+    counts = {"stationary_distribution": 0, "run_bounds": 0}
+
+    def counted(name):
+        solve = getattr(ternary, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return solve(*args)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(ternary, name, counted(name))
+    book = _fresh(ternary.BROADENED)
+    first = [ternary.portrait(book) for _ in range(3)]
+    assert counts == {"stationary_distribution": 1, "run_bounds": 1}
+    twin = _fresh(ternary.BROADENED)
+    assert [ternary.portrait(twin) for _ in range(3)] == first
+    assert counts == {"stationary_distribution": 2, "run_bounds": 2}
+
+
+def test_each_portrait_owns_its_dicts():
+    # a cached result handed to every caller would carry one caller's edit into the next report
+    book = _fresh(ternary.REFERENCE)
+    edited, kept = ternary.portrait(book), ternary.portrait(book)
+    edited.p_sigma_phase[0].clear()
+    edited.p_letter_phase[1]["L"] = Fraction(1)
+    edited.run_bounds["z"] = 99
+    again = ternary.portrait(book)
+    assert again.p_sigma_phase[0] and again.p_letter_phase[1]["L"] == Fraction(134, 416) and again.run_bounds["z"] == 4
+    assert kept == again == fraction_portrait(book) != edited
+    assert repr(again) == repr(fraction_portrait(book))
 
 
 # Page occupancy at a word boundary: the stationary vector that
